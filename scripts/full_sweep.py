@@ -30,7 +30,7 @@ def main() -> int:
         json.dump(build_config(), fh)
         config_path = fh.name
     start = time.perf_counter()
-    code = cli_main(["sweep", "--config", config_path, "--out", outdir, "--jobs", "4"])
+    code = cli_main(["sweep", "--config", config_path, "--out", outdir])
     elapsed = time.perf_counter() - start
     print(f"\nsweep of {len(build_config()['cells'])} cells finished in {elapsed:.1f}s -> {outdir}/rollup.csv")
     return code

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .ledger import STAR, CocoExpander, GramLedger, ix_dist, ix_g
+from .ledger import STAR, GramLedger, coco_block, ix_dist, ix_g
 from .schedules import (
     SILVER_RATIO,
     StepsizeMatrix,
@@ -317,24 +317,15 @@ def _report(lhs: GramLedger, rhs: GramLedger, tol: float | None) -> IdentityRepo
     )
 
 
-def _iter_nonzero(lam: np.ndarray):
-    rows, cols = np.nonzero(lam)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        yield i, j, lam[i, j]
-
-
 def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[GramLedger, GramLedger]:
     """Both sides of the objective-gap identity as ledgers."""
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
-    hcum = cumulative(H).entries
-    expand = CocoExpander(hcum, composite=False, coupled_star=False)
     lhs = GramLedger(n)
-    for i, j, w in _iter_nonzero(cert.lam):
-        if i == j:
-            continue
-        expand.add_smooth_coco(lhs, w, STAR if i == n + 1 else i, j)
+    W = np.zeros((n + 2, n + 2))
+    W[:, : n + 1] = cert.lam
+    coco_block(lhs, W, cumulative(H).entries, smooth=True, composite=False, coupled_star=False)
     square = np.zeros(lhs.quad.shape[0])
     square[ix_dist(n)] = 1.0
     for i in range(n + 1):
@@ -363,13 +354,10 @@ def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[Gra
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
-    hcum = cumulative(H).entries
-    expand = CocoExpander(hcum, composite=False, coupled_star=False)
     lhs = GramLedger(n)
-    for i, j, w in _iter_nonzero(cert.lam):
-        if i == j:
-            continue
-        expand.add_smooth_coco(lhs, w, i, j)
+    W = np.zeros((n + 2, n + 2))
+    W[: n + 1, : n + 1] = cert.lam
+    coco_block(lhs, W, cumulative(H).entries, smooth=True, composite=False, coupled_star=False)
 
     rhs = GramLedger(n)
     rhs.add_f(0, 1.0)

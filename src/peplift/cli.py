@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -272,14 +271,9 @@ def cmd_sweep(args) -> int:
         print("sweep: no cells, nothing to do")
         return 0
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_cell, cells))
-    else:
-        results = [_sweep_cell(cell) for cell in cells]
-
+    results = [_sweep_cell(cell) for cell in cells]  # every cell runs before any file is written
     rows = []
-    for (row, doc) in results:
+    for row, doc in results:
         rows.append(row)
         name = f"{row.algorithm}_{row.metric}_{row.size}.json"
         with open(os.path.join(args.out, name), "w") as fh:
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a grid of certify+lift cells")
     sweep.add_argument("--config", required=True, help="sweep config JSON")
     sweep.add_argument("--out", required=True, help="output directory")
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

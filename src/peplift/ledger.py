@@ -15,6 +15,24 @@ The basis ordering above is fixed globally.  Unconstrained identities simply
 never touch the subgradient coordinates; the substitution at the optimum
 (the optimal gradient is zero, or minus s_star in the composite setting) is
 applied during construction, so it never appears as a basis element.
+
+Every identity is a weighted sum of co-coercivity inequalities over the
+points 0..n and STAR,
+
+    smooth:     f_i - f_j - <g_j, x_i - x_j> - ||g_i - g_j||^2 / 2
+    nonsmooth:  h_i - h_j - <s_j, x_i - x_j>,
+
+and such a sum is linear in the Gram matrix of the basis.  Let row p of X
+hold x_p - x_0 and row p of G the (sub)gradient at point p, both over the
+basis, and let r, c be the row and column sums of the weight matrix W with
+its diagonal zeroed.  Then :func:`coco_block` adds
+
+    lin  += r - c
+    quad -= sym(G^T (W^T X - diag(c) X))
+    quad -= G^T (diag(r + c) - W - W^T) G / 2        (smooth inequalities only)
+
+with sym(A) = (A + A^T) / 2.  The one-inequality-at-a-time expansion it
+replaces is kept as the reference oracle in ``tests/coco_oracle.py``.
 """
 
 from __future__ import annotations
@@ -90,20 +108,6 @@ class GramLedger:
     def add_h(self, i: Index, weight: float) -> None:
         self.lin_h[ix_val(self.n, i)] += weight
 
-    def add_inner_basis(self, p: int, coeffs: np.ndarray, weight: float) -> None:
-        """Add weight * <basis_p, sum_q coeffs[q] basis_q>."""
-        half = 0.5 * weight
-        self.quad[p, :] += half * coeffs
-        self.quad[:, p] += half * coeffs
-
-    def add_inner_sparse(self, a: list[tuple[int, float]], b: list[tuple[int, float]], weight: float) -> None:
-        """Add weight * <sum a, sum b> where both sides are short index lists."""
-        for p, ca in a:
-            for q, cb in b:
-                w = 0.5 * weight * ca * cb
-                self.quad[p, q] += w
-                self.quad[q, p] += w
-
     def add_square(self, coeffs: np.ndarray, weight: float) -> None:
         """Add weight * ||sum_q coeffs[q] basis_q||^2."""
         self.quad += weight * np.outer(coeffs, coeffs)
@@ -135,91 +139,90 @@ class GramLedger:
         )
 
 
-class CocoExpander:
-    """Expands co-coercivity inequalities of one method run over the basis.
+def _add_sym(quad: np.ndarray, rows: slice, cols: slice, block: np.ndarray) -> None:
+    """quad[rows, cols] += block / 2 and quad[cols, rows] += block^T / 2."""
+    half = 0.5 * block
+    quad[rows, cols] += half
+    quad[cols, rows] += half.T
 
-    Parameters
-    ----------
-    hcum : (n, n) array
-        Cumulative stepsize entries; column i-1 holds the coefficients of the
-        past gradient directions in x_0 - x_i.
-    composite : bool
-        If True the iterates follow the composite extension, so direction j
-        is g_j + s_{j+1}; otherwise plain gradients.
-    coupled_star : bool
-        If True the gradient at the optimum is -s_star (composite optimality);
-        otherwise it is zero (unconstrained optimality).
+
+def coco_block(
+    led: GramLedger,
+    W: np.ndarray,
+    hcum: np.ndarray,
+    smooth: bool,
+    composite: bool,
+    coupled_star: bool,
+) -> None:
+    """Add sum_{i != j} W[i, j] * coco(i, j) to led, in matrix form.
+
+    W is (n+2, n+2) over the points 0..n with STAR last; its diagonal is
+    ignored.  Column i-1 of hcum holds, on and above the diagonal, the
+    coefficients of the past directions in x_0 - x_i; direction l is
+    g_l + s_{l+1} when composite and g_l otherwise.  The gradient at STAR is
+    -s_star when coupled_star and zero otherwise.  Nonsmooth inequalities take
+    the subgradient at j, which point 0 lacks, so their column 0 must be zero.
     """
+    hcum = np.asarray(hcum, dtype=float)
+    n = hcum.shape[0]
+    star = n + 1
+    W = np.array(W, dtype=float)
+    if led.n != n or W.shape != (n + 2, n + 2):
+        raise ValueError(f"need an {n}-step ledger and a {(n + 2, n + 2)} weight matrix, "
+                         f"got {led.n} and {W.shape}")
+    np.fill_diagonal(W, 0.0)
+    if not smooth and np.any(W[:, 0]):
+        raise ValueError("nonsmooth inequalities need a subgradient at j; point 0 has none")
+    r, c = W.sum(axis=1), W.sum(axis=0)
+    lin = led.lin_f if smooth else led.lin_h
+    lin += r - c
 
-    def __init__(self, hcum: np.ndarray, composite: bool, coupled_star: bool):
-        self.hcum = np.asarray(hcum, dtype=float)
-        self.n = self.hcum.shape[0]
-        self.composite = composite
-        self.coupled_star = coupled_star
-        self._x_cache: dict[Index, np.ndarray] = {}
+    # Row p of W^T X - diag(c) X is sum_i W[i, p] (x_i - x_p).  X is nonzero
+    # on the past directions, where rows 1..n hold -hcum^T, and at x0 - x*,
+    # where STAR's row holds -1.  Along the directions, x_i - x_p is summed
+    # from the steps x_k - x_{k-1} with prefix and suffix sums of W's columns,
+    # so c[p] x_p never cancels against sum_i W[i, p] x_i.
+    x_dir = np.zeros((star, n))
+    x_dir[1:] = -np.triu(hcum).T
+    before = np.cumsum(W[:star, :star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
+    after = np.cumsum(W[n::-1, :star], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
+    steps = np.tril(after) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
+    m_dir = np.empty((n + 2, n))
+    m_dir[:star] = steps.T @ np.diff(x_dir, axis=0) - W[star, :star, None] * x_dir
+    m_dir[star] = W[:star, star] @ x_dir
+    m_dist = -W[star]
+    m_dist[star] += c[star]
+    dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
+    if composite:
+        dir_cols.append(slice(ix_s(n, 1), ix_s(n, n) + 1))
 
-    def x_rel(self, i: Index) -> np.ndarray:
-        """Coefficients of x_i - x_0 over the basis."""
-        cached = self._x_cache.get(i)
-        if cached is not None:
-            return cached
-        n = self.n
-        c = np.zeros(basis_dim(n))
-        if i == STAR:
-            c[ix_dist(n)] = -1.0
-        else:
-            i = int(i)
-            if not 0 <= i <= n:
-                raise IndexError(f"iterate index {i} out of range 0..{n}")
-            for l in range(i):
-                w = self.hcum[l, i - 1]
-                c[ix_g(n, l)] -= w
-                if self.composite:
-                    c[ix_s(n, l + 1)] -= w
-        self._x_cache[i] = c
-        return c
+    # G as (basis rows, points, sign) groups: g_0..g_n or s_1..s_n, then STAR
+    if smooth:
+        groups = [(slice(ix_g(n, 0), ix_g(n, n) + 1), slice(0, star), 1.0)]
+        star_sign = -1.0 if coupled_star else 0.0
+    else:
+        groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), 1.0)]
+        star_sign = 1.0
+    if star_sign:
+        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), star_sign))
+    if smooth:
+        lap = np.diag(r + c) - W - W.T
 
-    def x_diff(self, i: Index, j: Index) -> np.ndarray:
-        return self.x_rel(i) - self.x_rel(j)
+    quad = led.quad
+    for rows, pts, sign in groups:
+        for cols in dir_cols:
+            _add_sym(quad, rows, cols, -sign * m_dir[pts])
+        _add_sym(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), -sign * m_dist[pts, None])
+        if smooth:
+            for rows2, pts2, sign2 in groups:
+                quad[rows, rows2] -= 0.5 * sign * sign2 * lap[pts, pts2]
 
-    def grad_terms(self, i: Index) -> list[tuple[int, float]]:
-        """Gradient at iterate i as a short list of (basis position, coeff)."""
-        n = self.n
-        if i == STAR:
-            return [(ix_s_star(n), -1.0)] if self.coupled_star else []
-        return [(ix_g(n, int(i)), 1.0)]
 
-    def subgrad_terms(self, j: Index) -> list[tuple[int, float]]:
-        n = self.n
-        if j == STAR:
-            return [(ix_s_star(n), 1.0)]
-        j = int(j)
-        if not 1 <= j <= n:
-            raise IndexError(f"subgradient index {j} out of range 1..{n}")
-        return [(ix_s(n, j), 1.0)]
-
-    def add_smooth_coco(self, led: GramLedger, weight: float, i: Index, j: Index) -> None:
-        """Accumulate weight * [f_i - f_j - <g_j, x_i - x_j> - ||g_i - g_j||^2 / 2]."""
-        if i == j:
-            raise ValueError("co-coercivity requires distinct indices")
-        led.add_f(i, weight)
-        led.add_f(j, -weight)
-        diff = self.x_diff(i, j)
-        gj = self.grad_terms(j)
-        for p, c in gj:
-            led.add_inner_basis(p, diff, -weight * c)
-        gd = self.grad_terms(i) + [(p, -c) for p, c in gj]
-        led.add_inner_sparse(gd, gd, -0.5 * weight)
-
-    def add_nonsmooth_coco(self, led: GramLedger, weight: float, i: Index, j: Index) -> None:
-        """Accumulate weight * [h_i - h_j - <s_j, x_i - x_j>]."""
-        if i == j:
-            raise ValueError("co-coercivity requires distinct indices")
-        led.add_h(i, weight)
-        led.add_h(j, -weight)
-        diff = self.x_diff(i, j)
-        for p, c in self.subgrad_terms(j):
-            led.add_inner_basis(p, diff, -weight * c)
+_MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
+    "unconstrained": (True, False),
+    "composite_f": (True, True),
+    "composite_h": (False, True),
+}
 
 
 def cocoercivity_ledger(hcum: np.ndarray, i: Index, j: Index, mode: str) -> GramLedger:
@@ -230,14 +233,18 @@ def cocoercivity_ledger(hcum: np.ndarray, i: Index, j: Index, mode: str) -> Gram
     composite extension (optimal gradient is -s_star); 'composite_h': the
     nonsmooth inequality along the composite extension.
     """
-    hcum = np.asarray(hcum, dtype=float)
-    led = GramLedger(hcum.shape[0])
-    if mode == "unconstrained":
-        CocoExpander(hcum, composite=False, coupled_star=False).add_smooth_coco(led, 1.0, i, j)
-    elif mode == "composite_f":
-        CocoExpander(hcum, composite=True, coupled_star=True).add_smooth_coco(led, 1.0, i, j)
-    elif mode == "composite_h":
-        CocoExpander(hcum, composite=True, coupled_star=True).add_nonsmooth_coco(led, 1.0, i, j)
-    else:
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if i == j:
+        raise ValueError("co-coercivity requires distinct indices")
+    hcum = np.asarray(hcum, dtype=float)
+    n = hcum.shape[0]
+    smooth, composite = _MODES[mode]
+    for k, lo in ((i, 0), (j, 0 if smooth else 1)):  # no subgradient at point 0
+        if k != STAR and not lo <= int(k) <= n:
+            raise IndexError(f"index {k} out of range {lo}..{n}")
+    W = np.zeros((n + 2, n + 2))
+    W[ix_val(n, i), ix_val(n, j)] = 1.0
+    led = GramLedger(n)
+    coco_block(led, W, hcum, smooth, composite, coupled_star=composite)
     return led

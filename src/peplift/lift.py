@@ -30,15 +30,14 @@ from .certificates import (
     FuncCertificate,
     GradCertificate,
     IdentityReport,
-    _iter_nonzero,
     _report,
     aggregates,
 )
 from .ledger import (
     STAR,
-    CocoExpander,
     GramLedger,
     basis_dim,
+    coco_block,
     ix_dist,
     ix_g,
     ix_s,
@@ -397,19 +396,14 @@ def composite_func_ledgers(
     n = cert.n
     xi_val = lift.xi if xi is None else float(xi)
     hcum = cumulative(H).entries
-    expand = CocoExpander(hcum, composite=True, coupled_star=True)
 
     lhs = GramLedger(n)
-    for i, j, w in _iter_nonzero(cert.lam):
-        if i == j:
-            continue
-        expand.add_smooth_coco(lhs, w, STAR if i == n + 1 else i, j)
-    for row, col in zip(*np.nonzero(lift.mu)):
-        i = STAR if row == n else int(row) + 1
-        j = int(col) + 1
-        if i == j:
-            continue
-        expand.add_nonsmooth_coco(lhs, float(lift.mu[row, col]), i, j)
+    W = np.zeros((n + 2, n + 2))
+    W[:, : n + 1] = cert.lam
+    coco_block(lhs, W, hcum, smooth=True, composite=True, coupled_star=True)
+    W[:] = 0.0
+    W[1:, 1 : n + 1] = lift.mu  # sources 1..n and STAR, subgradients 1..n
+    coco_block(lhs, W, hcum, smooth=False, composite=True, coupled_star=True)
 
     square = -np.array(lift.u_coeffs)
     square[ix_dist(n)] += 1.0
@@ -454,18 +448,14 @@ def composite_grad_ledgers(
     """Both sides of the lifted gradient-norm identity as ledgers."""
     n = cert.n
     hcum = cumulative(H).entries
-    expand = CocoExpander(hcum, composite=True, coupled_star=True)
 
     lhs = GramLedger(n)
-    for i, j, w in _iter_nonzero(cert.lam):
-        if i == j:
-            continue
-        expand.add_smooth_coco(lhs, w, i, j)
-    for row, col in zip(*np.nonzero(lift.mu)):
-        i, j = int(row), int(col) + 1
-        if i == j:
-            continue
-        expand.add_nonsmooth_coco(lhs, float(lift.mu[row, col]), i, j)
+    W = np.zeros((n + 2, n + 2))
+    W[: n + 1, : n + 1] = cert.lam
+    coco_block(lhs, W, hcum, smooth=True, composite=True, coupled_star=True)
+    W[:] = 0.0
+    W[: n + 1, 1 : n + 1] = lift.mu  # sources 0..n, subgradients 1..n
+    coco_block(lhs, W, hcum, smooth=False, composite=True, coupled_star=True)
 
     indices = np.array([ix_g(n, n)] + [ix_s(n, j) for j in range(1, n + 1)])
     lhs.add_block(indices, lift.slack, 0.5)
@@ -475,8 +465,9 @@ def composite_grad_ledgers(
     rhs.add_f(n, -1.0)
     rhs.add_h(0, 1.0)
     rhs.add_h(n, -1.0)
-    final = [(ix_g(n, n), 1.0), (ix_s(n, n), 1.0)]
-    rhs.add_inner_sparse(final, final, -0.5 * cert.r * (1.0 - lift.xi))
+    final = np.zeros(basis_dim(n))
+    final[[ix_g(n, n), ix_s(n, n)]] = 1.0
+    rhs.add_square(final, -0.5 * cert.r * (1.0 - lift.xi))
     return lhs, rhs
 
 

@@ -68,6 +68,17 @@ class TestLift:
     def test_grad_pseudo_is_usage_error(self):
         assert main(["lift", "--algo", "gsw", "--metric", "grad", "--k", "2", "--xi", "pseudo"]) == 2
 
+    @pytest.mark.parametrize("algo,metric,size_flag,size", [
+        ("ogm", "func", "--n", "1024"),
+        ("ogmg", "grad", "--n", "1024"),
+        ("silver", "func", "--k", "10"),
+        ("gsw", "grad", "--k", "10"),
+    ])
+    def test_largest_claimed_sizes(self, tmp_path, algo, metric, size_flag, size):
+        out = tmp_path / "lift.json"
+        assert main(["lift", "--algo", algo, "--metric", metric, size_flag, size, "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+
     def test_gsw_paper_rate(self, tmp_path):
         out = tmp_path / "lift.json"
         assert main(["lift", "--algo", "gsw", "--metric", "grad", "--k", "3", "--json", str(out)]) == 0
@@ -140,7 +151,7 @@ class TestSweep:
             {"algo": "ogmg", "metric": "grad", "n": 4},
         ]}))
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 0
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         rollup = (out / "rollup.csv").read_text().strip().splitlines()
         assert len(rollup) == 5
         assert rollup[0].startswith("algorithm,metric,size")

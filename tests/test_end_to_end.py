@@ -11,9 +11,9 @@ below the certified constant.
 import numpy as np
 import pytest
 
+from coco_oracle import iter_nonzero
 from conftest import basis_realization
 from peplift import catalog
-from peplift.certificates import _iter_nonzero
 from peplift.ledger import STAR, cocoercivity_ledger
 from peplift.lift import (
     certified_rate,
@@ -84,7 +84,7 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
         ]
         slack = lifted.slack
 
-    for i, j, w in _iter_nonzero(cert.lam):
+    for i, j, w in iter_nonzero(cert.lam):
         if i == j:
             continue
         ii = STAR if (catalog.METRIC[algo] == "func" and i == n + 1) else i

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from coco_oracle import coco_block_reference
 from conftest import basis_realization
+from peplift import catalog, certificates, lift
 from peplift.ledger import (
     STAR,
     GramLedger,
+    coco_block,
     cocoercivity_ledger,
     ix_dist,
     ix_g,
@@ -59,6 +65,69 @@ class TestSingleInequalities:
     def test_rejects_unknown_mode(self, hcum3):
         with pytest.raises(ValueError):
             cocoercivity_ledger(hcum3, 0, 1, "bogus")
+
+    def test_rejects_out_of_range_index(self, hcum3):
+        with pytest.raises(IndexError):
+            cocoercivity_ledger(hcum3, 4, 0, "unconstrained")
+        with pytest.raises(IndexError):
+            cocoercivity_ledger(hcum3, STAR, -1, "composite_f")
+
+    def test_nonsmooth_rejects_subgradient_at_zero(self, hcum3):
+        with pytest.raises(IndexError):
+            cocoercivity_ledger(hcum3, 2, 0, "composite_h")
+
+
+MODES = {  # name -> (smooth, composite, coupled_star)
+    "unconstrained": (True, False, False),
+    "composite smooth": (True, True, True),
+    "composite nonsmooth": (False, True, True),
+}
+
+
+def _relative_gap(led: GramLedger, ref: GramLedger) -> float:
+    return max(led.residual_vs(ref)) / max(ref.max_abs(), 1.0)
+
+
+class TestCocoBlock:
+    """The matrix-form assembly against the per-inequality oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), mode=st.sampled_from(sorted(MODES)))
+    def test_matches_per_inequality_sum(self, data, n, mode):
+        smooth, composite, coupled_star = MODES[mode]
+        W = data.draw(arrays(float, (n + 2, n + 2), elements=st.floats(0.0, 10.0)), label="W")
+        hcum = data.draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)), label="hcum")
+        if not smooth:
+            W[:, 0] = 0.0
+        led, ref = GramLedger(n), GramLedger(n)
+        coco_block(led, W, hcum, smooth, composite, coupled_star)
+        coco_block_reference(ref, W, hcum, smooth, composite, coupled_star)
+        assert _relative_gap(led, ref) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), weight=st.floats(1e-3, 10.0))
+    def test_nonsmooth_rejects_column_zero(self, data, n, weight):
+        W = np.zeros((n + 2, n + 2))
+        W[data.draw(st.integers(1, n + 1), label="row"), 0] = weight
+        with pytest.raises(ValueError):
+            coco_block(GramLedger(n), W, np.triu(np.ones((n, n))), False, True, True)
+
+    @pytest.mark.parametrize("algo,size", [("silver", 3), ("ogm", 9), ("gsw", 3), ("ogmg", 9)])
+    def test_identity_ledgers_match_oracle(self, monkeypatch, algo, size):
+        H = catalog.schedule_for(algo, size)
+        cert = catalog.certificate_for(algo, size)
+        if catalog.METRIC[algo] == "func":
+            lifted = lift.lift_func(H, cert, xi=catalog.default_xi(algo, size))
+            calls = [(certificates.func_identity_ledgers, (H, cert)), (lift.composite_func_ledgers, (H, cert, lifted))]
+        else:
+            lifted = lift.lift_grad(H, cert, xi=catalog.default_xi(algo, size))
+            calls = [(certificates.grad_identity_ledgers, (H, cert)), (lift.composite_grad_ledgers, (H, cert, lifted))]
+        fast = [fn(*args) for fn, args in calls]
+        monkeypatch.setattr(certificates, "coco_block", coco_block_reference)
+        monkeypatch.setattr(lift, "coco_block", coco_block_reference)
+        for (fn, args), sides in zip(calls, fast):
+            for led, ref in zip(sides, fn(*args)):
+                assert _relative_gap(led, ref) <= 1e-12
 
 
 class TestNonnegativitySampling:
