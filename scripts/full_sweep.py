@@ -10,18 +10,21 @@ import sys
 import tempfile
 import time
 
+from peplift.catalog import FAMILIES
 from peplift.cli import main as cli_main
 
 
+# doubling orders k with 3 empirical instances each, step counts n without
+GRID = {"k": (range(1, 6), 3), "n": (range(1, 33), 0)}
+
+
 def build_config() -> dict:
-    cells = []
-    for k in range(1, 6):
-        cells.append({"algo": "silver", "metric": "func", "k": k, "instances": 3})
-        cells.append({"algo": "gsw", "metric": "grad", "k": k, "instances": 3})
-    for n in range(1, 33):
-        cells.append({"algo": "ogm", "metric": "func", "n": n})
-        cells.append({"algo": "ogmg", "metric": "grad", "n": n})
-    return {"cells": cells}
+    return {"cells": [
+        {"algo": family.name, "metric": family.metric, flag: size, "instances": instances}
+        for flag, (sizes, instances) in GRID.items()
+        for size in sizes
+        for family in FAMILIES.values() if family.size_flag == flag
+    ]}
 
 
 def main() -> int:

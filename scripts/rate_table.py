@@ -1,40 +1,35 @@
 #!/usr/bin/env python3
 """Print the summary of certified composite rates for the four families,
-next to their closed forms and asymptotic orders.
+next to their closed forms and asymptotic orders.  Exits 1 if any cell fails
+verification.
 
 Usage: python scripts/rate_table.py
 """
 
-from peplift import catalog
-from peplift.lift import certified_rate, lift_func, lift_grad
+import sys
+
+from peplift.catalog import FAMILIES
+
+SIZES = {"k": range(1, 7), "n": (1, 2, 4, 8, 16, 32, 64)}
 
 
-def rows():
-    for algo, sizes in (
-        ("silver", [1, 2, 3, 4, 5, 6]),
-        ("ogm", [1, 2, 4, 8, 16, 32, 64]),
-        ("gsw", [1, 2, 3, 4, 5, 6]),
-        ("ogmg", [1, 2, 4, 8, 16, 32, 64]),
-    ):
-        for size in sizes:
-            H = catalog.schedule_for(algo, size)
-            cert = catalog.certificate_for(algo, size)
-            xi = catalog.default_xi(algo, size)
-            if catalog.METRIC[algo] == "func":
-                lifted = lift_func(H, cert, xi=xi)
-            else:
-                lifted = lift_grad(H, cert, xi=xi)
-            yield algo, catalog.METRIC[algo], size, cert.n, certified_rate(lifted).constant, \
-                catalog.named_rate(algo, size), catalog.ASYMPTOTIC[algo]
+def cells():
+    for family in sorted(FAMILIES.values(), key=lambda f: f.metric):  # objective-gap families first
+        for size in SIZES[family.size_flag]:
+            yield family, size, family.cell(size, family.xi(size))
 
 
-def main() -> None:
+def main() -> int:
     header = f"{'algorithm':<8} {'metric':<6} {'size':>4} {'n':>3} {'certified':>14} {'closed form':>14}  asymptotic"
     print(header)
     print("-" * len(header))
-    for algo, metric, size, n, rate, named, asym in rows():
-        print(f"{algo:<8} {metric:<6} {size:>4} {n:>3} {rate:>14.8e} {named:>14.8e}  {asym}")
+    failed = 0
+    for family, size, cell in cells():
+        print(f"{family.name:<8} {family.metric:<6} {size:>4} {cell.n:>3} {cell.rate:>14.8e} "
+              f"{family.rate(size):>14.8e}  {family.asymptotic}")
+        failed += not cell.passed
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,7 +24,6 @@ from .lift import (
     check_grad_feasibility,
     lift_func,
     lift_grad,
-    partial_sum_kernel,
     verify_composite_func_identity,
     verify_composite_grad_identity,
 )
@@ -50,7 +49,6 @@ from .schedules import (
     ogmg_stepsize_matrix,
     silver_schedule,
     theta_sequence,
-    u_matrix,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

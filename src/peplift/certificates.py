@@ -154,18 +154,6 @@ def aggregates(cert: FuncCertificate | GradCertificate) -> MultiplierAggregates:
     return MultiplierAggregates(hat=hat, tilde=tilde)
 
 
-def aggregate_identity_residual(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate) -> float:
-    """Residual of the quadratic-form consequence of a valid certificate:
-    hat + Hc tilde + (Hc tilde)^T equals -gamma_head gamma_head^T for an
-    objective certificate and zero for a gradient one (Hc cumulative)."""
-    agg = aggregates(cert)
-    hc = cumulative(H).entries
-    m = agg.hat + hc @ agg.tilde + (hc @ agg.tilde).T
-    if isinstance(cert, FuncCertificate):
-        m = m + np.outer(cert.gamma[:-1], cert.gamma[:-1])
-    return float(np.max(np.abs(m)))
-
-
 # ---------------------------------------------------------------------------
 # Certificate constructors
 # ---------------------------------------------------------------------------

@@ -15,34 +15,50 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import catalog, certificates, lift as lifting, methods, problems
+from . import catalog, methods, problems
 from .reports import ReportRow, dumps17, write_rollup_csv
 from .schedules import ScheduleSpec
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
 
-RUN_ALGOS = ("proxgd-silver", "pogm", "pogmg", "fista", "proxgd-const")
-
 
 class UsageError(Exception):
     pass
 
 
-def _size_of(args) -> int:
-    if args.algo in catalog.SIZED_BY_K:
-        if args.k is None:
-            raise UsageError(f"algorithm {args.algo!r} is sized by --k")
-        if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
-        return args.k
-    if args.n is None:
-        raise UsageError(f"algorithm {args.algo!r} is sized by --n")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    return args.n
+def _family(algo, metric=None) -> catalog.Family:
+    """The registry row for algo, checked against the requested metric
+    (the row's own metric when none is given)."""
+    family = catalog.FAMILIES.get(algo) if isinstance(algo, str) else None
+    if family is None:
+        raise UsageError(f"unknown algorithm {algo!r}; valid: {tuple(catalog.FAMILIES)}")
+    if metric is not None and metric != family.metric:
+        raise UsageError(f"algorithm {algo!r} certifies the {family.metric!r} metric, not {metric!r}")
+    return family
+
+
+def _size(family: catalog.Family, raw) -> int:
+    if raw is None:
+        raise UsageError(f"algorithm {family.name!r} is sized by {family.size_flag!r}")
+    if type(raw) is not int or raw < 1:
+        raise UsageError(f"{family.size_flag!r} must be an integer >= 1, got {raw!r}")
+    return raw
+
+
+def _xi(family: catalog.Family, raw, size: int):
+    """(xi, xi_mode) from 'paper', 'pseudo' or a number (a string on the
+    command line).  The lift rejects values outside its metric's range."""
+    if raw == "paper":
+        return family.xi(size), "paper"
+    if raw == "pseudo":
+        return "pseudo", "pseudo"
+    if type(raw) in (str, int, float):
+        try:
+            return float(raw), "explicit"
+        except ValueError:
+            pass
+    raise UsageError(f"xi must be a number, 'paper' or 'pseudo', got {raw!r}")
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -52,15 +68,11 @@ def _write_json(path: str | None, doc: dict) -> None:
 
 
 def cmd_certify(args) -> int:
-    catalog.check_pair(args.algo, args.metric)
-    size = _size_of(args)
-    H = catalog.schedule_for(args.algo, size)
-    cert = catalog.certificate_for(args.algo, size)
-    if args.metric == "func":
-        report = certificates.verify_func_identity(H, cert)
-    else:
-        report = certificates.verify_grad_identity(H, cert)
-    doc = {"algorithm": args.algo, "metric": args.metric, "n": cert.n, "size": size}
+    family = _family(args.algo, args.metric)
+    size = _size(family, getattr(args, family.size_flag))
+    cell = family.cell(size, lift=False)
+    report = cell.identity
+    doc = {"algorithm": args.algo, "metric": args.metric, "n": cell.n, "size": size}
     doc.update(report.to_dict())
     _write_json(args.json, doc)
     print(f"certify {args.algo} {args.metric} size={size}: "
@@ -69,104 +81,64 @@ def cmd_certify(args) -> int:
     return 0 if report.passed else VERIFY_FAIL
 
 
-def _resolve_xi(args, algo: str, metric: str, size: int):
-    raw = args.xi
-    if raw == "paper":
-        return catalog.default_xi(algo, size), "paper"
-    if raw == "pseudo":
-        if metric != "func":
-            raise UsageError("--xi pseudo applies only to the func metric")
-        return "pseudo", "pseudo"
-    try:
-        value = float(raw)
-    except ValueError:
-        raise UsageError(f"--xi must be a number, 'paper' or 'pseudo', got {raw!r}") from None
-    if metric == "func" and value <= 0.0:
-        raise UsageError(f"--xi must be positive for the func metric, got {value}")
-    if metric == "grad" and not 0.0 <= value < 1.0:
-        raise UsageError(f"--xi must lie in [0, 1) for the grad metric, got {value}")
-    return value, "explicit"
-
-
-def _lift_cell(algo: str, metric: str, size: int, xi):
-    """certify + lift + feasibility + composite identity for one cell."""
-    H = catalog.schedule_for(algo, size)
-    cert = catalog.certificate_for(algo, size)
-    if metric == "func":
-        identity = certificates.verify_func_identity(H, cert)
-        lifted = lifting.lift_func(H, cert, xi=xi)
-        feas = lifting.check_func_feasibility(lifted)
-        composite = lifting.verify_composite_func_identity(H, cert, lifted)
-    else:
-        identity = certificates.verify_grad_identity(H, cert)
-        lifted = lifting.lift_grad(H, cert, xi=xi)
-        feas = lifting.check_grad_feasibility(lifted)
-        composite = lifting.verify_composite_grad_identity(H, cert, lifted)
-    rate = lifting.certified_rate(lifted)
-    return H, cert, lifted, identity, feas, composite, rate
-
-
 def cmd_lift(args) -> int:
-    catalog.check_pair(args.algo, args.metric)
-    size = _size_of(args)
-    xi, xi_mode = _resolve_xi(args, args.algo, args.metric, size)
-    H, cert, lifted, identity, feas, composite, rate = _lift_cell(args.algo, args.metric, size, xi)
-    paper_rate = catalog.named_rate(args.algo, size)
-    passed = identity.passed and composite.passed and feas.passed
+    family = _family(args.algo, args.metric)
+    size = _size(family, getattr(args, family.size_flag))
+    xi, xi_mode = _xi(family, args.xi, size)
+    cell = family.cell(size, xi)
+    paper_rate = family.rate(size)
     doc = {
         "algorithm": args.algo,
         "metric": args.metric,
-        "n": cert.n,
+        "n": cell.n,
         "size": size,
-        "xi": lifted.xi,
+        "xi": cell.lifted.xi,
         "xi_mode": xi_mode,
-        "residuals": {
-            "quad": composite.quad_residual,
-            "linF": composite.lin_f_residual,
-            "linH": composite.lin_h_residual,
-        },
-        "identity_residual": identity.max_residual,
-        "min_mu": feas.min_mu,
-        "min_eig_S": feas.min_eig,
-        "laplacian_ok": feas.schur_laplacian_ok if args.metric == "func" else feas.dd_ok,
-        "rate": rate.constant,
+        "residuals": cell.composite.to_dict()["residuals"],
+        "identity_residual": cell.identity.max_residual,
+        "min_mu": cell.feasibility.min_mu,
+        "min_eig_S": cell.feasibility.min_eig,
+        "laplacian_ok": cell.structural_ok,
+        "rate": cell.rate,
         "paper_rate": paper_rate,
-        "asymptotic": catalog.ASYMPTOTIC[args.algo],
-        "pass": passed,
+        "asymptotic": family.asymptotic,
+        "pass": cell.passed,
     }
     if xi_mode == "pseudo":
-        doc["xi_paper"] = catalog.default_xi(args.algo, size)
+        doc["xi_paper"] = family.xi(size)
     _write_json(args.json, doc)
-    print(f"lift {args.algo} {args.metric} size={size} xi={lifted.xi:.6g}: "
-          f"rate={rate.constant:.6g} (named {paper_rate:.6g}) "
-          f"{'PASS' if passed else 'FAIL'}")
-    return 0 if passed else VERIFY_FAIL
+    print(f"lift {args.algo} {args.metric} size={size} xi={cell.lifted.xi:.6g}: "
+          f"rate={cell.rate:.6g} (named {paper_rate:.6g}) "
+          f"{'PASS' if cell.passed else 'FAIL'}")
+    return 0 if cell.passed else VERIFY_FAIL
+
+
+def _run_silver(n: int, alpha: float, problem, x0):
+    k = (n + 1).bit_length() - 1
+    if 2**k - 1 != n:
+        raise UsageError(f"silver runs need n = 2**k - 1, got n={n}")
+    return catalog.FAMILIES["silver"].run(k, problem, x0)
+
+
+# runner of `peplift run` -> (n, alpha, problem, x0) -> trace
+RUNNERS = {
+    "proxgd-silver": _run_silver,
+    "pogm": lambda n, alpha, problem, x0: catalog.FAMILIES["ogm"].run(n, problem, x0),
+    "pogmg": lambda n, alpha, problem, x0: catalog.FAMILIES["ogmg"].run(n, problem, x0),
+    "fista": lambda n, alpha, problem, x0: methods.run_fista(n, problem, x0),
+    "proxgd-const": lambda n, alpha, problem, x0: methods.run_composite(
+        ScheduleSpec.constant_gd(alpha, n).build(), problem, x0),
+}
 
 
 def cmd_run(args) -> int:
-    if args.algo not in RUN_ALGOS:
-        raise UsageError(f"unknown runner {args.algo!r}; valid: {RUN_ALGOS}")
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     spec = problems.spec_from_json(args.problem)
     problem = problems.make_problem(spec, cache_dir=args.cache_dir)
     x0 = problems.initial_point(spec)
 
-    if args.algo == "proxgd-silver":
-        k = (args.n + 1).bit_length() - 1
-        if 2**k - 1 != args.n:
-            raise UsageError(f"silver runs need n = 2**k - 1, got n={args.n}")
-        H = ScheduleSpec.silver(k).build()
-        trace = methods.run_composite(H, problem, x0)
-    elif args.algo == "proxgd-const":
-        H = ScheduleSpec.constant_gd(args.alpha, args.n).build()
-        trace = methods.run_composite(H, problem, x0)
-    elif args.algo == "pogm":
-        trace = methods.run_pogm(args.n, problem, x0)
-    elif args.algo == "pogmg":
-        trace = methods.run_pogmg(args.n, problem, x0)
-    else:
-        trace = methods.run_fista(args.n, problem, x0)
+    trace = RUNNERS[args.algo](args.n, args.alpha, problem, x0)
 
     if args.csv:
         methods.write_trace_csv(trace, args.csv, problem)
@@ -181,7 +153,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _empirical_ratio(algo: str, size: int, rate_constant: float, instances: int) -> float | None:
+def _empirical_ratio(family: catalog.Family, size: int, rate: float, instances: int) -> float | None:
     """Worst observed (gap / certified bound) over seeded lasso instances."""
     if instances <= 0:
         return None
@@ -190,88 +162,65 @@ def _empirical_ratio(algo: str, size: int, rate_constant: float, instances: int)
         spec = problems.ProblemSpec(kind="lasso", dim=8, rows=16, seed=101 + seed, tau=0.05)
         problem = problems.make_problem(spec)
         x0 = problems.initial_point(spec)
-        L = problem.smoothness
-        if algo == "silver":
-            trace = methods.run_composite(catalog.schedule_for(algo, size), problem, x0)
-        elif algo == "gsw":
-            trace = methods.run_composite(catalog.schedule_for(algo, size), problem, x0)
-        elif algo == "ogm":
-            trace = methods.run_pogm(size, problem, x0)
-        else:
-            trace = methods.run_pogmg(size, problem, x0)
-        if catalog.METRIC[algo] == "func":
-            gap = trace.obj_values[-1] - problem.opt_value
-            bound = rate_constant * L * float(np.dot(x0 - problem.x_star, x0 - problem.x_star))
-        else:
-            gap = trace.final_composite_grad_norm**2
-            bound = rate_constant * L * (trace.obj_values[0] - trace.obj_values[-1])
+        gap, bound = family.bound(family.run(size, problem, x0), problem, x0, rate)
         if bound > 0:
             worst = max(worst, float(gap / bound))
     return worst
 
 
-def _sweep_cell(cell: dict) -> tuple[ReportRow, dict]:
-    algo = cell["algo"]
-    metric = cell.get("metric", catalog.METRIC[algo])
-    catalog.check_pair(algo, metric)
-    size = int(cell["k"] if algo in catalog.SIZED_BY_K else cell["n"])
-    if size < 1:
-        raise UsageError(f"cell size must be >= 1, got {size}")
-    xi = cell.get("xi", "paper")
-    if xi == "paper":
-        xi_value = catalog.default_xi(algo, size)
-    elif xi == "pseudo":
-        if metric != "func":
-            raise UsageError("xi 'pseudo' applies only to func-metric cells")
-        xi_value = "pseudo"
-    else:
-        xi_value = float(xi)
+def _sweep_job(cell) -> tuple[catalog.Family, int, float | str | None, int]:
+    """Validate one sweep cell: (family, size, xi, instances)."""
+    if not isinstance(cell, dict):
+        raise UsageError(f"sweep cell must be an object, got {cell!r}")
+    family = _family(cell.get("algo"), cell.get("metric"))
+    size = _size(family, cell.get(family.size_flag))
+    xi, _ = _xi(family, cell.get("xi", "paper"), size)
+    instances = cell.get("instances", 0)
+    if type(instances) is not int or instances < 0:
+        raise UsageError(f"'instances' must be an integer >= 0, got {instances!r}")
+    return family, size, xi, instances
 
+
+def _sweep_cell(family: catalog.Family, size: int, xi, instances: int) -> tuple[ReportRow, dict]:
     start = time.perf_counter()
-    H, cert, lifted, identity, feas, composite, rate = _lift_cell(algo, metric, size, xi_value)
-    ratio = _empirical_ratio(algo, size, rate.constant, int(cell.get("instances", 0)))
+    cell = family.cell(size, xi)
+    ratio = _empirical_ratio(family, size, cell.rate, instances)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
 
-    passed = identity.passed and composite.passed and feas.passed and (ratio is None or ratio <= 1.0 + 1e-9)
     row = ReportRow(
-        algorithm=algo,
-        metric=metric,
+        algorithm=family.name,
+        metric=family.metric,
         size=size,
-        residual_identity=identity.max_residual,
-        residual_composite=composite.max_residual,
-        feasible=feas.passed,
-        certified_rate=rate.constant,
-        paper_rate=catalog.named_rate(algo, size),
+        residual_identity=cell.identity.max_residual,
+        residual_composite=cell.composite.max_residual,
+        feasible=cell.feasibility.passed,
+        certified_rate=cell.rate,
+        paper_rate=family.rate(size),
         observed_worst_ratio=ratio,
         runtime_ms=elapsed_ms,
-        passed=passed,
+        passed=cell.passed and (ratio is None or ratio <= 1.0 + 1e-9),
     )
     doc = row.to_dict()
-    doc["xi"] = lifted.xi
-    doc["feasibility"] = feas.to_dict()
-    doc["residuals"] = {
-        "quad": composite.quad_residual,
-        "linF": composite.lin_f_residual,
-        "linH": composite.lin_h_residual,
-    }
+    doc["xi"] = cell.lifted.xi
+    doc["feasibility"] = cell.feasibility.to_dict()
+    doc["residuals"] = cell.composite.to_dict()["residuals"]
     return row, doc
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config_doc = json.load(fh)
-    cells = config_doc.get("cells", [])
-    for cell in cells:
-        algo = cell.get("algo")
-        if algo not in catalog.ALGORITHMS:
-            raise UsageError(f"unknown algorithm {algo!r} in sweep config; valid: {catalog.ALGORITHMS}")
+    cells = config_doc.get("cells", []) if isinstance(config_doc, dict) else None
+    if not isinstance(cells, list):
+        raise UsageError("sweep config must be an object with a 'cells' list")
+    jobs = [_sweep_job(cell) for cell in cells]  # every cell is checked before any runs
     os.makedirs(args.out, exist_ok=True)
-    if not cells:
+    if not jobs:
         write_rollup_csv([], os.path.join(args.out, "rollup.csv"))
         print("sweep: no cells, nothing to do")
         return 0
 
-    results = [_sweep_cell(cell) for cell in cells]  # every cell runs before any file is written
+    results = [_sweep_cell(*job) for job in jobs]  # every cell runs before any file is written
     rows = []
     for row, doc in results:
         rows.append(row)
@@ -291,24 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     certify = sub.add_parser("certify", help="verify an unconstrained rate identity")
-    certify.add_argument("--algo", required=True, choices=catalog.ALGORITHMS)
-    certify.add_argument("--metric", required=True, choices=("func", "grad"))
-    certify.add_argument("--n", type=int)
-    certify.add_argument("--k", type=int)
+    lift_p = sub.add_parser("lift", help="lift a certificate to the composite setting and verify")
+    for cell_p in (certify, lift_p):
+        cell_p.add_argument("--algo", required=True, choices=catalog.FAMILIES)
+        cell_p.add_argument("--metric", required=True, choices=("func", "grad"))
+        cell_p.add_argument("--n", type=int)
+        cell_p.add_argument("--k", type=int)
     certify.add_argument("--json", help="write the residual report here")
     certify.set_defaults(func=cmd_certify)
-
-    lift_p = sub.add_parser("lift", help="lift a certificate to the composite setting and verify")
-    lift_p.add_argument("--algo", required=True, choices=catalog.ALGORITHMS)
-    lift_p.add_argument("--metric", required=True, choices=("func", "grad"))
-    lift_p.add_argument("--n", type=int)
-    lift_p.add_argument("--k", type=int)
     lift_p.add_argument("--xi", default="paper", help="'paper', 'pseudo', or a number")
     lift_p.add_argument("--json", help="write the feasibility/identity report here")
     lift_p.set_defaults(func=cmd_lift)
 
     run_p = sub.add_parser("run", help="run a method on a problem spec")
-    run_p.add_argument("--algo", required=True, choices=RUN_ALGOS)
+    run_p.add_argument("--algo", required=True, choices=RUNNERS)
     run_p.add_argument("--problem", required=True, help="problem spec JSON file")
     run_p.add_argument("--n", type=int, required=True, help="iteration count")
     run_p.add_argument("--alpha", type=float, default=1.0, help="stepsize for proxgd-const")
@@ -329,10 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -21,7 +21,8 @@ Feasibility and identity checks report; they never raise on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .certificates import (
     IdentityReport,
     _report,
     aggregates,
+    verify_func_identity,
+    verify_grad_identity,
 )
 from .ledger import (
     STAR,
@@ -43,7 +46,7 @@ from .ledger import (
     ix_s,
     ix_s_star,
 )
-from .schedules import StepsizeMatrix, cumulative, unit_upper
+from .schedules import StepsizeMatrix, cumulative
 
 
 def _frozen(a) -> np.ndarray:
@@ -110,12 +113,14 @@ def pseudoinverse_xi(v: np.ndarray, laplacian: np.ndarray) -> float:
 def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeFuncLift:
     """Lift an objective-gap certificate to the composite setting.
 
-    xi is either an explicit nonnegative constant or the string 'pseudo',
+    xi is either an explicit positive constant or the string 'pseudo',
     which picks the pseudoinverse diagnostic value v^T L^+ v.  The shifted
     nonsmooth multipliers are computed through both closed-form expressions
     and cross-checked; a mismatch means the input certificate does not
     satisfy the unconstrained identity.
     """
+    if xi != "pseudo" and (isinstance(xi, str) or not 0.0 < xi < math.inf):
+        raise ValueError(f"xi must be 'pseudo' or positive and finite for the func metric, got {xi!r}")
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
@@ -156,12 +161,7 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     block[n, n] = lam_star_total
     laplacian = block - np.outer(sigma, sigma)
 
-    if isinstance(xi, str):
-        if xi != "pseudo":
-            raise ValueError(f"xi must be a number or 'pseudo', got {xi!r}")
-        xi_val = pseudoinverse_xi(v, laplacian)
-    else:
-        xi_val = float(xi)
+    xi_val = pseudoinverse_xi(v, laplacian) if xi == "pseudo" else float(xi)
 
     slack = np.empty((n + 2, n + 2))
     slack[0, 0] = xi_val
@@ -188,6 +188,8 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     Defaults xi' to 1 - (lam[n-1, n] + lam[n, n-1]) / r, which zeroes the
     critical corner of the slack matrix and keeps it diagonally dominant.
     """
+    if xi is not None and (isinstance(xi, str) or not 0.0 <= xi < 1.0):
+        raise ValueError(f"xi must lie in [0, 1) for the grad metric, got {xi!r}")
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
@@ -483,7 +485,7 @@ def verify_composite_grad_identity(
 
 
 # ---------------------------------------------------------------------------
-# Rates and the partial-sum kernel
+# Rates and the whole recipe
 # ---------------------------------------------------------------------------
 
 
@@ -502,44 +504,43 @@ def certified_rate(lift: CompositeFuncLift | CompositeGradLift) -> CertifiedRate
     return CertifiedRate(metric="grad", constant=2.0 / (lift.r * (1.0 - lift.xi)))
 
 
-def perturbed_func_lift(lift: CompositeFuncLift, *, mu_entry=None, slack_entry=None, delta=1e-3) -> CompositeFuncLift:
-    """Copy of a lift with one multiplier or slack entry bumped (negative
-    controls for the verifiers)."""
-    if mu_entry is not None:
-        mu = np.array(lift.mu)
-        mu[mu_entry] += delta
-        return replace(lift, mu=mu)
-    if slack_entry is not None:
-        slack = np.array(lift.slack)
-        slack[slack_entry] += delta
-        return replace(lift, slack=slack)
-    raise ValueError("pick one of mu_entry or slack_entry")
+@dataclass(frozen=True)
+class Cell:
+    """One run of the recipe on a certificate.  The lift fields stay None
+    when only the unconstrained identity was checked.  structural_ok is the
+    structural PSD route of the metric: the Schur complement stays Laplacian
+    (func) or the slack stays diagonally dominant (grad)."""
+
+    n: int
+    identity: IdentityReport
+    passed: bool  # every check that ran
+    lifted: CompositeFuncLift | CompositeGradLift | None = None
+    feasibility: FuncFeasibilityReport | GradFeasibilityReport | None = None
+    composite: IdentityReport | None = None
+    structural_ok: bool = False
+    rate: float | None = None
 
 
-def partial_sum_kernel(steps, a: np.ndarray) -> np.ndarray:
-    """-Hc^{-1} A^T Hc^T for diagonal stepsizes, via the scaled partial-sum
-    closed form, cross-checked against direct triangular solves.
+def verify_cell(
+    H: StepsizeMatrix,
+    cert: FuncCertificate | GradCertificate,
+    xi: float | str | None = None,
+    *,
+    lift: bool = True,
+) -> Cell:
+    """Certificate -> lift -> feasibility -> composite identity.
 
-    Row i of the result compares the column-tail sums of A at positions i and
-    i+1, scaled by the stepsizes; the last row is a single tail sum.
+    Checks the unconstrained identity and, unless lift is False, lifts with
+    the given xi and checks feasibility and the composite identity.  This is
+    the one place that picks the objective-gap or gradient-norm form of a step.
     """
-    steps = np.asarray(steps, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = steps.shape[0]
-    if np.any(steps == 0.0):
-        raise ValueError("diagonal stepsizes must be nonzero")
-    if a.shape != (n, n):
-        raise ValueError(f"matrix must be {n}x{n}, got {a.shape}")
-
-    tails = np.cumsum(a[::-1], axis=0)[::-1]  # tails[j, c] = sum_{l >= j} a[l, c]
-    out = np.empty((n, n))
-    for r in range(n - 1):
-        out[r] = steps * (tails[:, r + 1] / steps[r + 1] - tails[:, r] / steps[r])
-    out[n - 1] = -steps * tails[:, n - 1] / steps[n - 1]
-
-    hc = np.diag(steps) @ unit_upper(n)
-    direct = -np.linalg.solve(hc, a.T @ hc.T)
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    if np.max(np.abs(out - direct)) > 1e-10 * scale:
-        raise AssertionError("partial-sum closed form disagrees with direct matrix algebra")
-    return out
+    func = isinstance(cert, FuncCertificate)
+    identity = (verify_func_identity if func else verify_grad_identity)(H, cert)
+    if not lift:
+        return Cell(cert.n, identity, identity.passed)
+    lifted = (lift_func if func else lift_grad)(H, cert, xi)
+    feasibility = (check_func_feasibility if func else check_grad_feasibility)(lifted)
+    composite = (verify_composite_func_identity if func else verify_composite_grad_identity)(H, cert, lifted)
+    structural_ok = feasibility.schur_laplacian_ok if func else feasibility.dd_ok
+    passed = identity.passed and composite.passed and feasibility.passed
+    return Cell(cert.n, identity, passed, lifted, feasibility, composite, structural_ok, certified_rate(lifted).constant)

@@ -31,15 +31,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def u_matrix(diag) -> np.ndarray:
-    """Upper-triangular matrix with the given diagonal and ones above it."""
-    a = np.asarray(diag, dtype=float)
-    n = a.shape[0]
-    out = np.triu(np.ones((n, n)), k=1)
-    out[np.diag_indices(n)] = a
-    return out
-
-
 def unit_upper(n: int) -> np.ndarray:
     """All-ones upper-triangular matrix (diagonal included)."""
     return np.triu(np.ones((n, n)))
@@ -126,16 +117,6 @@ def silver_schedule(k: int) -> np.ndarray:
     return np.array([1.0 + SILVER_RATIO ** (_dyadic_valuation(i) - 1) for i in range(1, n + 1)])
 
 
-def silver_schedule_recursive(k: int) -> np.ndarray:
-    """Silver stepsizes built by recursive doubling: [pi, rho**(k-1)+1, pi]."""
-    if k < 1:
-        raise ValueError(f"silver schedule needs k >= 1, got {k}")
-    steps = np.array([math.sqrt(2.0)])
-    for kk in range(1, k):
-        steps = np.concatenate([steps, [SILVER_RATIO ** (kk - 1) + 1.0], steps])
-    return steps
-
-
 def gsw_taus(k: int) -> np.ndarray:
     """The scalars tau_1..tau_k driving the gradient-norm stepsize recursion."""
     if k < 1:
@@ -216,19 +197,6 @@ def theta_sequence(n: int) -> ThetaSequence:
     return ThetaSequence(values=t)
 
 
-def phi_sequence(theta: ThetaSequence) -> np.ndarray:
-    """phi_1..phi_n: the diagonal of the triangular factor of the OGM matrix.
-
-    phi_i = 1 + theta_{i-1}/(2 theta_i) for i < n and 1 + theta_{n-1}/theta_n
-    at the end.
-    """
-    t = theta.values
-    n = theta.n
-    phi = 1.0 + t[:-1] / (2.0 * t[1:])
-    phi[n - 1] = 1.0 + t[n - 1] / t[n]
-    return phi
-
-
 def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
     """Stepsize matrix of the optimized gradient method for n steps.
 
@@ -268,28 +236,6 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
         for j in range(i - 2, -1, -1):
             a[j, i] = (t[n - j - 1] - 1.0) / t[n - j] * a[j + 1, i]
     return StepsizeMatrix(a)
-
-
-def ogm_factored(n: int) -> np.ndarray:
-    """OGM stepsize matrix rebuilt from its triangular factorization:
-    diag(2 theta_0..2 theta_{n-1}) U(phi_1..phi_n) U(theta_1..theta_n)^{-1}.
-    """
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
-    left = np.diag(2.0 * t[:-1]) @ u_matrix(phi)
-    return np.linalg.solve(u_matrix(t[1:]).T, left.T).T
-
-
-def ogmg_factored(n: int) -> np.ndarray:
-    """Mirrored factorization of the OGM-G matrix:
-    U(theta_n..theta_1)^{-1} U(phi_n..phi_1) diag(2 theta_{n-1}..2 theta_0).
-    """
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
-    right = u_matrix(phi[::-1]) @ np.diag(2.0 * t[-2::-1])
-    return np.linalg.solve(u_matrix(t[:0:-1]), right)
 
 
 # ---------------------------------------------------------------------------

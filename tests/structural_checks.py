@@ -7,13 +7,8 @@ so tests and the acceptance suite can assert against a single tolerance.
 import numpy as np
 
 from peplift.certificates import gsw_grad_certificate, silver_lambda_bar
-from peplift.schedules import (
-    gsw_schedule,
-    phi_sequence,
-    silver_schedule,
-    theta_sequence,
-    u_matrix,
-)
+from peplift.schedules import gsw_schedule, silver_schedule, theta_sequence
+from reference_forms import phi_sequence, u_matrix
 
 
 def scaled_partial_sum_violation(lam: np.ndarray, gammas: np.ndarray, j_max: int) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import structural_checks as sc
-from peplift import catalog
+from peplift.catalog import FAMILIES
 from peplift.certificates import (
     FuncCertificate,
     GradCertificate,
@@ -64,10 +64,10 @@ def test_criterion_1_unconstrained_identities():
     start = time.perf_counter()
     worst = 0.0
     for algo, size in FUNC_GRID:
-        report = verify_func_identity(catalog.schedule_for(algo, size), catalog.certificate_for(algo, size))
+        report = verify_func_identity(FAMILIES[algo].schedule(size), FAMILIES[algo].certificate(size))
         worst = max(worst, report.max_residual / report.scale)
     for algo, size in GRAD_GRID:
-        report = verify_grad_identity(catalog.schedule_for(algo, size), catalog.certificate_for(algo, size))
+        report = verify_grad_identity(FAMILIES[algo].schedule(size), FAMILIES[algo].certificate(size))
         worst = max(worst, report.max_residual / report.scale)
     elapsed = time.perf_counter() - start
     ok = worst < IDENTITY_TOL and elapsed < 30.0
@@ -79,26 +79,26 @@ def test_criterion_2_composite_lift_suite():
     worst_rate = 0.0
     feasible = True
     for algo, size in FUNC_GRID:
-        H = catalog.schedule_for(algo, size)
-        cert = catalog.certificate_for(algo, size)
-        lifted = lift_func(H, cert, xi=catalog.default_xi(algo, size))
+        H = FAMILIES[algo].schedule(size)
+        cert = FAMILIES[algo].certificate(size)
+        lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
         feas = check_func_feasibility(lifted)
         feasible &= feas.passed and feas.schur_laplacian_ok  # both PSD routes
         report = verify_composite_func_identity(H, cert, lifted)
         worst_resid = max(worst_resid, report.max_residual / report.scale)
         rate = certified_rate(lifted).constant
-        named = catalog.named_rate(algo, size)
+        named = FAMILIES[algo].rate(size)
         worst_rate = max(worst_rate, abs(rate - named) / named)
     for algo, size in GRAD_GRID:
-        H = catalog.schedule_for(algo, size)
-        cert = catalog.certificate_for(algo, size)
-        lifted = lift_grad(H, cert, xi=catalog.default_xi(algo, size))
+        H = FAMILIES[algo].schedule(size)
+        cert = FAMILIES[algo].certificate(size)
+        lifted = lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
         feas = check_grad_feasibility(lifted)
         feasible &= feas.passed and feas.dd_ok
         report = verify_composite_grad_identity(H, cert, lifted)
         worst_resid = max(worst_resid, report.max_residual / report.scale)
         rate = certified_rate(lifted).constant
-        named = catalog.named_rate(algo, size)
+        named = FAMILIES[algo].rate(size)
         worst_rate = max(worst_rate, abs(rate - named) / named)
     ok = feasible and worst_resid < IDENTITY_TOL and worst_rate < RATE_TOL
     assert _report(2, "composite lift suite", ok,
@@ -118,9 +118,9 @@ def test_criterion_3_structural_lemmas():
         worst = max(worst, sc.ogmg_typical_column_violation(n))
         worst = max(worst, sc.ogmg_last_column_violation(n))
     for algo, size in FUNC_GRID:
-        H = catalog.schedule_for(algo, size)
-        cert = catalog.certificate_for(algo, size)
-        lifted = lift_func(H, cert, xi=catalog.default_xi(algo, size))
+        H = FAMILIES[algo].schedule(size)
+        cert = FAMILIES[algo].certificate(size)
+        lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
         n = cert.n
         scale = max(1.0, cert.r)
         worst = max(worst, abs(lifted.sigma.sum() - cert.gamma[n]) / scale)
@@ -133,9 +133,9 @@ def test_criterion_3_structural_lemmas():
         lap_scale = max(1.0, float(np.max(np.abs(lifted.laplacian))))
         worst = max(worst, max(feas.l_offdiag_max, feas.l_rowsum_max) / lap_scale)
     for algo, size in GRAD_GRID:
-        H = catalog.schedule_for(algo, size)
-        cert = catalog.certificate_for(algo, size)
-        lifted = lift_grad(H, cert, xi=catalog.default_xi(algo, size))
+        H = FAMILIES[algo].schedule(size)
+        cert = FAMILIES[algo].certificate(size)
+        lifted = lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
         n = cert.n
         row_target = np.zeros(n)
         row_target[-1] = -1.0
@@ -153,11 +153,11 @@ def test_criterion_4_method_equivalence():
         x0 = initial_point(spec)
         for n in range(1, 21):
             pogm = run_pogm(n, problem, x0)
-            ref = run_composite(catalog.schedule_for("ogm", n), problem, x0)
+            ref = run_composite(FAMILIES["ogm"].schedule(n), problem, x0)
             for a, b in zip(pogm.xs, ref.xs):
                 worst_pair = max(worst_pair, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b)))))
             pogmg = run_pogmg(n, problem, x0)
-            refg = run_composite(catalog.schedule_for("ogmg", n), problem, x0)
+            refg = run_composite(FAMILIES["ogmg"].schedule(n), problem, x0)
             for a, b in zip(pogmg.xs, refg.xs):
                 worst_pair = max(worst_pair, float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b)))))
 
@@ -182,8 +182,8 @@ def test_criterion_4_method_equivalence():
         for H in (
             from_diagonal(silver_schedule(3)),
             from_diagonal(gsw_schedule(3).steps),
-            catalog.schedule_for("ogm", 7),
-            catalog.schedule_for("ogmg", 7),
+            FAMILIES["ogm"].schedule(7),
+            FAMILIES["ogmg"].schedule(7),
         ):
             plain = run_unconstrained(H, smooth, x0)
             comp = run_composite(H, smooth, x0)
@@ -191,7 +191,7 @@ def test_criterion_4_method_equivalence():
                 worst_smooth = max(worst_smooth, float(np.max(np.abs(a_ - b_))) / max(1.0, float(np.max(np.abs(b_)))))
         for runner, plain_h in ((run_pogm, "ogm"), (run_pogmg, "ogmg")):
             eff = runner(7, smooth, x0)
-            plain = run_unconstrained(catalog.schedule_for(plain_h, 7), smooth, x0)
+            plain = run_unconstrained(FAMILIES[plain_h].schedule(7), smooth, x0)
             for a_, b_ in zip(eff.xs, plain.xs):
                 worst_smooth = max(worst_smooth, float(np.max(np.abs(a_ - b_))) / max(1.0, float(np.max(np.abs(b_)))))
     ok = worst_pair < EQUIV_TOL and worst_smooth < SMOOTH_MATCH_TOL
@@ -213,28 +213,28 @@ def test_criterion_5_empirical_rate_envelopes():
         for k in range(1, 6):
             trace = run_composite(from_diagonal(silver_schedule(k)), problem, x0)
             gap = trace.obj_values[-1] - problem.opt_value
-            bound = catalog.named_rate("silver", k) * L * dist_sq
+            bound = FAMILIES["silver"].rate(k) * L * dist_sq
             checks += 1
             worst_ratio = max(worst_ratio, gap / bound)
             violations += gap > bound + ENVELOPE_SLACK
         for n in range(1, 33):
             trace = run_pogm(n, problem, x0)
             gap = trace.obj_values[-1] - problem.opt_value
-            bound = catalog.named_rate("ogm", n) * L * dist_sq
+            bound = FAMILIES["ogm"].rate(n) * L * dist_sq
             checks += 1
             worst_ratio = max(worst_ratio, gap / bound)
             violations += gap > bound + ENVELOPE_SLACK
         for k in range(1, 6):
             trace = run_composite(from_diagonal(gsw_schedule(k).steps), problem, x0)
             gap = trace.final_composite_grad_norm**2
-            bound = catalog.named_rate("gsw", k) * L * (trace.obj_values[0] - trace.obj_values[-1])
+            bound = FAMILIES["gsw"].rate(k) * L * (trace.obj_values[0] - trace.obj_values[-1])
             checks += 1
             worst_ratio = max(worst_ratio, gap / max(bound, 1e-300))
             violations += gap > bound + ENVELOPE_SLACK
         for n in range(1, 33):
             trace = run_pogmg(n, problem, x0)
             gap = trace.final_composite_grad_norm**2
-            bound = catalog.named_rate("ogmg", n) * L * (trace.obj_values[0] - trace.obj_values[-1])
+            bound = FAMILIES["ogmg"].rate(n) * L * (trace.obj_values[0] - trace.obj_values[-1])
             checks += 1
             worst_ratio = max(worst_ratio, gap / max(bound, 1e-300))
             violations += gap > bound + ENVELOPE_SLACK
@@ -249,9 +249,9 @@ def test_criterion_6_negative_controls():
 
     # objective metric: silver order 2
     algo, size = "silver", 2
-    H = catalog.schedule_for(algo, size)
-    cert = catalog.certificate_for(algo, size)
-    lifted = lift_func(H, cert, xi=catalog.default_xi(algo, size))
+    H = FAMILIES[algo].schedule(size)
+    cert = FAMILIES[algo].certificate(size)
+    lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
     n = cert.n
     for i in range(n + 2):
         for j in range(n + 1):
@@ -277,9 +277,9 @@ def test_criterion_6_negative_controls():
 
     # gradient metric: reversed-index method at n = 3
     algo, size = "ogmg", 3
-    Hg = catalog.schedule_for(algo, size)
-    certg = catalog.certificate_for(algo, size)
-    liftedg = lift_grad(Hg, certg, xi=catalog.default_xi(algo, size))
+    Hg = FAMILIES[algo].schedule(size)
+    certg = FAMILIES[algo].certificate(size)
+    liftedg = lift_grad(Hg, certg, xi=FAMILIES[algo].xi(size))
     ng = certg.n
     for i in range(ng + 1):
         for j in range(ng + 1):
@@ -319,13 +319,13 @@ def _bump(matrix, entry, delta=1e-3):
 
 def test_criterion_7_asymptotic_proxies():
     rho = SILVER_RATIO
-    ratios = [catalog.named_rate("silver", k + 1) / catalog.named_rate("silver", k) for k in range(1, 7)]
+    ratios = [FAMILIES["silver"].rate(k + 1) / FAMILIES["silver"].rate(k) for k in range(1, 7)]
     silver_ok = abs(ratios[-1] - 1.0 / rho) <= RATIO_WINDOW / rho
     products = []
     for n in range(2, 65):
-        H = catalog.schedule_for("ogm", n)
-        cert = catalog.certificate_for("ogm", n)
-        lifted = lift_func(H, cert, xi=catalog.default_xi("ogm", n))
+        H = FAMILIES["ogm"].schedule(n)
+        cert = FAMILIES["ogm"].certificate(n)
+        lifted = lift_func(H, cert, xi=FAMILIES["ogm"].xi(n))
         tn2 = theta_sequence(n).values[-1] ** 2
         products.append(certified_rate(lifted).constant * tn2)
     spread = (max(products) - min(products)) / products[0]

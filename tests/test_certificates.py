@@ -6,7 +6,6 @@ import pytest
 from peplift.certificates import (
     FuncCertificate,
     GradCertificate,
-    aggregate_identity_residual,
     aggregates,
     certificate_from_dict,
     certificate_to_dict,
@@ -30,6 +29,7 @@ from peplift.schedules import (
     silver_schedule,
     theta_sequence,
 )
+from reference_forms import aggregate_identity_residual
 
 RHO = SILVER_RATIO
 SQ2 = math.sqrt(2.0)

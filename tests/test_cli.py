@@ -68,6 +68,13 @@ class TestLift:
     def test_grad_pseudo_is_usage_error(self):
         assert main(["lift", "--algo", "gsw", "--metric", "grad", "--k", "2", "--xi", "pseudo"]) == 2
 
+    @pytest.mark.parametrize("algo,metric,xi", [
+        ("silver", "func", "inf"), ("silver", "func", "nan"), ("gsw", "grad", "inf"), ("gsw", "grad", "nan"),
+    ])
+    def test_non_finite_xi_is_usage_error(self, capsys, algo, metric, xi):
+        assert main(["lift", "--algo", algo, "--metric", metric, "--k", "2", "--xi", xi]) == 2
+        assert "xi must" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo,metric,size_flag,size", [
         ("ogm", "func", "--n", "1024"),
         ("ogmg", "grad", "--n", "1024"),
@@ -172,6 +179,32 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "silver" in err and "ogmg" in err
+
+    def test_cell_xi_gets_the_lift_range_check(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": [{"algo": "gsw", "k": 2, "xi": 1.0}]}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "[0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        [{"algo": "silver", "k": 2}],
+        {"cells": {"algo": "silver", "k": 2}},
+        {"cells": [{"algo": "silver", "k": 2}, "silver"]},
+        {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver"}]},
+        {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": 2.7}]},
+        {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": True}]},
+        {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": 2, "xi": [1]}]},
+        {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": 2, "instances": 1.5}]},
+        {"cells": [{"algo": "silver", "k": 2}, {"algo": ["silver"], "k": 2}]},
+    ], ids=["list", "cells-object", "cell-string", "missing-k", "float-k", "bool-k", "list-xi",
+            "float-instances", "list-algo"])
+    def test_malformed_config_rejected_before_any_cell_runs(self, tmp_path, capsys, config):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestEntryPoint:

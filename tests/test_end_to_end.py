@@ -13,7 +13,7 @@ import pytest
 
 from coco_oracle import iter_nonzero
 from conftest import basis_realization
-from peplift import catalog
+from peplift.catalog import FAMILIES
 from peplift.ledger import STAR, cocoercivity_ledger
 from peplift.lift import (
     certified_rate,
@@ -40,15 +40,15 @@ def _cells():
 @pytest.mark.parametrize("algo,size,spec", _cells())
 def test_identity_evaluates_to_zero_on_traces(algo, size, spec):
     problem = make_problem(spec)
-    H = catalog.schedule_for(algo, size)
-    cert = catalog.certificate_for(algo, size)
+    H = FAMILIES[algo].schedule(size)
+    cert = FAMILIES[algo].certificate(size)
     trace = run_composite(H, problem, initial_point(spec))
     vectors, f_vals, h_vals = basis_realization(trace, problem)
-    if catalog.METRIC[algo] == "func":
-        lifted = lift_func(H, cert, xi=catalog.default_xi(algo, size))
+    if FAMILIES[algo].metric == "func":
+        lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
         lhs, rhs = composite_func_ledgers(H, cert, lifted)
     else:
-        lifted = lift_grad(H, cert, xi=catalog.default_xi(algo, size))
+        lifted = lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
         lhs, rhs = composite_grad_ledgers(H, cert, lifted)
     left = lhs.evaluate(vectors, f_vals, h_vals)
     right = rhs.evaluate(vectors, f_vals, h_vals)
@@ -61,23 +61,23 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
     # each left-hand term is nonnegative on the instance, so the evaluated
     # identity yields the certified bound directly
     problem = make_problem(spec)
-    H = catalog.schedule_for(algo, size)
-    cert = catalog.certificate_for(algo, size)
+    H = FAMILIES[algo].schedule(size)
+    cert = FAMILIES[algo].certificate(size)
     hcum = cumulative(H).entries
     n = cert.n
     trace = run_composite(H, problem, initial_point(spec))
     vectors, f_vals, h_vals = basis_realization(trace, problem)
     L = problem.smoothness
 
-    if catalog.METRIC[algo] == "func":
-        lifted = lift_func(H, cert, xi=catalog.default_xi(algo, size))
+    if FAMILIES[algo].metric == "func":
+        lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
         mu_pairs = [
             (STAR if row == n else int(row) + 1, int(col) + 1, float(lifted.mu[row, col]))
             for row, col in zip(*np.nonzero(lifted.mu))
         ]
         slack = lifted.slack
     else:
-        lifted = lift_grad(H, cert, xi=catalog.default_xi(algo, size))
+        lifted = lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
         mu_pairs = [
             (int(row), int(col) + 1, float(lifted.mu[row, col]))
             for row, col in zip(*np.nonzero(lifted.mu))
@@ -87,7 +87,7 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
     for i, j, w in iter_nonzero(cert.lam):
         if i == j:
             continue
-        ii = STAR if (catalog.METRIC[algo] == "func" and i == n + 1) else i
+        ii = STAR if (FAMILIES[algo].metric == "func" and i == n + 1) else i
         value = cocoercivity_ledger(hcum, ii, j, "composite_f").evaluate(vectors, f_vals, h_vals)
         assert w >= 0 and value >= -1e-8
     for i, j, w in mu_pairs:
@@ -98,7 +98,7 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
 
     assert np.linalg.eigvalsh(slack)[0] >= -1e-9 * max(1.0, abs(np.max(slack)))
 
-    if catalog.METRIC[algo] == "func":
+    if FAMILIES[algo].metric == "func":
         gap = (trace.obj_values[-1] - problem.objective(problem.x_star)) / L
         dist_sq = float(np.dot(trace.xs[0] - problem.x_star, trace.xs[0] - problem.x_star))
         assert gap <= certified_rate(lifted).constant * dist_sq + 1e-8

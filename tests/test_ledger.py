@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from coco_oracle import coco_block_reference
 from conftest import basis_realization
-from peplift import catalog, certificates, lift
+from peplift import certificates, lift
+from peplift.catalog import FAMILIES
 from peplift.ledger import (
     STAR,
     GramLedger,
@@ -114,13 +115,13 @@ class TestCocoBlock:
 
     @pytest.mark.parametrize("algo,size", [("silver", 3), ("ogm", 9), ("gsw", 3), ("ogmg", 9)])
     def test_identity_ledgers_match_oracle(self, monkeypatch, algo, size):
-        H = catalog.schedule_for(algo, size)
-        cert = catalog.certificate_for(algo, size)
-        if catalog.METRIC[algo] == "func":
-            lifted = lift.lift_func(H, cert, xi=catalog.default_xi(algo, size))
+        H = FAMILIES[algo].schedule(size)
+        cert = FAMILIES[algo].certificate(size)
+        if FAMILIES[algo].metric == "func":
+            lifted = lift.lift_func(H, cert, xi=FAMILIES[algo].xi(size))
             calls = [(certificates.func_identity_ledgers, (H, cert)), (lift.composite_func_ledgers, (H, cert, lifted))]
         else:
-            lifted = lift.lift_grad(H, cert, xi=catalog.default_xi(algo, size))
+            lifted = lift.lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
             calls = [(certificates.grad_identity_ledgers, (H, cert)), (lift.composite_grad_ledgers, (H, cert, lifted))]
         fast = [fn(*args) for fn, args in calls]
         monkeypatch.setattr(certificates, "coco_block", coco_block_reference)

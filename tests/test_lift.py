@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from peplift import catalog
+from peplift.catalog import FAMILIES
 from peplift.certificates import (
     aggregates,
     func_identity_ledgers,
@@ -20,8 +20,6 @@ from peplift.lift import (
     composite_func_ledgers,
     lift_func,
     lift_grad,
-    partial_sum_kernel,
-    perturbed_func_lift,
     pseudoinverse_xi,
     verify_composite_func_identity,
     verify_composite_grad_identity,
@@ -36,6 +34,7 @@ from peplift.schedules import (
     silver_schedule,
     theta_sequence,
 )
+from reference_forms import partial_sum_kernel, perturbed_func_lift
 
 RHO = SILVER_RATIO
 SQ2 = math.sqrt(2.0)
@@ -45,13 +44,13 @@ SQ5 = math.sqrt(5.0)
 def silver_lift(k, xi=None):
     H = from_diagonal(silver_schedule(k))
     cert = silver_func_certificate(k)
-    return H, cert, lift_func(H, cert, xi=catalog.default_xi("silver", k) if xi is None else xi)
+    return H, cert, lift_func(H, cert, xi=FAMILIES["silver"].xi(k) if xi is None else xi)
 
 
 def ogm_lift(n, xi=None):
     H = ogm_stepsize_matrix(n)
     cert = ogm_func_certificate(n)
-    return H, cert, lift_func(H, cert, xi=catalog.default_xi("ogm", n) if xi is None else xi)
+    return H, cert, lift_func(H, cert, xi=FAMILIES["ogm"].xi(n) if xi is None else xi)
 
 
 def gsw_lift(k, xi="generic"):
@@ -59,7 +58,7 @@ def gsw_lift(k, xi="generic"):
     cert = gsw_grad_certificate(k)
     if xi == "generic":
         return H, cert, lift_grad(H, cert)
-    return H, cert, lift_grad(H, cert, xi=catalog.default_xi("gsw", k) if xi is None else xi)
+    return H, cert, lift_grad(H, cert, xi=FAMILIES["gsw"].xi(k) if xi is None else xi)
 
 
 def ogmg_lift(n):
@@ -181,7 +180,7 @@ class TestFuncFeasibility:
     @pytest.mark.parametrize("algo,size", [("silver", 2), ("silver", 5), ("ogm", 4), ("ogm", 16)])
     def test_pseudoinverse_xi_lower_bounds_paper(self, algo, size):
         _, _, lifted = silver_lift(size, xi="pseudo") if algo == "silver" else ogm_lift(size, xi="pseudo")
-        paper = catalog.default_xi(algo, size)
+        paper = FAMILIES[algo].xi(size)
         assert 0.0 < lifted.xi <= paper + 1e-12
         # eigenvalue route accepts the minimal xi even when the Laplacian one may not
         report = check_func_feasibility(lifted)
@@ -201,7 +200,7 @@ class TestFuncFeasibility:
         _, _, lifted = ogm_lift(n, xi="pseudo")
         schur_floor = -lifted.v[0] / 2.0
         closed = (15 * SQ5 - 17 - math.sqrt(1942 - 862 * SQ5)) / 44
-        assert lifted.xi <= schur_floor <= catalog.default_xi("ogm", n) + 1e-12
+        assert lifted.xi <= schur_floor <= FAMILIES["ogm"].xi(n) + 1e-12
         assert schur_floor == pytest.approx(closed, rel=1e-12)
         assert check_func_feasibility(lifted, xi=schur_floor).schur_laplacian_ok
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from peplift import catalog
+from peplift.catalog import FAMILIES
 from peplift.methods import (
     ProxProblem,
     run_composite,
@@ -238,19 +238,19 @@ class TestRateEnvelopes:
             dist_sq = float(np.dot(x0 - problem.x_star, x0 - problem.x_star))
             for k in (1, 2, 3):
                 trace = run_composite(from_diagonal(silver_schedule(k)), problem, x0)
-                bound = catalog.named_rate("silver", k) * L * dist_sq
+                bound = FAMILIES["silver"].rate(k) * L * dist_sq
                 assert trace.obj_values[-1] - problem.opt_value <= bound + 1e-9
             for n in (1, 2, 5, 11):
                 trace = run_pogm(n, problem, x0)
-                bound = catalog.named_rate("ogm", n) * L * dist_sq
+                bound = FAMILIES["ogm"].rate(n) * L * dist_sq
                 assert trace.obj_values[-1] - problem.opt_value <= bound + 1e-9
             for k in (1, 2, 3):
                 trace = run_composite(from_diagonal(gsw_schedule(k).steps), problem, x0)
-                bound = catalog.named_rate("gsw", k) * L * (trace.obj_values[0] - trace.obj_values[-1])
+                bound = FAMILIES["gsw"].rate(k) * L * (trace.obj_values[0] - trace.obj_values[-1])
                 assert trace.final_composite_grad_norm**2 <= bound + 1e-9
             for n in (1, 2, 5, 11):
                 trace = run_pogmg(n, problem, x0)
-                bound = catalog.named_rate("ogmg", n) * L * (trace.obj_values[0] - trace.obj_values[-1])
+                bound = FAMILIES["ogmg"].rate(n) * L * (trace.obj_values[0] - trace.obj_values[-1])
                 assert trace.final_composite_grad_norm**2 <= bound + 1e-9
 
 

@@ -15,17 +15,13 @@ from peplift.schedules import (
     gsw_schedule,
     gsw_taus,
     load_schedule_json,
-    ogm_factored,
     ogm_stepsize_matrix,
-    ogmg_factored,
     ogmg_stepsize_matrix,
-    phi_sequence,
     silver_schedule,
-    silver_schedule_recursive,
     theta_sequence,
-    u_matrix,
     unit_upper,
 )
+from reference_forms import ogm_factored, ogmg_factored, phi_sequence, silver_schedule_recursive, u_matrix
 
 RHO = SILVER_RATIO
 
