@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from . import catalog, methods, problems
 from .reports import ReportRow, dumps17, write_rollup_csv
@@ -113,32 +114,33 @@ def cmd_lift(args) -> int:
     return 0 if cell.passed else VERIFY_FAIL
 
 
-def _run_silver(n: int, alpha: float, problem, x0):
+def _silver_runner(n: int, alpha: float):
     k = (n + 1).bit_length() - 1
     if 2**k - 1 != n:
         raise UsageError(f"silver runs need n = 2**k - 1, got n={n}")
-    return catalog.FAMILIES["silver"].run(k, problem, x0)
+    return partial(catalog.FAMILIES["silver"].run, k)
 
 
-# runner of `peplift run` -> (n, alpha, problem, x0) -> trace
+# runner of `peplift run`: (n, alpha) -> (problem, x0) -> trace; the outer
+# call checks n and alpha, so a bad value exits before the reference solve
 RUNNERS = {
-    "proxgd-silver": _run_silver,
-    "pogm": lambda n, alpha, problem, x0: catalog.FAMILIES["ogm"].run(n, problem, x0),
-    "pogmg": lambda n, alpha, problem, x0: catalog.FAMILIES["ogmg"].run(n, problem, x0),
-    "fista": lambda n, alpha, problem, x0: methods.run_fista(n, problem, x0),
-    "proxgd-const": lambda n, alpha, problem, x0: methods.run_composite(
-        ScheduleSpec.constant_gd(alpha, n).build(), problem, x0),
+    "proxgd-silver": _silver_runner,
+    "pogm": lambda n, alpha: partial(catalog.FAMILIES["ogm"].run, n),
+    "pogmg": lambda n, alpha: partial(catalog.FAMILIES["ogmg"].run, n),
+    "fista": lambda n, alpha: partial(methods.run_fista, n),
+    "proxgd-const": lambda n, alpha: partial(methods.run_composite, ScheduleSpec.constant_gd(alpha, n).build()),
 }
 
 
 def cmd_run(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    runner = RUNNERS[args.algo](args.n, args.alpha)
     spec = problems.spec_from_json(args.problem)
     problem = problems.make_problem(spec, cache_dir=args.cache_dir)
     x0 = problems.initial_point(spec)
 
-    trace = RUNNERS[args.algo](args.n, args.alpha, problem, x0)
+    trace = runner(problem, x0)
 
     if args.csv:
         methods.write_trace_csv(trace, args.csv, problem)
@@ -153,15 +155,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _empirical_ratio(family: catalog.Family, size: int, rate: float, instances: int) -> float | None:
-    """Worst observed (gap / certified bound) over seeded lasso instances."""
-    if instances <= 0:
+def _lasso_instances(count: int) -> list:
+    """(problem, x0) of the first `count` seeded lasso instances of the
+    empirical check; a sweep builds them once and shares them between cells."""
+    specs = [problems.ProblemSpec(kind="lasso", dim=8, rows=16, seed=101 + seed, tau=0.05) for seed in range(count)]
+    return [(problems.make_problem(spec), problems.initial_point(spec)) for spec in specs]
+
+
+def _empirical_ratio(family: catalog.Family, size: int, rate: float, instances: list) -> float | None:
+    """Worst observed (gap / certified bound) over (problem, x0) instances."""
+    if not instances:
         return None
     worst = 0.0
-    for seed in range(instances):
-        spec = problems.ProblemSpec(kind="lasso", dim=8, rows=16, seed=101 + seed, tau=0.05)
-        problem = problems.make_problem(spec)
-        x0 = problems.initial_point(spec)
+    for problem, x0 in instances:
         gap, bound = family.bound(family.run(size, problem, x0), problem, x0, rate)
         if bound > 0:
             worst = max(worst, float(gap / bound))
@@ -181,7 +187,7 @@ def _sweep_job(cell) -> tuple[catalog.Family, int, float | str | None, int]:
     return family, size, xi, instances
 
 
-def _sweep_cell(family: catalog.Family, size: int, xi, instances: int) -> tuple[ReportRow, dict]:
+def _sweep_cell(family: catalog.Family, size: int, xi, instances: list) -> tuple[ReportRow, dict]:
     start = time.perf_counter()
     cell = family.cell(size, xi)
     ratio = _empirical_ratio(family, size, cell.rate, instances)
@@ -220,11 +226,16 @@ def cmd_sweep(args) -> int:
         print("sweep: no cells, nothing to do")
         return 0
 
-    results = [_sweep_cell(*job) for job in jobs]  # every cell runs before any file is written
+    pool = _lasso_instances(max(count for *_, count in jobs))
+    # every cell runs before any file is written
+    results = [_sweep_cell(family, size, xi, pool[:count]) for family, size, xi, count in jobs]
     rows = []
+    seen: dict[str, int] = {}
     for row, doc in results:
         rows.append(row)
-        name = f"{row.algorithm}_{row.metric}_{row.size}.json"
+        stem = f"{row.algorithm}_{row.metric}_{row.size}"
+        seen[stem] = seen.get(stem, 0) + 1  # a repeated family and size gets _2, _3, ...
+        name = f"{stem}.json" if seen[stem] == 1 else f"{stem}_{seen[stem]}.json"
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(dumps17(doc))
     write_rollup_csv(rows, os.path.join(args.out, "rollup.csv"))

@@ -27,8 +27,8 @@ class ProxProblem:
 
     f_value/f_grad evaluate the smooth part (convex, `smoothness`-smooth);
     h_value may return +inf outside the domain of an indicator; prox(t, x)
-    returns argmin_z { t h(z) + ||z - x||^2 / 2 }.  Oracles must be pure; a
-    known minimizer and optimal value are optional.
+    returns argmin_z { t h(z) + ||z - x||^2 / 2 }.  Oracles take 1-D float
+    arrays and must be pure; a known minimizer and optimal value are optional.
     """
 
     dim: int
@@ -84,34 +84,32 @@ def _as_start(problem: ProxProblem, x0) -> np.ndarray:
     return x0
 
 
+def _buffers(n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows for x_0..x_n, the scaled gradients g_0..g_n / L and the scaled
+    subgradients s_1..s_n / L, filled in place by a runner."""
+    return np.empty((n + 1, dim)), np.empty((n + 1, dim)), np.empty((n, dim))
+
+
 def _trace(problem: ProxProblem, xs, ghat, shat) -> RunTrace:
     L = problem.smoothness
-    xs = np.asarray(xs)
     f_vals = np.array([problem.f_value(x) for x in xs])
     h_vals = np.array([problem.h_value(x) for x in xs])
-    return RunTrace(
-        xs=xs,
-        grads=L * np.asarray(ghat),
-        subgrads=L * np.asarray(shat) if len(shat) else np.zeros((0, problem.dim)),
-        f_values=f_vals,
-        h_values=h_vals,
-        obj_values=f_vals + h_vals,
-    )
+    return RunTrace(xs=xs, grads=L * ghat, subgrads=L * shat,
+                    f_values=f_vals, h_values=h_vals, obj_values=f_vals + h_vals)
 
 
 def run_unconstrained(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     """Run the plain n-step method; the problem must have no nonsmooth part."""
     if not problem.smooth_only:
         raise ValueError("run_unconstrained needs a problem with h identically zero")
-    x = _as_start(problem, x0)
     L = problem.smoothness
     a = H.entries
-    xs = [x]
-    ghat = [problem.f_grad(x) / L]
+    xs, ghat, _ = _buffers(H.n, problem.dim)
+    xs[0] = _as_start(problem, x0)
+    ghat[0] = problem.f_grad(xs[0]) / L
     for k in range(1, H.n + 1):
-        x = xs[-1] - np.tensordot(a[:k, k - 1], np.asarray(ghat[:k]), axes=1)
-        xs.append(x)
-        ghat.append(problem.f_grad(x) / L)
+        xs[k] = xs[k - 1] - a[:k, k - 1] @ ghat[:k]
+        ghat[k] = problem.f_grad(xs[k]) / L
     return _trace(problem, xs, ghat, np.zeros((H.n, problem.dim)))
 
 
@@ -124,62 +122,54 @@ def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     O(n * dim)-memory reference implementation the efficient forms are
     validated against.
     """
-    x = _as_start(problem, x0)
     L = problem.smoothness
     a = H.entries
     n = H.n
-    xs = [x]
-    ghat: list[np.ndarray] = []
-    shat: list[np.ndarray] = []
-    combined: list[np.ndarray] = []  # (g_j + s_{j+1}) / L for j = 0..k-2
+    xs, ghat, shat = _buffers(n, problem.dim)
+    combined = np.empty((n, problem.dim))  # row j: (g_j + s_{j+1}) / L
+    xs[0] = _as_start(problem, x0)
     for k in range(1, n + 1):
-        x_prev = xs[-1]
-        g_prev = problem.f_grad(x_prev) / L
-        ghat.append(g_prev)
+        x_prev = xs[k - 1]
+        g_prev = ghat[k - 1] = problem.f_grad(x_prev) / L
         akk = a[k - 1, k - 1]
         if akk == 0.0:
             raise ValueError(f"invalid schedule: zero fresh-gradient weight at step {k}")
-        drift = np.zeros_like(x_prev)
-        if k >= 2:
-            drift = np.tensordot(a[: k - 1, k - 1], np.asarray(combined), axes=1)
+        drift = a[: k - 1, k - 1] @ combined[: k - 1] if k >= 2 else 0.0
         x_new = problem.prox(akk / L, x_prev - drift - akk * g_prev)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise ValueError(f"prox oracle returned a non-finite point at step {k}")
-        s_new = (x_prev - x_new - drift) / akk - g_prev
-        xs.append(x_new)
-        shat.append(s_new)
-        combined.append(g_prev + s_new)
-    ghat.append(problem.f_grad(xs[-1]) / L)
+        xs[k] = x_new
+        shat[k - 1] = (x_prev - x_new - drift) / akk - g_prev
+        combined[k - 1] = g_prev + shat[k - 1]
+    ghat[n] = problem.f_grad(xs[n]) / L
     return _trace(problem, xs, ghat, shat)
 
 
-def _run_three_sequence(n: int, problem: ProxProblem, x0, momentum, fresh_steps) -> RunTrace:
-    """Shared y/z/x recursion: z aggregates momentum on top of the forward
-    step y, x is the prox of z, and the subgradient comes from the prox
-    residual.  The correction (z_k - x_k)/alpha is skipped at k = 0 where it
-    vanishes by construction."""
-    x = _as_start(problem, x0)
+def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTrace:
+    """Shared y/z/x recursion: z aggregates momentum (coef1[k], coef2[k] at
+    step k) on top of the forward step y, x is the prox of z at the fresh
+    stepsize fresh[k], and the subgradient comes from the prox residual.  The
+    correction (z_k - x_k)/fresh[k-1] is skipped at k = 0 where it vanishes by
+    construction."""
+    n = len(fresh)
     L = problem.smoothness
-    xs = [x]
-    ghat = [problem.f_grad(x) / L]
-    shat: list[np.ndarray] = []
-    y = x.copy()
-    z = x.copy()
+    xs, ghat, shat = _buffers(n, problem.dim)
+    xs[0] = y = z = _as_start(problem, x0)
+    ghat[0] = problem.f_grad(y) / L
     for k in range(n):
-        y_new = xs[-1] - ghat[-1]
-        coef1, coef2 = momentum(k)
-        z_new = y_new + coef2 * (y_new - xs[-1])
+        x = xs[k]
+        y_new = x - ghat[k]
+        z_new = y_new + coef2[k] * (y_new - x)
         if k == 0:
-            z_new = z_new + coef1 * (y_new - y)
+            z_new = z_new + coef1[k] * (y_new - y)
         else:
-            z_new = z_new + coef1 * (y_new - y + (z - xs[-1]) / fresh_steps(k))
-        step = fresh_steps(k + 1)
-        x_new = problem.prox(step / L, z_new)
-        if not np.all(np.isfinite(x_new)):
+            z_new = z_new + coef1[k] * (y_new - y + (z - x) / fresh[k - 1])
+        x_new = problem.prox(fresh[k] / L, z_new)
+        if not np.isfinite(x_new).all():
             raise ValueError(f"prox oracle returned a non-finite point at step {k + 1}")
-        shat.append((z_new - x_new) / step)
-        xs.append(x_new)
-        ghat.append(problem.f_grad(x_new) / L)
+        xs[k + 1] = x_new
+        shat[k] = (z_new - x_new) / fresh[k]
+        ghat[k + 1] = problem.f_grad(x_new) / L
         y, z = y_new, z_new
     return _trace(problem, xs, ghat, shat)
 
@@ -189,53 +179,44 @@ def run_pogm(n: int, problem: ProxProblem, x0) -> RunTrace:
     optimized method, in O(dim) memory."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t = theta_sequence(n).values
-
-    def momentum(k):
-        return (t[k] - 1.0) / t[k + 1], t[k] / t[k + 1]
-
-    def fresh(k):
-        return 1.0 + (2.0 * t[k - 1] - 1.0) / t[k]
-
-    return _run_three_sequence(n, problem, x0, momentum, fresh)
+    theta = theta_sequence(n).values
+    t, t_next = theta[:-1], theta[1:]  # theta_k, theta_{k+1} at step k
+    return _run_three_sequence(problem, x0, ((t - 1.0) / t_next).tolist(), (t / t_next).tolist(),
+                               (1.0 + (2.0 * t - 1.0) / t_next).tolist())
 
 
 def run_pogmg(n: int, problem: ProxProblem, x0) -> RunTrace:
     """Proximal gradient-norm optimized method (reversed-index coefficients)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t = theta_sequence(n).values
-
-    def momentum(k):
-        c1 = (t[n - k] - 1.0) * (2.0 * t[n - k - 1] - 1.0) / (t[n - k] * (2.0 * t[n - k] - 1.0))
-        c2 = (2.0 * t[n - k - 1] - 1.0) / (2.0 * t[n - k] - 1.0)
-        return c1, c2
-
-    def fresh(k):
-        return 1.0 + (2.0 * t[n - k] - 1.0) / t[n - k + 1]
-
-    return _run_three_sequence(n, problem, x0, momentum, fresh)
+    theta = theta_sequence(n).values[::-1]
+    t, t_prev = theta[:-1], theta[1:]  # theta_{n-k}, theta_{n-k-1} at step k
+    return _run_three_sequence(
+        problem, x0,
+        ((t - 1.0) * (2.0 * t_prev - 1.0) / (t * (2.0 * t - 1.0))).tolist(),
+        ((2.0 * t_prev - 1.0) / (2.0 * t - 1.0)).tolist(),
+        (1.0 + (2.0 * t_prev - 1.0) / t).tolist(),
+    )
 
 
 def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
     """FISTA with constant step 1/L, as a baseline runner."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    x = _as_start(problem, x0)
     L = problem.smoothness
-    xs = [x]
-    ghat = [problem.f_grad(x) / L]
-    shat: list[np.ndarray] = []
-    y = x.copy()
+    xs, ghat, shat = _buffers(n, problem.dim)
+    xs[0] = _as_start(problem, x0)
+    ghat[0] = problem.f_grad(xs[0]) / L
+    y = xs[0]
     t = 1.0
-    for _ in range(n):
+    for k in range(n):
         z = y - problem.f_grad(y) / L
         x_new = problem.prox(1.0 / L, z)
-        shat.append(z - x_new)  # prox residual at unit normalized step
+        shat[k] = z - x_new  # prox residual at unit normalized step
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + (t - 1.0) / t_new * (x_new - xs[-1])
-        xs.append(x_new)
-        ghat.append(problem.f_grad(x_new) / L)
+        y = x_new + (t - 1.0) / t_new * (x_new - xs[k])
+        xs[k + 1] = x_new
+        ghat[k + 1] = problem.f_grad(x_new) / L
         t = t_new
     return _trace(problem, xs, ghat, shat)
 

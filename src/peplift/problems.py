@@ -128,25 +128,25 @@ def _fista_reference(f_grad, prox, smoothness, x0, f_full, max_iters=REFERENCE_M
 
     Stops early once the prox-gradient residual is at rounding level.
     """
-    x = np.array(x0, dtype=float)
-    y = x.copy()
+    x = y = best_x = np.array(x0, dtype=float)  # no iterate is ever written in place
+    val = best_val = f_full(x)  # val is F(x), kept from the step that produced x
     t = 1.0
-    best_x, best_val = x.copy(), f_full(x)
+    step = 1.0 / smoothness
     for _ in range(max_iters):
-        x_new = prox(1.0 / smoothness, y - f_grad(y) / smoothness)
-        val = f_full(x_new)
-        if val < best_val:
-            best_val, best_x = val, x_new.copy()
-        if val > f_full(x):  # restart on objective increase
-            y = x_new.copy()
+        x_new = prox(step, y - f_grad(y) / smoothness)
+        val_new = f_full(x_new)
+        if val_new < best_val:
+            best_val, best_x = val_new, x_new
+        if val_new > val:  # restart on objective increase
+            y = x_new
             t = 1.0
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_new + (t - 1.0) / t_new * (x_new - x)
             t = t_new
-        residual = np.linalg.norm(x_new - prox(1.0 / smoothness, x_new - f_grad(x_new) / smoothness))
-        x = x_new
-        if residual <= 1e-15 * (1.0 + np.linalg.norm(x)):
+        d = x_new - prox(step, x_new - f_grad(x_new) / smoothness)
+        x, val = x_new, val_new
+        if math.sqrt(d.dot(d)) <= 1e-15 * (1.0 + math.sqrt(x.dot(x))):  # np.linalg.norm's own formula
             break
     return best_x, best_val
 
@@ -228,7 +228,10 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         raise ValueError("singular design: the smooth part has zero curvature scale")
 
     if spec.kind in ("lasso", "boxqp", "smooth_quadratic"):
-        f_value = lambda x: 0.5 * float(np.dot(a @ x - b, a @ x - b))
+        def f_value(x):
+            r = a @ x - b
+            return 0.5 * float(np.dot(r, r))
+
         f_grad = lambda x: a.T @ (a @ x - b)
         smoothness = gram_scale
     elif spec.kind == "smooth_huber":
@@ -260,13 +263,14 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
 
     if spec.kind in ("lasso", "l1_logistic"):
         tau = spec.tau
-        h_value = lambda x: tau * float(np.sum(np.abs(x)))
+        h_value = lambda x: tau * float(np.abs(x).sum())
         prox = lambda t, x: soft_threshold(x, t * tau)
         smooth_only = False
     elif spec.kind == "boxqp":
         lo, hi = spec.lo, spec.hi
-        h_value = lambda x: 0.0 if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)) else math.inf
-        prox = lambda t, x: np.clip(x, lo, hi)
+        lo_tol, hi_tol = lo - 1e-12, hi + 1e-12
+        h_value = lambda x: 0.0 if lo_tol <= x.min() and x.max() <= hi_tol else math.inf  # nan fails both
+        prox = lambda t, x: x.clip(lo, hi)
         smooth_only = False
     else:
         h_value = lambda x: 0.0

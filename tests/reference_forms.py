@@ -2,8 +2,10 @@
 
 The tests compare the library against these: the recursive silver doubling,
 the triangular factorizations of the OGM/OGM-G matrices, the aggregate form
-of a certificate's identity and the partial-sum kernel.  None of them is used
-by the library itself.
+of a certificate's identity, the partial-sum kernel, and the plain forms of
+the runners, the lasso/box-QP oracles and the reference solve, which the
+library's faster forms must reproduce bit for bit.  None of them is used by
+the library itself.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 
 from peplift.certificates import FuncCertificate, GradCertificate, aggregates
 from peplift.lift import CompositeFuncLift
+from peplift.methods import ProxProblem, RunTrace
 from peplift.schedules import SILVER_RATIO, StepsizeMatrix, ThetaSequence, cumulative, theta_sequence, unit_upper
 
 
@@ -123,3 +126,174 @@ def partial_sum_kernel(steps, a: np.ndarray) -> np.ndarray:
     if np.max(np.abs(out - direct)) > 1e-10 * scale:
         raise AssertionError("partial-sum closed form disagrees with direct matrix algebra")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Plain forms of the runners, oracles and reference solve: list histories,
+# per-step coefficient closures, numpy's convenience wrappers, and a reference
+# loop that evaluates F again at the point it valued on the step before.
+# ---------------------------------------------------------------------------
+
+
+def soft_threshold_plain(x, t):
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def plain_oracles(spec, a, b):
+    """(f_value, f_grad, h_value, prox) of a lasso or box-QP spec on design (a, b)."""
+    f_value = lambda x: 0.5 * float(np.dot(a @ x - b, a @ x - b))
+    f_grad = lambda x: a.T @ (a @ x - b)
+    if spec.kind == "lasso":
+        h_value = lambda x: spec.tau * float(np.sum(np.abs(x)))
+        prox = lambda t, x: soft_threshold_plain(x, t * spec.tau)
+    else:
+        lo, hi = spec.lo, spec.hi
+        h_value = lambda x: 0.0 if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)) else math.inf
+        prox = lambda t, x: np.clip(x, lo, hi)
+    return f_value, f_grad, h_value, prox
+
+
+def _plain_trace(problem: ProxProblem, xs, ghat, shat) -> RunTrace:
+    L = problem.smoothness
+    xs = np.asarray(xs)
+    f_vals = np.array([problem.f_value(x) for x in xs])
+    h_vals = np.array([problem.h_value(x) for x in xs])
+    return RunTrace(
+        xs=xs,
+        grads=L * np.asarray(ghat),
+        subgrads=L * np.asarray(shat) if len(shat) else np.zeros((0, problem.dim)),
+        f_values=f_vals,
+        h_values=h_vals,
+        obj_values=f_vals + h_vals,
+    )
+
+
+def run_unconstrained_plain(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
+    x = np.asarray(x0, dtype=float)
+    L = problem.smoothness
+    a = H.entries
+    xs = [x]
+    ghat = [problem.f_grad(x) / L]
+    for k in range(1, H.n + 1):
+        x = xs[-1] - np.tensordot(a[:k, k - 1], np.asarray(ghat[:k]), axes=1)
+        xs.append(x)
+        ghat.append(problem.f_grad(x) / L)
+    return _plain_trace(problem, xs, ghat, np.zeros((H.n, problem.dim)))
+
+
+def run_composite_plain(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
+    x = np.asarray(x0, dtype=float)
+    L = problem.smoothness
+    a = H.entries
+    xs = [x]
+    ghat, shat, combined = [], [], []
+    for k in range(1, H.n + 1):
+        x_prev = xs[-1]
+        g_prev = problem.f_grad(x_prev) / L
+        ghat.append(g_prev)
+        akk = a[k - 1, k - 1]
+        drift = np.zeros_like(x_prev)
+        if k >= 2:
+            drift = np.tensordot(a[: k - 1, k - 1], np.asarray(combined), axes=1)
+        x_new = problem.prox(akk / L, x_prev - drift - akk * g_prev)
+        s_new = (x_prev - x_new - drift) / akk - g_prev
+        xs.append(x_new)
+        shat.append(s_new)
+        combined.append(g_prev + s_new)
+    ghat.append(problem.f_grad(xs[-1]) / L)
+    return _plain_trace(problem, xs, ghat, shat)
+
+
+def _three_sequence_plain(n: int, problem: ProxProblem, x0, momentum, fresh_steps) -> RunTrace:
+    x = np.asarray(x0, dtype=float)
+    L = problem.smoothness
+    xs = [x]
+    ghat = [problem.f_grad(x) / L]
+    shat = []
+    y = x.copy()
+    z = x.copy()
+    for k in range(n):
+        y_new = xs[-1] - ghat[-1]
+        coef1, coef2 = momentum(k)
+        z_new = y_new + coef2 * (y_new - xs[-1])
+        if k == 0:
+            z_new = z_new + coef1 * (y_new - y)
+        else:
+            z_new = z_new + coef1 * (y_new - y + (z - xs[-1]) / fresh_steps(k))
+        step = fresh_steps(k + 1)
+        x_new = problem.prox(step / L, z_new)
+        shat.append((z_new - x_new) / step)
+        xs.append(x_new)
+        ghat.append(problem.f_grad(x_new) / L)
+        y, z = y_new, z_new
+    return _plain_trace(problem, xs, ghat, shat)
+
+
+def run_pogm_plain(n: int, problem: ProxProblem, x0) -> RunTrace:
+    t = theta_sequence(n).values
+
+    def momentum(k):
+        return (t[k] - 1.0) / t[k + 1], t[k] / t[k + 1]
+
+    def fresh(k):
+        return 1.0 + (2.0 * t[k - 1] - 1.0) / t[k]
+
+    return _three_sequence_plain(n, problem, x0, momentum, fresh)
+
+
+def run_pogmg_plain(n: int, problem: ProxProblem, x0) -> RunTrace:
+    t = theta_sequence(n).values
+
+    def momentum(k):
+        c1 = (t[n - k] - 1.0) * (2.0 * t[n - k - 1] - 1.0) / (t[n - k] * (2.0 * t[n - k] - 1.0))
+        c2 = (2.0 * t[n - k - 1] - 1.0) / (2.0 * t[n - k] - 1.0)
+        return c1, c2
+
+    def fresh(k):
+        return 1.0 + (2.0 * t[n - k] - 1.0) / t[n - k + 1]
+
+    return _three_sequence_plain(n, problem, x0, momentum, fresh)
+
+
+def run_fista_plain(n: int, problem: ProxProblem, x0) -> RunTrace:
+    x = np.asarray(x0, dtype=float)
+    L = problem.smoothness
+    xs = [x]
+    ghat = [problem.f_grad(x) / L]
+    shat = []
+    y = x.copy()
+    t = 1.0
+    for _ in range(n):
+        z = y - problem.f_grad(y) / L
+        x_new = problem.prox(1.0 / L, z)
+        shat.append(z - x_new)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + (t - 1.0) / t_new * (x_new - xs[-1])
+        xs.append(x_new)
+        ghat.append(problem.f_grad(x_new) / L)
+        t = t_new
+    return _plain_trace(problem, xs, ghat, shat)
+
+
+def fista_reference_plain(f_grad, prox, smoothness, x0, f_full, max_iters=100_000):
+    x = np.array(x0, dtype=float)
+    y = x.copy()
+    t = 1.0
+    best_x, best_val = x.copy(), f_full(x)
+    for _ in range(max_iters):
+        x_new = prox(1.0 / smoothness, y - f_grad(y) / smoothness)
+        val = f_full(x_new)
+        if val < best_val:
+            best_val, best_x = val, x_new.copy()
+        if val > f_full(x):  # restart on objective increase
+            y = x_new.copy()
+            t = 1.0
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_new + (t - 1.0) / t_new * (x_new - x)
+            t = t_new
+        residual = np.linalg.norm(x_new - prox(1.0 / smoothness, x_new - f_grad(x_new) / smoothness))
+        x = x_new
+        if residual <= 1e-15 * (1.0 + np.linalg.norm(x)):
+            break
+    return best_x, best_val

@@ -134,7 +134,14 @@ class TestRun:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 32  # header + 31 iterates
 
-    def test_silver_rejects_bad_length(self, lasso_spec_file):
+    def test_silver_rejects_bad_length(self, lasso_spec_file, monkeypatch):
+        from peplift import problems
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("make_problem ran for an invalid --n")
+
+        # the length is checked before the problem's reference solve
+        monkeypatch.setattr(problems, "make_problem", no_solve)
         assert main(["run", "--algo", "proxgd-silver", "--problem", lasso_spec_file, "--n", "5"]) == 2
 
     def test_silver_accepts_power_length(self, lasso_spec_file):
@@ -165,6 +172,31 @@ class TestSweep:
         cell = json.loads((out / "ogm_func_4.json").read_text())
         assert cell["pass"] is True
         assert cell["observed_worst_ratio"] <= 1.0
+
+    def test_repeated_family_and_size_get_their_own_reports(self, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": 2, "xi": 0.5}]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["rollup.csv", "silver_func_2.json", "silver_func_2_2.json"]
+        assert json.loads((out / "silver_func_2.json").read_text())["xi"] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert json.loads((out / "silver_func_2_2.json").read_text())["xi"] == 0.5
+        assert len((out / "rollup.csv").read_text().strip().splitlines()) == 3
+
+    def test_instances_are_built_once_per_sweep(self, tmp_path, monkeypatch):
+        from peplift import problems
+
+        built = []
+        make_problem = problems.make_problem
+        monkeypatch.setattr(problems, "make_problem", lambda spec: built.append(spec.seed) or make_problem(spec))
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": [
+            {"algo": "silver", "k": 2, "instances": 2},
+            {"algo": "gsw", "k": 2, "instances": 3},
+            {"algo": "ogm", "n": 3, "instances": 1},
+        ]}))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert built == [101, 102, 103]
 
     def test_empty_config_is_noop_success(self, tmp_path):
         config = tmp_path / "sweep.json"
