@@ -6,7 +6,6 @@ from .certificates import (
     FuncCertificate,
     GradCertificate,
     IdentityReport,
-    MultiplierAggregates,
     aggregates,
     gsw_grad_certificate,
     ogm_func_certificate,
@@ -39,10 +38,8 @@ from .methods import (
 from .problems import ProblemSpec, composite_gap, initial_point, make_problem
 from .schedules import (
     SILVER_RATIO,
-    CumulativeStepsizeMatrix,
     ScheduleSpec,
     StepsizeMatrix,
-    ThetaSequence,
     cumulative,
     gsw_schedule,
     ogm_stepsize_matrix,

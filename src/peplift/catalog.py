@@ -99,7 +99,7 @@ FAMILIES = {family.name: family for family in (
         schedule=lambda n: ScheduleSpec.ogm(n).build(),
         certificate=lambda n: ogm_func_certificate(n),
         xi=lambda n: (math.sqrt(5.0) - 1.0) / 4.0 if n >= 2 else 1.0 / 3.0,
-        rate=lambda n: (3.0 + math.sqrt(5.0)) / (8.0 * theta_sequence(n).values[-1] ** 2) if n >= 2 else 1.0 / 6.0,
+        rate=lambda n: (3.0 + math.sqrt(5.0)) / (8.0 * theta_sequence(n)[-1] ** 2) if n >= 2 else 1.0 / 6.0,
         run=lambda n, problem, x0: run_pogm(n, problem, x0),
         bound=_distance_bound,
     ),
@@ -108,7 +108,7 @@ FAMILIES = {family.name: family for family in (
         schedule=lambda n: ScheduleSpec.ogmg(n).build(),
         certificate=lambda n: ogmg_grad_certificate(n),
         xi=lambda n: None,  # the lift's corner-zeroing 1 - (lam[n-1,n] + lam[n,n-1]) / r
-        rate=lambda n: 2.0 * (math.sqrt(5.0) - 1.0) / theta_sequence(n).values[-1] ** 2 if n >= 2 else 2.0 / 3.0,
+        rate=lambda n: 2.0 * (math.sqrt(5.0) - 1.0) / theta_sequence(n)[-1] ** 2 if n >= 2 else 2.0 / 3.0,
         run=lambda n, problem, x0: run_pogmg(n, problem, x0),
         bound=_descent_bound,
     ),

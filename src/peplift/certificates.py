@@ -26,17 +26,12 @@ from .ledger import STAR, GramLedger, coco_block, ix_dist, ix_g
 from .schedules import (
     SILVER_RATIO,
     StepsizeMatrix,
+    _frozen,
     cumulative,
     gsw_taus,
     silver_schedule,
     theta_sequence,
 )
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -64,11 +59,6 @@ class FuncCertificate:
     @property
     def n(self) -> int:
         return self.lam.shape[1] - 1
-
-    @property
-    def lam_star(self) -> np.ndarray:
-        """The optimum row of the multipliers."""
-        return self.lam[-1]
 
     def invariant_residuals(self) -> dict[str, float]:
         """Max violations of nonnegativity, the row/column-sum identities and
@@ -124,24 +114,13 @@ class GradCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiplierAggregates:
+def aggregates(cert: FuncCertificate | GradCertificate) -> tuple[np.ndarray, np.ndarray]:
     """The symmetrized (hat) and shifted (tilde) multiplier matrices.
 
     hat[i, j] = lam[i, j] + lam[j, i] off the diagonal and minus the full
     cross sum on it; tilde collects rows 1..n over columns 0..n-1 with the
     diagonal positions replaced by minus the column sums.
     """
-
-    hat: np.ndarray
-    tilde: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "hat", _frozen(self.hat))
-        object.__setattr__(self, "tilde", _frozen(self.tilde))
-
-
-def aggregates(cert: FuncCertificate | GradCertificate) -> MultiplierAggregates:
     lam = cert.lam
     n = cert.n
     col = lam.sum(axis=0)
@@ -151,7 +130,7 @@ def aggregates(cert: FuncCertificate | GradCertificate) -> MultiplierAggregates:
     tilde = lam[1 : n + 1, :n].copy()
     for i in range(1, n):
         tilde[i - 1, i] = -col[i]
-    return MultiplierAggregates(hat=hat, tilde=tilde)
+    return hat, tilde
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +181,7 @@ def ogm_func_certificate(n: int) -> FuncCertificate:
     """Objective-gap certificate for the optimized gradient method."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
     lam = np.zeros((n + 2, n + 1))
     for i in range(n):
         lam[i, i + 1] = 2.0 * t[i] ** 2
@@ -246,7 +225,7 @@ def ogmg_grad_certificate(n: int) -> GradCertificate:
     """Gradient-norm certificate for the gradient-norm optimized method."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
     tn2 = t[n] ** 2
     lam = np.zeros((n + 1, n + 1))
     for i in range(n):
@@ -293,7 +272,7 @@ class IdentityReport:
         }
 
 
-def _report(lhs: GramLedger, rhs: GramLedger, tol: float | None) -> IdentityReport:
+def _report(lhs: GramLedger, rhs: GramLedger) -> IdentityReport:
     quad, lf, lh = lhs.residual_vs(rhs)
     scale = max(lhs.max_abs(), rhs.max_abs(), 1.0)
     return IdentityReport(
@@ -301,7 +280,7 @@ def _report(lhs: GramLedger, rhs: GramLedger, tol: float | None) -> IdentityRepo
         lin_f_residual=lf,
         lin_h_residual=lh,
         scale=scale,
-        tol=config.rel_tol() if tol is None else tol,
+        tol=config.rel_tol(),
     )
 
 
@@ -313,7 +292,7 @@ def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[Gra
     lhs = GramLedger(n)
     W = np.zeros((n + 2, n + 2))
     W[:, : n + 1] = cert.lam
-    coco_block(lhs, W, cumulative(H).entries, smooth=True, composite=False, coupled_star=False)
+    coco_block(lhs, W, cumulative(H), smooth=True, composite=False, coupled_star=False)
     square = np.zeros(lhs.quad.shape[0])
     square[ix_dist(n)] = 1.0
     for i in range(n + 1):
@@ -327,14 +306,14 @@ def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[Gra
     return lhs, rhs
 
 
-def verify_func_identity(H: StepsizeMatrix, cert: FuncCertificate, tol: float | None = None) -> IdentityReport:
+def verify_func_identity(H: StepsizeMatrix, cert: FuncCertificate) -> IdentityReport:
     """Check the objective-gap identity for the plain method with H.
 
     Failure is reported, not raised: the report carries the residuals split
-    by coefficient group and the pass flag at the requested tolerance.
+    by coefficient group and the pass flag at the configured tolerance.
     """
     lhs, rhs = func_identity_ledgers(H, cert)
-    return _report(lhs, rhs, tol)
+    return _report(lhs, rhs)
 
 
 def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[GramLedger, GramLedger]:
@@ -345,7 +324,7 @@ def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[Gra
     lhs = GramLedger(n)
     W = np.zeros((n + 2, n + 2))
     W[: n + 1, : n + 1] = cert.lam
-    coco_block(lhs, W, cumulative(H).entries, smooth=True, composite=False, coupled_star=False)
+    coco_block(lhs, W, cumulative(H), smooth=True, composite=False, coupled_star=False)
 
     rhs = GramLedger(n)
     rhs.add_f(0, 1.0)
@@ -354,10 +333,10 @@ def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[Gra
     return lhs, rhs
 
 
-def verify_grad_identity(H: StepsizeMatrix, cert: GradCertificate, tol: float | None = None) -> IdentityReport:
+def verify_grad_identity(H: StepsizeMatrix, cert: GradCertificate) -> IdentityReport:
     """Check the gradient-norm identity for the plain method with H."""
     lhs, rhs = grad_identity_ledgers(H, cert)
-    return _report(lhs, rhs, tol)
+    return _report(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,7 @@ from .ledger import (
     ix_s,
     ix_s_star,
 )
-from .schedules import StepsizeMatrix, cumulative
-
-
-def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+from .schedules import StepsizeMatrix, _frozen, cumulative
 
 
 @dataclass(frozen=True)
@@ -135,10 +129,10 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     gamma_head = gamma[:n]
     sigma_head = sigma[:n]
 
-    agg = aggregates(cert)
-    hc = cumulative(H).entries
-    via_quad = -np.linalg.solve(hc, (hc @ agg.tilde).T + np.outer(gamma_head, gamma_head + sigma_head))
-    via_hat = np.linalg.solve(hc, agg.hat - np.outer(gamma_head, sigma_head)) + agg.tilde
+    hat, tilde = aggregates(cert)
+    hc = cumulative(H)
+    via_quad = -np.linalg.solve(hc, (hc @ tilde).T + np.outer(gamma_head, gamma_head + sigma_head))
+    via_hat = np.linalg.solve(hc, hat - np.outer(gamma_head, sigma_head)) + tilde
     scale = max(np.max(np.abs(via_quad)), np.max(np.abs(via_hat)), 1.0)
     if np.max(np.abs(via_quad - via_hat)) > 1e-9 * scale:
         raise ValueError("closed-form multiplier expressions disagree; certificate does not satisfy the identity")
@@ -155,7 +149,7 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
 
     lam_star_total = float(lam[n + 1].sum())
     block = np.empty((n + 1, n + 1))
-    block[:n, :n] = -agg.hat
+    block[:n, :n] = -hat
     block[:n, n] = -gamma_head
     block[n, :n] = -gamma_head
     block[n, n] = lam_star_total
@@ -194,9 +188,9 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
     lam, r = cert.lam, cert.r
-    agg = aggregates(cert)
-    hc = cumulative(H).entries
-    mu_tilde = -np.linalg.solve(hc, (hc @ agg.tilde).T)
+    hat, tilde = aggregates(cert)
+    hc = cumulative(H)
+    mu_tilde = -np.linalg.solve(hc, (hc @ tilde).T)
 
     mu = np.zeros((n + 1, n))
     mu[0] = -mu_tilde.sum(axis=0)
@@ -212,7 +206,7 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     base[0, 0] = r
     base[0, 1:] = v
     base[1:, 0] = v
-    base[1:, 1:] = -agg.hat
+    base[1:, 1:] = -hat
     corner = np.zeros(n + 1)
     corner[0] = 1.0
     corner[n] = 1.0
@@ -277,22 +271,19 @@ class FuncFeasibilityReport:
         }
 
 
-def check_func_feasibility(lift: CompositeFuncLift, xi: float | None = None) -> FuncFeasibilityReport:
+def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
     """Nonnegativity of the nonsmooth multipliers plus two-route evidence
     that S is positive semidefinite: eigenvalues of S itself, and the Schur
     route requiring L - (1/xi) v v^T to stay Laplacian."""
-    xi_val = lift.xi if xi is None else float(xi)
+    if lift.xi <= 0.0:
+        raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
     mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
     min_mu = float(lift.mu.min())
 
-    slack = np.array(lift.slack)
-    slack[0, 0] = xi_val
-    eigs = np.linalg.eigvalsh(slack)
+    eigs = np.linalg.eigvalsh(lift.slack)
     snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
 
-    if xi_val <= 0.0:
-        raise ValueError(f"the Schur route needs xi > 0, got {xi_val}")
-    schur = lift.laplacian - np.outer(lift.v, lift.v) / xi_val
+    schur = lift.laplacian - np.outer(lift.v, lift.v) / lift.xi
     lap_scale = max(1.0, float(np.max(np.abs(schur))))
     s_off, s_row = _laplacian_violations(schur)
 
@@ -301,7 +292,7 @@ def check_func_feasibility(lift: CompositeFuncLift, xi: float | None = None) -> 
 
     tol_lap = config.LAPLACIAN_TOL
     return FuncFeasibilityReport(
-        xi=xi_val,
+        xi=lift.xi,
         min_mu=min_mu,
         mu_scale=mu_scale,
         min_eig=float(eigs[0]),
@@ -392,12 +383,10 @@ def composite_func_ledgers(
     H: StepsizeMatrix,
     cert: FuncCertificate,
     lift: CompositeFuncLift,
-    xi: float | None = None,
 ) -> tuple[GramLedger, GramLedger]:
     """Both sides of the lifted objective-gap identity as ledgers."""
     n = cert.n
-    xi_val = lift.xi if xi is None else float(xi)
-    hcum = cumulative(H).entries
+    hcum = cumulative(H)
 
     lhs = GramLedger(n)
     W = np.zeros((n + 2, n + 2))
@@ -411,17 +400,14 @@ def composite_func_ledgers(
     square[ix_dist(n)] += 1.0
     lhs.add_square(square, 0.5)
 
-    slack = np.array(lift.slack)
-    if xi is not None:  # re-anchor the corner only on an explicit override
-        slack[0, 0] = xi_val
-    lhs.add_block(_slack_indices_func(n), slack, 0.5)
+    lhs.add_block(_slack_indices_func(n), lift.slack, 0.5)
 
     rhs = GramLedger(n)
     rhs.add_f(STAR, cert.r)
     rhs.add_h(STAR, cert.r)
     rhs.add_f(n, -cert.r)
     rhs.add_h(n, -cert.r)
-    rhs.quad[ix_dist(n), ix_dist(n)] += 0.5 * (1.0 + xi_val)
+    rhs.quad[ix_dist(n), ix_dist(n)] += 0.5 * (1.0 + lift.xi)
     return lhs, rhs
 
 
@@ -429,8 +415,6 @@ def verify_composite_func_identity(
     H: StepsizeMatrix,
     cert: FuncCertificate,
     lift: CompositeFuncLift,
-    xi: float | None = None,
-    tol: float | None = None,
 ) -> IdentityReport:
     """Exact coefficient check of the lifted objective-gap identity.
 
@@ -438,8 +422,8 @@ def verify_composite_func_identity(
     vectors), so the check is independent of any problem instance.  The
     identity holds for every xi since it enters both sides identically.
     """
-    lhs, rhs = composite_func_ledgers(H, cert, lift, xi)
-    return _report(lhs, rhs, tol)
+    lhs, rhs = composite_func_ledgers(H, cert, lift)
+    return _report(lhs, rhs)
 
 
 def composite_grad_ledgers(
@@ -449,7 +433,7 @@ def composite_grad_ledgers(
 ) -> tuple[GramLedger, GramLedger]:
     """Both sides of the lifted gradient-norm identity as ledgers."""
     n = cert.n
-    hcum = cumulative(H).entries
+    hcum = cumulative(H)
 
     lhs = GramLedger(n)
     W = np.zeros((n + 2, n + 2))
@@ -477,11 +461,10 @@ def verify_composite_grad_identity(
     H: StepsizeMatrix,
     cert: GradCertificate,
     lift: CompositeGradLift,
-    tol: float | None = None,
 ) -> IdentityReport:
     """Exact coefficient check of the lifted gradient-norm identity."""
     lhs, rhs = composite_grad_ledgers(H, cert, lift)
-    return _report(lhs, rhs, tol)
+    return _report(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +472,13 @@ def verify_composite_grad_identity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertifiedRate:
-    metric: str  # 'func' or 'grad'
-    constant: float
-
-
-def certified_rate(lift: CompositeFuncLift | CompositeGradLift) -> CertifiedRate:
+def certified_rate(lift: CompositeFuncLift | CompositeGradLift) -> float:
     """The constant certified by a feasible lift: (1 + xi)/(2 r) in front of
     the squared initial distance, or 2/(r (1 - xi)) in front of the initial
     composite gap."""
     if isinstance(lift, CompositeFuncLift):
-        return CertifiedRate(metric="func", constant=(1.0 + lift.xi) / (2.0 * lift.r))
-    return CertifiedRate(metric="grad", constant=2.0 / (lift.r * (1.0 - lift.xi)))
+        return (1.0 + lift.xi) / (2.0 * lift.r)
+    return 2.0 / (lift.r * (1.0 - lift.xi))
 
 
 @dataclass(frozen=True)
@@ -543,4 +520,4 @@ def verify_cell(
     composite = (verify_composite_func_identity if func else verify_composite_grad_identity)(H, cert, lifted)
     structural_ok = feasibility.schur_laplacian_ok if func else feasibility.dd_ok
     passed = identity.passed and composite.passed and feasibility.passed
-    return Cell(cert.n, identity, passed, lifted, feasibility, composite, structural_ok, certified_rate(lifted).constant)
+    return Cell(cert.n, identity, passed, lifted, feasibility, composite, structural_ok, certified_rate(lifted))

@@ -179,7 +179,7 @@ def run_pogm(n: int, problem: ProxProblem, x0) -> RunTrace:
     optimized method, in O(dim) memory."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    theta = theta_sequence(n).values
+    theta = theta_sequence(n)
     t, t_next = theta[:-1], theta[1:]  # theta_k, theta_{k+1} at step k
     return _run_three_sequence(problem, x0, ((t - 1.0) / t_next).tolist(), (t / t_next).tolist(),
                                (1.0 + (2.0 * t - 1.0) / t_next).tolist())
@@ -189,7 +189,7 @@ def run_pogmg(n: int, problem: ProxProblem, x0) -> RunTrace:
     """Proximal gradient-norm optimized method (reversed-index coefficients)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    theta = theta_sequence(n).values[::-1]
+    theta = theta_sequence(n)[::-1]
     t, t_prev = theta[:-1], theta[1:]  # theta_{n-k}, theta_{n-k-1} at step k
     return _run_three_sequence(
         problem, x0,

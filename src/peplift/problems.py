@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .methods import ProxProblem
 KINDS = ("lasso", "boxqp", "smooth_quadratic", "smooth_huber", "l1_logistic")
 
 REFERENCE_MAX_ITERS = 100_000
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +75,16 @@ class ProblemSpec:
 
 
 def spec_from_json(path) -> ProblemSpec:
+    """Read a problem spec file; malformed fields raise ValueError.
+
+    The file is outside input, so the field types are checked here: kind and
+    dim are required, dim/rows/seed are integers (dim >= 1, the others >= 0)
+    and tau/lo/hi/delta are finite numbers.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem spec must be a JSON object, got {type(doc).__name__}")
     a = b = None
     if "a_csv" in doc:
         a = np.atleast_2d(np.loadtxt(doc.pop("a_csv"), delimiter=",", dtype=float))
@@ -87,6 +98,18 @@ def spec_from_json(path) -> ProblemSpec:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown problem spec fields: {sorted(unknown)}")
+    for name in ("kind", "dim"):
+        if name not in doc:
+            raise ValueError(f"problem spec needs a {name!r} field")
+    for name, low in (("dim", 1), ("rows", 0), ("seed", 0)):
+        value = doc.get(name, low)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{name!r} must be an integer >= {low}, got {value!r}")
+    for name in ("tau", "lo", "hi", "delta"):
+        value = doc.get(name, 0.0)
+        # the comparisons also fail for nan and for integers beyond float range
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"{name!r} must be a finite number, got {value!r}")
     return ProblemSpec(a=a, b=b, **doc)
 
 
@@ -278,9 +301,6 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         smooth_only = True
 
     x_star, opt_value = _reference_optimum(spec, a, b, f_value, f_grad, h_value, prox, smoothness, cache_dir)
-    full = lambda x: f_value(x) + h_value(x)
-    if x_star is not None and opt_value is None:
-        opt_value = full(x_star)
     return ProxProblem(
         dim=spec.dim,
         f_value=f_value,

@@ -8,8 +8,12 @@ across value ranges, so we emit the document ourselves (JSON is small).
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def format17(x: float) -> str:
@@ -28,9 +32,7 @@ def _emit(obj, parts: list[str], indent: int, pad: str) -> None:
     elif obj is False:
         parts.append("false")
     elif isinstance(obj, str):
-        import json as _json
-
-        parts.append(_json.dumps(obj))
+        parts.append(json.dumps(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
@@ -43,9 +45,7 @@ def _emit(obj, parts: list[str], indent: int, pad: str) -> None:
         for idx, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            import json as _json
-
-            parts.append(inner + _json.dumps(key) + ": ")
+            parts.append(inner + json.dumps(key) + ": ")
             _emit(value, parts, indent + 1, pad)
             parts.append(",\n" if idx < len(obj) - 1 else "\n")
         parts.append(here + "}")
@@ -59,19 +59,16 @@ def _emit(obj, parts: list[str], indent: int, pad: str) -> None:
             _emit(value, parts, indent + 1, pad)
             parts.append(",\n" if idx < len(obj) - 1 else "\n")
         parts.append(here + "]")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), parts, indent, pad)
+    elif isinstance(obj, np.bool_):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, np.floating):
+        _emit(float(obj), parts, indent, pad)
+    elif isinstance(obj, np.integer):
+        _emit(int(obj), parts, indent, pad)
     else:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            _emit(obj.tolist(), parts, indent, pad)
-        elif isinstance(obj, np.bool_):
-            parts.append("true" if obj else "false")
-        elif isinstance(obj, np.floating):
-            _emit(float(obj), parts, indent, pad)
-        elif isinstance(obj, np.integer):
-            _emit(int(obj), parts, indent, pad)
-        else:
-            raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dumps17(obj, indent: int = 2) -> str:
@@ -120,7 +117,6 @@ class ReportRow:
 
     def csv_row(self) -> list[str]:
         doc = self.to_dict()
-        doc["pass"] = doc.pop("pass")
         out = []
         for name in self.CSV_FIELDS:
             value = doc[name]
@@ -136,8 +132,6 @@ class ReportRow:
 
 
 def write_rollup_csv(rows: list[ReportRow], path) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ReportRow.CSV_FIELDS)

@@ -25,7 +25,8 @@ import numpy as np
 SILVER_RATIO = 1.0 + math.sqrt(2.0)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """Read-only float copy of an array-like."""
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -67,32 +68,16 @@ class StepsizeMatrix:
             raise IndexError(f"alpha index (k={k}, j={j}) out of range for n={self.n}")
         return float(self.entries[j, k - 1])
 
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.entries == np.diag(np.diag(self.entries))))
-
-
-@dataclass(frozen=True)
-class CumulativeStepsizeMatrix:
-    """Partial-sum form of a stepsize matrix; column i-1 expands x_0 - x_i."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def from_diagonal(steps) -> StepsizeMatrix:
     """Stepsize matrix of plain gradient descent with the given steps."""
     return StepsizeMatrix(np.diag(np.asarray(steps, dtype=float)))
 
 
-def cumulative(H: StepsizeMatrix) -> CumulativeStepsizeMatrix:
-    """Exact product of the stepsize matrix with the all-ones upper triangle."""
-    return CumulativeStepsizeMatrix(H.entries @ unit_upper(H.n))
+def cumulative(H: StepsizeMatrix) -> np.ndarray:
+    """Partial-sum form of a stepsize matrix, read-only: the exact product
+    with the all-ones upper triangle, whose column i-1 expands x_0 - x_i."""
+    return _frozen(H.entries @ unit_upper(H.n))
 
 
 # ---------------------------------------------------------------------------
@@ -159,42 +144,20 @@ def gsw_schedule(k: int) -> GswSchedule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaSequence:
-    """The horizon-dependent sequence theta_0..theta_n with a boosted last step.
+def theta_sequence(n: int) -> np.ndarray:
+    """The horizon-dependent sequence theta_0..theta_n with a boosted last
+    step, read-only.
 
     Satisfies theta_{i+1}**2 - theta_{i+1} - theta_i**2 = 0 for the interior
     steps and theta_n**2 - theta_n - 2 theta_{n-1}**2 = 0 at the end.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0] - 1
-
-    def recurrence_residuals(self) -> np.ndarray:
-        """Relative residuals of the defining quadratic recurrences."""
-        t = self.values
-        res = np.empty(self.n)
-        for i in range(self.n - 1):
-            res[i] = (t[i + 1] ** 2 - t[i + 1] - t[i] ** 2) / max(1.0, t[i + 1] ** 2)
-        res[self.n - 1] = (t[-1] ** 2 - t[-1] - 2.0 * t[-2] ** 2) / max(1.0, t[-1] ** 2)
-        return res
-
-
-def theta_sequence(n: int) -> ThetaSequence:
     if n < 1:
         raise ValueError(f"theta sequence needs n >= 1, got {n}")
-    t = np.empty(n + 1)
-    t[0] = 1.0
-    for i in range(1, n):
-        t[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[i - 1] ** 2))
-    t[n] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * t[n - 1] ** 2))
-    return ThetaSequence(values=t)
+    t = [1.0]
+    for _ in range(1, n):
+        t.append(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[-1] ** 2)))
+    t.append(0.5 * (1.0 + math.sqrt(1.0 + 8.0 * t[-1] ** 2)))
+    return _frozen(t)
 
 
 def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
@@ -207,7 +170,7 @@ def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
     a = np.zeros((n, n))
     for i in range(n):
         a[i, i] = 1.0 + (2.0 * t[i] - 1.0) / t[i + 1]
@@ -227,7 +190,7 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
     a = np.zeros((n, n))
     for i in range(n):
         a[i, i] = 1.0 + (2.0 * t[n - i - 1] - 1.0) / t[n - i]

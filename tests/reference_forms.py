@@ -1,11 +1,11 @@
 """Second constructions of library objects and negative-control helpers.
 
 The tests compare the library against these: the recursive silver doubling,
-the triangular factorizations of the OGM/OGM-G matrices, the aggregate form
-of a certificate's identity, the partial-sum kernel, and the plain forms of
-the runners, the lasso/box-QP oracles and the reference solve, which the
-library's faster forms must reproduce bit for bit.  None of them is used by
-the library itself.
+the theta recursion on numpy scalars, the triangular factorizations of the
+OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
+partial-sum kernel, and the plain forms of the runners, the lasso/box-QP
+oracles and the reference solve, which the library's faster forms must
+reproduce bit for bit.  None of them is used by the library itself.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 from peplift.certificates import FuncCertificate, GradCertificate, aggregates
 from peplift.lift import CompositeFuncLift
 from peplift.methods import ProxProblem, RunTrace
-from peplift.schedules import SILVER_RATIO, StepsizeMatrix, ThetaSequence, cumulative, theta_sequence, unit_upper
+from peplift.schedules import SILVER_RATIO, StepsizeMatrix, cumulative, theta_sequence, unit_upper
 
 
 def u_matrix(diag) -> np.ndarray:
@@ -38,14 +38,23 @@ def silver_schedule_recursive(k: int) -> np.ndarray:
     return steps
 
 
-def phi_sequence(theta: ThetaSequence) -> np.ndarray:
+def theta_sequence_plain(n: int) -> np.ndarray:
+    """theta_0..theta_n by the same recursion, run on numpy scalars."""
+    t = np.empty(n + 1)
+    t[0] = 1.0
+    for i in range(1, n):
+        t[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[i - 1] ** 2))
+    t[n] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * t[n - 1] ** 2))
+    return t
+
+
+def phi_sequence(t: np.ndarray) -> np.ndarray:
     """phi_1..phi_n: the diagonal of the triangular factor of the OGM matrix.
 
     phi_i = 1 + theta_{i-1}/(2 theta_i) for i < n and 1 + theta_{n-1}/theta_n
     at the end.
     """
-    t = theta.values
-    n = theta.n
+    n = t.shape[0] - 1
     phi = 1.0 + t[:-1] / (2.0 * t[1:])
     phi[n - 1] = 1.0 + t[n - 1] / t[n]
     return phi
@@ -55,9 +64,8 @@ def ogm_factored(n: int) -> np.ndarray:
     """OGM stepsize matrix rebuilt from its triangular factorization:
     diag(2 theta_0..2 theta_{n-1}) U(phi_1..phi_n) U(theta_1..theta_n)^{-1}.
     """
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
+    t = theta_sequence(n)
+    phi = phi_sequence(t)
     left = np.diag(2.0 * t[:-1]) @ u_matrix(phi)
     return np.linalg.solve(u_matrix(t[1:]).T, left.T).T
 
@@ -66,9 +74,8 @@ def ogmg_factored(n: int) -> np.ndarray:
     """Mirrored factorization of the OGM-G matrix:
     U(theta_n..theta_1)^{-1} U(phi_n..phi_1) diag(2 theta_{n-1}..2 theta_0).
     """
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
+    t = theta_sequence(n)
+    phi = phi_sequence(t)
     right = u_matrix(phi[::-1]) @ np.diag(2.0 * t[-2::-1])
     return np.linalg.solve(u_matrix(t[:0:-1]), right)
 
@@ -77,9 +84,9 @@ def aggregate_identity_residual(H: StepsizeMatrix, cert: FuncCertificate | GradC
     """Residual of the quadratic-form consequence of a valid certificate:
     hat + Hc tilde + (Hc tilde)^T equals -gamma_head gamma_head^T for an
     objective certificate and zero for a gradient one (Hc cumulative)."""
-    agg = aggregates(cert)
-    hc = cumulative(H).entries
-    m = agg.hat + hc @ agg.tilde + (hc @ agg.tilde).T
+    hat, tilde = aggregates(cert)
+    hc = cumulative(H)
+    m = hat + hc @ tilde + (hc @ tilde).T
     if isinstance(cert, FuncCertificate):
         m = m + np.outer(cert.gamma[:-1], cert.gamma[:-1])
     return float(np.max(np.abs(m)))
@@ -230,7 +237,7 @@ def _three_sequence_plain(n: int, problem: ProxProblem, x0, momentum, fresh_step
 
 
 def run_pogm_plain(n: int, problem: ProxProblem, x0) -> RunTrace:
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
 
     def momentum(k):
         return (t[k] - 1.0) / t[k + 1], t[k] / t[k + 1]
@@ -242,7 +249,7 @@ def run_pogm_plain(n: int, problem: ProxProblem, x0) -> RunTrace:
 
 
 def run_pogmg_plain(n: int, problem: ProxProblem, x0) -> RunTrace:
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
 
     def momentum(k):
         c1 = (t[n - k] - 1.0) * (2.0 * t[n - k - 1] - 1.0) / (t[n - k] * (2.0 * t[n - k] - 1.0))

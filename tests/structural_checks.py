@@ -58,9 +58,8 @@ def silver_t_sum_violation(k: int) -> float:
 
 def theta_phi_bound_violation(n: int) -> float:
     """Window bounds on theta increments and the triangular-factor diagonal."""
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
+    t = theta_sequence(n)
+    phi = phi_sequence(t)
     worst = 0.0
     inc = np.diff(t)
     worst = max(worst, float(np.max(0.5 - inc, initial=0.0)))  # all increments > 1/2
@@ -81,9 +80,8 @@ def ogm_column_sign_violation(n: int) -> float:
     """Sign pattern of the triangular systems behind the nonnegativity of the
     lifted multipliers: x[j+1] < 0, x[i] > 0 for i <= j, zeros beyond, plus
     the ratio identity between consecutive positive entries."""
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
+    t = theta_sequence(n)
+    phi = phi_sequence(t)
     u = u_matrix(phi)
     worst = 0.0
     for j in range(1, n + 1):
@@ -109,9 +107,8 @@ def ogmg_typical_column_violation(n: int) -> float:
     columns of the reversed-index triangular systems."""
     if n < 3:
         return 0.0
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
+    t = theta_sequence(n)
+    phi = phi_sequence(t)
     u = u_matrix(phi[::-1])
     worst = 0.0
     for j in range(2, n):
@@ -146,9 +143,8 @@ def ogmg_last_column_violation(n: int) -> float:
     """Alternating signs and closed-form anchors of the final-column system."""
     if n < 3:
         return 0.0
-    theta = theta_sequence(n)
-    t = theta.values
-    phi = phi_sequence(theta)
+    t = theta_sequence(n)
+    phi = phi_sequence(t)
     u = u_matrix(phi[::-1])
     rhs = np.concatenate([
         np.full(n - 2, -(2.0 * t[1] ** 2 - 1.0)),

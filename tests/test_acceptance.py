@@ -86,7 +86,7 @@ def test_criterion_2_composite_lift_suite():
         feasible &= feas.passed and feas.schur_laplacian_ok  # both PSD routes
         report = verify_composite_func_identity(H, cert, lifted)
         worst_resid = max(worst_resid, report.max_residual / report.scale)
-        rate = certified_rate(lifted).constant
+        rate = certified_rate(lifted)
         named = FAMILIES[algo].rate(size)
         worst_rate = max(worst_rate, abs(rate - named) / named)
     for algo, size in GRAD_GRID:
@@ -97,7 +97,7 @@ def test_criterion_2_composite_lift_suite():
         feasible &= feas.passed and feas.dd_ok
         report = verify_composite_grad_identity(H, cert, lifted)
         worst_resid = max(worst_resid, report.max_residual / report.scale)
-        rate = certified_rate(lifted).constant
+        rate = certified_rate(lifted)
         named = FAMILIES[algo].rate(size)
         worst_rate = max(worst_rate, abs(rate - named) / named)
     ok = feasible and worst_resid < IDENTITY_TOL and worst_rate < RATE_TOL
@@ -326,8 +326,8 @@ def test_criterion_7_asymptotic_proxies():
         H = FAMILIES["ogm"].schedule(n)
         cert = FAMILIES["ogm"].certificate(n)
         lifted = lift_func(H, cert, xi=FAMILIES["ogm"].xi(n))
-        tn2 = theta_sequence(n).values[-1] ** 2
-        products.append(certified_rate(lifted).constant * tn2)
+        tn2 = theta_sequence(n)[-1] ** 2
+        products.append(certified_rate(lifted) * tn2)
     spread = (max(products) - min(products)) / products[0]
     pogm_ok = spread <= 1e-12 and abs(products[0] - (3 + math.sqrt(5)) / 8) < 1e-12
     ok = silver_ok and pogm_ok

@@ -154,6 +154,36 @@ class TestRun:
     def test_missing_problem_file(self):
         assert main(["run", "--algo", "pogm", "--problem", "/nonexistent.json", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '"lasso"',
+        '{"dim": 3}',
+        '{"kind": "lasso"}',
+        '{"kind": "lasso", "dim": "a"}',
+        '{"kind": "lasso", "dim": true}',
+        '{"kind": "lasso", "dim": 3, "rows": -1}',
+        '{"kind": "lasso", "dim": 3, "rows": 2.0}',
+        '{"kind": "lasso", "dim": 3, "seed": 1.5}',
+        '{"kind": "lasso", "dim": 3, "seed": -1}',
+        '{"kind": "lasso", "dim": 3, "tau": "x"}',
+        '{"kind": "lasso", "dim": 3, "tau": true}',
+        '{"kind": "lasso", "dim": 3, "tau": NaN}',
+        pytest.param('{"kind": "lasso", "dim": 3, "tau": 1' + "0" * 400 + '}', id="tau-beyond-float-range"),
+        '{"kind": "boxqp", "dim": 3, "hi": Infinity}',
+        '{"kind": "smooth_huber", "dim": 3, "delta": "1"}',
+    ])
+    def test_malformed_problem_spec_is_usage_error(self, tmp_path, capsys, monkeypatch, text):
+        from peplift import problems
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("make_problem ran for a malformed spec")
+
+        monkeypatch.setattr(problems, "make_problem", no_solve)
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweep:
     def test_small_grid(self, tmp_path):

@@ -26,7 +26,7 @@ from peplift.schedules import cumulative, ogm_stepsize_matrix
 
 @pytest.fixture(scope="module")
 def hcum3():
-    return cumulative(ogm_stepsize_matrix(3)).entries
+    return cumulative(ogm_stepsize_matrix(3))
 
 
 class TestSingleInequalities:
@@ -136,7 +136,7 @@ class TestNonnegativitySampling:
         # 100 seeded l1-regularized least-squares instances
         n = 3
         h = ogm_stepsize_matrix(n)
-        hcum = cumulative(h).entries
+        hcum = cumulative(h)
         pairs = [(i, j) for i in list(range(n + 1)) + [STAR] for j in range(n + 1) if i != j]
         pairs += [(i, j) for i in list(range(1, n + 1)) + [STAR] for j in range(1, n + 1) if i != j]
         worst = 0.0
@@ -155,7 +155,7 @@ class TestNonnegativitySampling:
         # same data, explicit mode split: Qf and Qh each nonnegative
         n = 2
         h = ogm_stepsize_matrix(n)
-        hcum = cumulative(h).entries
+        hcum = cumulative(h)
         spec = ProblemSpec(kind="lasso", dim=5, rows=8, seed=11, tau=0.3)
         problem = make_problem(spec)
         trace = run_composite(h, problem, initial_point(spec))

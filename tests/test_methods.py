@@ -82,7 +82,7 @@ class TestUnconstrained:
         problem = quadratic_problem(q, rng.standard_normal(5))
         x0 = rng.standard_normal(5)
         trace = run_unconstrained(ogm_stepsize_matrix(2), problem, x0)
-        t2 = theta_sequence(2).values[-1]
+        t2 = theta_sequence(2)[-1]
         bound = float(np.dot(x0 - problem.x_star, x0 - problem.x_star)) / (2 * t2**2)
         assert trace.f_values[-1] - 0.0 <= bound + 1e-12
 
@@ -216,7 +216,7 @@ class TestEfficientForms:
         x0 = initial_point(spec)
         n = 7
         trace = run_pogmg(n, problem, x0)
-        tn2 = theta_sequence(n).values[-1] ** 2
+        tn2 = theta_sequence(n)[-1] ** 2
         lhs = trace.final_composite_grad_norm**2
         rhs = 2 * (math.sqrt(5) - 1) / tn2 * problem.smoothness * (trace.obj_values[0] - trace.obj_values[-1])
         assert lhs <= rhs + 1e-9

@@ -21,7 +21,14 @@ from peplift.schedules import (
     theta_sequence,
     unit_upper,
 )
-from reference_forms import ogm_factored, ogmg_factored, phi_sequence, silver_schedule_recursive, u_matrix
+from reference_forms import (
+    ogm_factored,
+    ogmg_factored,
+    phi_sequence,
+    silver_schedule_recursive,
+    theta_sequence_plain,
+    u_matrix,
+)
 
 RHO = SILVER_RATIO
 
@@ -82,30 +89,42 @@ class TestGsw:
 
 class TestTheta:
     def test_n1(self):
-        np.testing.assert_allclose(theta_sequence(1).values, [1.0, 2.0])
+        np.testing.assert_allclose(theta_sequence(1), [1.0, 2.0])
 
     def test_n2_direct(self):
         phi = (1 + math.sqrt(5)) / 2
         expected = [1.0, phi, (1 + math.sqrt(1 + 8 * phi**2)) / 2]
-        np.testing.assert_allclose(theta_sequence(2).values, expected, rtol=1e-15)
+        np.testing.assert_allclose(theta_sequence(2), expected, rtol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 64, 127])
     def test_recurrence_residuals(self, n):
-        res = theta_sequence(n).recurrence_residuals()
-        assert np.max(np.abs(res)) < 1e-12
+        # relative residuals of the interior recurrence and of the boosted last step
+        t = theta_sequence(n)
+        interior = (t[1:n] ** 2 - t[1:n] - t[: n - 1] ** 2) / np.maximum(1.0, t[1:n] ** 2)
+        last = (t[n] ** 2 - t[n] - 2.0 * t[n - 1] ** 2) / max(1.0, t[n] ** 2)
+        assert np.max(np.abs(np.append(interior, last))) < 1e-12
 
     def test_quadratic_growth(self):
-        t = theta_sequence(200).values
+        t = theta_sequence(200)
         assert 0.9 <= t[-1] ** 2 / (200**2 / 2) <= 1.1
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             theta_sequence(0)
 
+    @pytest.mark.parametrize("n", [*range(1, 65), 127, 128, 255, 256, 511, 512, 1023, 1024, 2047, 2048, 4096])
+    def test_matches_numpy_scalar_recursion(self, n):
+        assert np.array_equal(theta_sequence(n), theta_sequence_plain(n))
+
+    def test_read_only(self):
+        t = theta_sequence(3)
+        with pytest.raises(ValueError):
+            t[0] = 2.0
+
 
 def _ogm_matrix_oracle(n):
     """Straight transcription of the three-case column recursion."""
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
     alpha = {}
     for i in range(n):  # builds step i+1
         alpha[(i + 1, i)] = 1 + (2 * t[i] - 1) / t[i + 1]
@@ -121,7 +140,7 @@ def _ogm_matrix_oracle(n):
 
 
 def _ogmg_matrix_oracle(n):
-    t = theta_sequence(n).values
+    t = theta_sequence(n)
     alpha = {}
     for i in range(n):
         alpha[(i + 1, i)] = 1 + (2 * t[n - i - 1] - 1) / t[n - i]
@@ -159,9 +178,8 @@ class TestOgmMatrices:
         assert np.max(np.abs(hg - ogmg_factored(n))) <= 1e-10 * max(1.0, np.max(np.abs(hg)))
 
     def test_phi_last_entry(self):
-        theta = theta_sequence(5)
-        phi = phi_sequence(theta)
-        t = theta.values
+        t = theta_sequence(5)
+        phi = phi_sequence(t)
         assert phi[-1] == 1 + t[4] / t[5]
         np.testing.assert_allclose(phi[:-1], 1 + t[:4] / (2 * t[1:5]))
 
@@ -185,28 +203,33 @@ class TestUMatrix:
 class TestCumulative:
     def test_diagonal_rows_repeat(self):
         steps = [0.5, 2.0, 1.5]
-        hc = cumulative(from_diagonal(steps)).entries
+        hc = cumulative(from_diagonal(steps))
         for j, s in enumerate(steps):
             np.testing.assert_allclose(hc[j, j:], s)
             np.testing.assert_allclose(hc[j, :j], 0.0)
 
     def test_constant_gd_entries(self):
-        hc = cumulative(ScheduleSpec.constant_gd(0.7, 4).build()).entries
+        hc = cumulative(ScheduleSpec.constant_gd(0.7, 4).build())
         assert np.all(hc[np.triu_indices(4)] == 0.7)
 
     def test_ogm_n2_by_hand(self):
-        t = theta_sequence(2).values
+        t = theta_sequence(2)
         a10 = 1 + (2 * t[0] - 1) / t[1]
         a21 = 1 + (2 * t[1] - 1) / t[2]
         a20 = (t[1] - 1) / t[2] * (a10 - 1)
         expected = np.array([[a10, a10 + a20], [0.0, a21]])
-        np.testing.assert_allclose(cumulative(ogm_stepsize_matrix(2)).entries, expected, rtol=1e-15)
+        np.testing.assert_allclose(cumulative(ogm_stepsize_matrix(2)), expected, rtol=1e-15)
+
+    def test_read_only(self):
+        hc = cumulative(ogm_stepsize_matrix(3))
+        with pytest.raises(ValueError):
+            hc[0, 0] = 1.0
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_roundtrip(self, n):
         h = ogm_stepsize_matrix(n)
         hc = cumulative(h)
-        back = hc.entries @ np.linalg.inv(unit_upper(n))
+        back = hc @ np.linalg.inv(unit_upper(n))
         np.testing.assert_allclose(back, h.entries, atol=1e-13)
 
 
