@@ -253,7 +253,8 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.quad_residual, self.lin_f_residual, self.lin_h_residual)
+        # np.max keeps a NaN from any group; max() would keep it only from the first
+        return float(np.max([self.quad_residual, self.lin_f_residual, self.lin_h_residual]))
 
     @property
     def passed(self) -> bool:

@@ -124,19 +124,37 @@ class GramLedger:
         return float(np.sum(self.quad * gram) + self.lin_f @ f_vals + self.lin_h @ h_vals)
 
     def max_abs(self) -> float:
-        return max(
-            float(np.max(np.abs(self.quad))),
-            float(np.max(np.abs(self.lin_f))),
-            float(np.max(np.abs(self.lin_h))),
-        )
+        return max(_max_abs(self.quad), _max_abs(self.lin_f), _max_abs(self.lin_h))
 
     def residual_vs(self, other: "GramLedger") -> tuple[float, float, float]:
         """Max absolute coefficient mismatch: (quadratic, f-linear, h-linear)."""
         return (
-            float(np.max(np.abs(self.quad - other.quad))),
-            float(np.max(np.abs(self.lin_f - other.lin_f))),
-            float(np.max(np.abs(self.lin_h - other.lin_h))),
+            _max_abs_diff(self.quad, other.quad),
+            _max_abs(self.lin_f - other.lin_f),
+            _max_abs(self.lin_h - other.lin_h),
         )
+
+
+_BLOCK_ROWS = 256  # rows of a quadratic-form difference formed at a time
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """np.max(np.abs(x)) without the |x| temporary: the largest magnitude is
+    at the maximum or the minimum.  abs() makes a -0.0 extreme +0.0, and a
+    NaN anywhere makes both extremes NaN."""
+    return max(abs(float(x.max())), abs(float(x.min())))
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """_max_abs(a - b), with the difference formed a block of rows at a time
+    in one reused buffer instead of as a full-size temporary."""
+    rows = a.shape[0]
+    buf = np.empty((min(_BLOCK_ROWS, rows),) + a.shape[1:])
+    peaks = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        peaks.append(_max_abs(np.subtract(a[start:stop], b[start:stop], out=buf[: stop - start])))
+    return float(np.max(peaks))  # np.max, unlike max(), keeps a NaN wherever it sits
 
 
 def _add_sym(quad: np.ndarray, rows: slice, cols: slice, block: np.ndarray) -> None:

@@ -79,7 +79,9 @@ def spec_from_json(path) -> ProblemSpec:
 
     The file is outside input, so the field types are checked here: kind and
     dim are required, dim/rows/seed are integers (dim >= 1, the others >= 0)
-    and tau/lo/hi/delta are finite numbers.
+    and tau/lo/hi/delta are finite numbers.  An explicit design (inline or
+    from CSV) must be a finite 2-D a with dim columns, and b, which needs a,
+    a finite 1-D vector with one entry per row of a.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -87,13 +89,13 @@ def spec_from_json(path) -> ProblemSpec:
         raise ValueError(f"problem spec must be a JSON object, got {type(doc).__name__}")
     a = b = None
     if "a_csv" in doc:
-        a = np.atleast_2d(np.loadtxt(doc.pop("a_csv"), delimiter=",", dtype=float))
+        a = np.loadtxt(doc.pop("a_csv"), delimiter=",", dtype=float, ndmin=2)
     if "b_csv" in doc:
-        b = np.atleast_1d(np.loadtxt(doc.pop("b_csv"), delimiter=",", dtype=float))
+        b = np.loadtxt(doc.pop("b_csv"), delimiter=",", dtype=float, ndmin=1)
     if "a" in doc:
-        a = np.asarray(doc.pop("a"), dtype=float)
+        a = _float_array(doc.pop("a"), "a")
     if "b" in doc:
-        b = np.asarray(doc.pop("b"), dtype=float)
+        b = _float_array(doc.pop("b"), "b")
     known = {"kind", "dim", "rows", "seed", "tau", "lo", "hi", "delta"}
     unknown = set(doc) - known
     if unknown:
@@ -110,7 +112,23 @@ def spec_from_json(path) -> ProblemSpec:
         # the comparisons also fail for nan and for integers beyond float range
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
             raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+    if a is not None and (a.ndim != 2 or a.shape[1] != doc["dim"]):
+        raise ValueError(f"'a' must be a 2-D array with dim={doc['dim']} columns, got shape {a.shape}")
+    if b is not None and a is None:
+        raise ValueError("'b' needs an explicit 'a'; the seeded design draws its own b")
+    if b is not None and b.shape != (a.shape[0],):
+        raise ValueError(f"'b' must be a 1-D array with one entry per row of 'a' ({a.shape[0]}), got shape {b.shape}")
+    for name, value in (("a", a), ("b", b)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name!r} must hold finite numbers only")
     return ProblemSpec(a=a, b=b, **doc)
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged lists, strings, objects
+        raise ValueError(f"{name!r} must be an array of numbers") from None
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +69,10 @@ class StepsizeMatrix:
             raise IndexError(f"alpha index (k={k}, j={j}) out of range for n={self.n}")
         return float(self.entries[j, k - 1])
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return _frozen(self.entries @ unit_upper(self.n))
+
 
 def from_diagonal(steps) -> StepsizeMatrix:
     """Stepsize matrix of plain gradient descent with the given steps."""
@@ -76,8 +81,11 @@ def from_diagonal(steps) -> StepsizeMatrix:
 
 def cumulative(H: StepsizeMatrix) -> np.ndarray:
     """Partial-sum form of a stepsize matrix, read-only: the exact product
-    with the all-ones upper triangle, whose column i-1 expands x_0 - x_i."""
-    return _frozen(H.entries @ unit_upper(H.n))
+    with the all-ones upper triangle, whose column i-1 expands x_0 - x_i.
+
+    The dense product runs once per matrix; later calls return the stored
+    array, so every stage of a cell shares one copy."""
+    return H._cumulative
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +192,10 @@ def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
 def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
     """Stepsize matrix of the gradient-norm variant (OGM-G) for n steps.
 
-    Each column fills right to left: the diagonal uses the reversed theta
-    index, the next entry uses (diagonal - 1), and older entries scale their
-    right neighbour by (theta_{n-j-1} - 1)/theta_{n-j}.
+    The diagonal uses the reversed theta index and the entry just above it
+    uses (diagonal - 1).  Every older entry a[j, i] (i >= j + 2) is the one
+    below it scaled by c_j = (theta_{n-j-1} - 1)/theta_{n-j}, so row j is
+    row j + 1 times c_j beyond the first superdiagonal, filled bottom up.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -196,8 +205,8 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
         a[i, i] = 1.0 + (2.0 * t[n - i - 1] - 1.0) / t[n - i]
         if i >= 1:
             a[i - 1, i] = (t[n - i] - 1.0) / t[n - i + 1] * (a[i, i] - 1.0)
-        for j in range(i - 2, -1, -1):
-            a[j, i] = (t[n - j - 1] - 1.0) / t[n - j] * a[j + 1, i]
+    for j in range(n - 3, -1, -1):
+        a[j, j + 2 :] = (t[n - j - 1] - 1.0) / t[n - j] * a[j + 1, j + 2 :]
     return StepsizeMatrix(a)
 
 

@@ -3,9 +3,10 @@
 The tests compare the library against these: the recursive silver doubling,
 the theta recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
-partial-sum kernel, and the plain forms of the runners, the lasso/box-QP
-oracles and the reference solve, which the library's faster forms must
-reproduce bit for bit.  None of them is used by the library itself.
+partial-sum kernel, and the plain forms of the OGM-G schedule loop, the
+runners, the lasso/box-QP oracles and the reference solve, which the
+library's faster forms must reproduce bit for bit.  None of them is used by
+the library itself.
 """
 
 import math
@@ -46,6 +47,21 @@ def theta_sequence_plain(n: int) -> np.ndarray:
         t[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[i - 1] ** 2))
     t[n] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * t[n - 1] ** 2))
     return t
+
+
+def ogmg_stepsize_matrix_plain(n: int) -> np.ndarray:
+    """OGM-G stepsize entries by the entrywise double loop: each column fills
+    right to left, older entries scaling their right neighbour by
+    (theta_{n-j-1} - 1)/theta_{n-j}."""
+    t = theta_sequence(n)
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i] = 1.0 + (2.0 * t[n - i - 1] - 1.0) / t[n - i]
+        if i >= 1:
+            a[i - 1, i] = (t[n - i] - 1.0) / t[n - i + 1] * (a[i, i] - 1.0)
+        for j in range(i - 2, -1, -1):
+            a[j, i] = (t[n - j - 1] - 1.0) / t[n - j] * a[j + 1, i]
+    return a
 
 
 def phi_sequence(t: np.ndarray) -> np.ndarray:

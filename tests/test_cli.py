@@ -171,6 +171,19 @@ class TestRun:
         pytest.param('{"kind": "lasso", "dim": 3, "tau": 1' + "0" * 400 + '}', id="tau-beyond-float-range"),
         '{"kind": "boxqp", "dim": 3, "hi": Infinity}',
         '{"kind": "smooth_huber", "dim": 3, "delta": "1"}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, 2, 3]]}',
+        '{"kind": "lasso", "dim": 2, "a": [1, 2]}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, 2], [3]]}',
+        '{"kind": "lasso", "dim": 2, "a": [["x", 2]]}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, NaN]]}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, -Infinity]]}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b": [1, 2]}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b": [[1]]}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b": [NaN]}',
+        '{"kind": "lasso", "dim": 2, "b": [1]}',
+        '{"kind": "lasso", "dim": 2, "a_csv": "TMP/wide.csv"}',
+        '{"kind": "lasso", "dim": 2, "a_csv": "TMP/nan.csv"}',
+        '{"kind": "lasso", "dim": 2, "a_csv": "TMP/row.csv", "b_csv": "TMP/column.csv"}',
     ])
     def test_malformed_problem_spec_is_usage_error(self, tmp_path, capsys, monkeypatch, text):
         from peplift import problems
@@ -179,8 +192,10 @@ class TestRun:
             pytest.fail("make_problem ran for a malformed spec")
 
         monkeypatch.setattr(problems, "make_problem", no_solve)
+        for name, rows in (("wide", "1,2,3\n"), ("nan", "1,nan\n"), ("row", "1,2\n"), ("column", "1\n2\n")):
+            (tmp_path / f"{name}.csv").write_text(rows)
         path = tmp_path / "problem.json"
-        path.write_text(text)
+        path.write_text(text.replace("TMP", str(tmp_path)))
         assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,5 +1,6 @@
-"""The runners, oracles and reference solve reproduce their plain forms in
-`reference_forms` bit for bit: equal values and equal signs of every zero.
+"""The runners, oracles, reference solve, OGM-G schedule and ledger compare
+reproduce their plain forms bit for bit: equal values and equal signs of
+every zero.
 
 The faster forms reorder nothing in the arithmetic, so any difference here is
 a changed rounding or a flipped signed zero, which would move the golden
@@ -13,12 +14,16 @@ import math
 import numpy as np
 import pytest
 
-from peplift import problems
+from peplift import problems, schedules
+from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate, ogmg_grad_certificate
+from peplift.ledger import GramLedger
+from peplift.lift import verify_cell
 from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg, run_unconstrained
 from peplift.problems import ProblemSpec, initial_point, make_problem
-from peplift.schedules import ScheduleSpec
+from peplift.schedules import ScheduleSpec, ogm_stepsize_matrix, ogmg_stepsize_matrix
 from reference_forms import (
     fista_reference_plain,
+    ogmg_stepsize_matrix_plain,
     plain_oracles,
     run_composite_plain,
     run_fista_plain,
@@ -145,3 +150,81 @@ def test_oracles_on_signed_zeros_and_non_finite_points(name):
                 assert_bitwise_equal(library.h_value(x), plain[2](x))
                 for t in steps:
                     assert_bitwise_equal(library.prox(t, x), plain[3](t, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 1024])
+def test_ogmg_schedule(n):
+    assert_bitwise_equal(ogmg_stepsize_matrix(n).entries, ogmg_stepsize_matrix_plain(n))
+
+
+def special_arrays(rows: int) -> dict[str, np.ndarray]:
+    """Square arrays holding random values, signed zeros only, and nan or
+    +-inf in the first row, on either side of the first row block's edge and
+    in the last row."""
+    rng = np.random.default_rng(rows)
+    base = rng.standard_normal((rows, rows))
+    out = {
+        "random": base,
+        "-0.0": np.full((rows, rows), -0.0),
+        "+0.0": np.zeros((rows, rows)),
+        "+-0.0": np.where(rng.random((rows, rows)) < 0.5, 0.0, -0.0),
+    }
+    for name, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf)):
+        for row in sorted({0, min(255, rows - 1), min(256, rows - 1), rows - 1}):
+            a = base.copy()
+            a[row, rows // 3] = value
+            out[f"{name}@{row}"] = a
+    a = base.copy()
+    a[0, 0], a[-1, -1] = math.inf, -math.inf
+    out["+inf,-inf"] = a
+    return out
+
+
+def ledger_of(a: np.ndarray) -> GramLedger:
+    led = GramLedger(1)
+    led.quad, led.lin_f, led.lin_h = a, a[-1].copy(), a[0].copy()
+    return led
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257])  # around the 256-row block
+def test_ledger_compare(rows):
+    arrays = special_arrays(rows)
+    plain = lambda x: float(np.max(np.abs(x)))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for a in arrays.values():
+            led = ledger_of(a)
+            assert_bitwise_equal(led.max_abs(), max(plain(led.quad), plain(led.lin_f), plain(led.lin_h)))
+            for b in arrays.values():
+                other = ledger_of(b)
+                expected = [plain(x - y) for x, y in ((led.quad, other.quad), (led.lin_f, other.lin_f),
+                                                      (led.lin_h, other.lin_h))]
+                assert_bitwise_equal(led.residual_vs(other), expected)
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("group", ["quad", "lin_f", "lin_h"])
+def test_nan_coefficient_fails_the_report(side, group):
+    lhs, rhs = func_identity_ledgers(ogm_stepsize_matrix(4), ogm_func_certificate(4))
+    assert _report(lhs, rhs).passed
+    getattr(lhs if side == "lhs" else rhs, group)[-1] = math.nan
+    report = _report(lhs, rhs)
+    assert math.isnan(report.max_residual)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("H, cert, xi", [
+    (ogm_stepsize_matrix(6), ogm_func_certificate(6), "pseudo"),
+    (ogmg_stepsize_matrix(6), ogmg_grad_certificate(6), None),
+])
+def test_lift_cell_forms_the_cumulative_product_once(H, cert, xi, monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return np.triu(np.ones((n, n)))
+
+    monkeypatch.setattr(schedules, "unit_upper", counted)
+    H = schedules.StepsizeMatrix(H.entries)  # a fresh matrix, nothing stored yet
+    cell = verify_cell(H, cert, xi)
+    assert cell.passed
+    assert calls == [6]

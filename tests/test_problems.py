@@ -193,6 +193,15 @@ class TestSpecValidation:
         problem = make_problem(spec)
         assert problem.smoothness == pytest.approx(np.linalg.eigvalsh(a.T @ a)[-1])
 
+    def test_json_spec_with_one_column_csv(self, tmp_path):
+        (tmp_path / "a.csv").write_text("1.0\n2.0\n0.5\n")
+        (tmp_path / "b.csv").write_text("0.3\n-0.1\n2.0\n")
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "lasso", "dim": 1, "tau": 0.1,
+                                    "a_csv": str(tmp_path / "a.csv"), "b_csv": str(tmp_path / "b.csv")}))
+        spec = spec_from_json(path)
+        assert spec.a.shape == (3, 1) and spec.b.shape == (3,)
+
     def test_json_spec_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "lasso", "dim": 3, "tau": 0.1, "bogus": 1}))
