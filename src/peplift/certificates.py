@@ -47,14 +47,14 @@ class FuncCertificate:
     r: float
 
     def __post_init__(self):
-        lam = np.array(self.lam, dtype=float)
-        gamma = np.array(self.gamma, dtype=float)
+        lam = _frozen(self.lam)
+        gamma = _frozen(self.gamma)
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1] + 1:
             raise ValueError(f"lam must be (n+2, n+1), got {lam.shape}")
         if gamma.shape != (lam.shape[1],):
             raise ValueError(f"gamma length {gamma.shape} does not match lam {lam.shape}")
-        object.__setattr__(self, "lam", _frozen(lam))
-        object.__setattr__(self, "gamma", _frozen(gamma))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def n(self) -> int:
@@ -85,10 +85,10 @@ class GradCertificate:
     r: float
 
     def __post_init__(self):
-        lam = np.array(self.lam, dtype=float)
+        lam = _frozen(self.lam)
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
             raise ValueError(f"lam must be square, got {lam.shape}")
-        object.__setattr__(self, "lam", _frozen(lam))
+        object.__setattr__(self, "lam", lam)
 
     @property
     def n(self) -> int:

@@ -33,6 +33,15 @@ its diagonal zeroed.  Then :func:`coco_block` adds
 
 with sym(A) = (A + A^T) / 2.  The one-inequality-at-a-time expansion it
 replaces is kept as the reference oracle in ``tests/coco_oracle.py``.
+
+Building a ledger allocates little beyond its own quadratic form: the
+assembly's scratch is a few n x n buffers (the step weights, the directions,
+whose row differences are taken in place, the product, and for smooth
+inequalities the Laplacian), and outer products, symmetrized blocks and
+differences are formed a block of rows or a slice at a time.  Each stage
+performs the floating-point operations of its one-expression form, in the
+same order, so the coefficients are bit for bit those of the plain forms in
+``tests/reference_forms.py``.
 """
 
 from __future__ import annotations
@@ -89,13 +98,6 @@ class GramLedger:
         self.lin_f = np.zeros(n + 2)
         self.lin_h = np.zeros(n + 2)
 
-    def copy(self) -> "GramLedger":
-        out = GramLedger(self.n)
-        out.quad = self.quad.copy()
-        out.lin_f = self.lin_f.copy()
-        out.lin_h = self.lin_h.copy()
-        return out
-
     def add(self, other: "GramLedger", weight: float = 1.0) -> "GramLedger":
         self.quad += weight * other.quad
         self.lin_f += weight * other.lin_f
@@ -109,13 +111,36 @@ class GramLedger:
         self.lin_h[ix_val(self.n, i)] += weight
 
     def add_square(self, coeffs: np.ndarray, weight: float) -> None:
-        """Add weight * ||sum_q coeffs[q] basis_q||^2."""
-        self.quad += weight * np.outer(coeffs, coeffs)
+        """Add weight * ||sum_q coeffs[q] basis_q||^2, a block of rows of the
+        outer product at a time in one reused buffer."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        d = coeffs.shape[0]
+        buf = np.empty((min(_BLOCK_ROWS, d), d))
+        for rows in _row_blocks(d):
+            part = np.multiply(coeffs[rows, None], coeffs, out=buf[: rows.stop - rows.start])
+            part *= weight
+            self.quad[rows] += part
 
     def add_block(self, indices: np.ndarray, block: np.ndarray, weight: float) -> None:
-        """Add weight * sum_{p,q} block[p,q] <basis_{indices[p]}, basis_{indices[q]}>."""
-        sym = 0.5 * (block + block.T)
-        self.quad[np.ix_(indices, indices)] += weight * sym
+        """Add weight * sum_{p,q} block[p,q] <basis_{indices[p]}, basis_{indices[q]}>.
+
+        The indices must be distinct basis positions.  Each run of
+        consecutive positions is one slice of the quadratic form, so the
+        symmetrized block is added run pair by run pair, without gathering."""
+        indices = np.asarray(indices, dtype=int)
+        ordered = np.sort(indices)
+        if ordered.size and (ordered[0] < 0 or ordered[-1] >= self.quad.shape[0]):
+            raise IndexError(f"block indices must lie in 0..{self.quad.shape[0] - 1}")
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("block indices must be distinct: a repeated index would add only once")
+        cuts = [0, *(np.flatnonzero(np.diff(indices) != 1) + 1), indices.size]
+        runs = [(slice(a, b), slice(indices[a], indices[a] + b - a)) for a, b in zip(cuts, cuts[1:]) if b > a]
+        sym = block + block.T
+        sym *= 0.5
+        sym *= weight
+        for at_p, to_p in runs:
+            for at_q, to_q in runs:
+                self.quad[to_p, to_q] += sym[at_p, at_q]
 
     def evaluate(self, vectors: np.ndarray, f_vals: np.ndarray, h_vals: np.ndarray) -> float:
         """Numeric value of the form on concrete data: vectors is a
@@ -135,7 +160,7 @@ class GramLedger:
         )
 
 
-_BLOCK_ROWS = 256  # rows of a quadratic-form difference formed at a time
+_BLOCK_ROWS = 256  # rows of an outer product, difference or running sum formed at a time
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -145,23 +170,59 @@ def _max_abs(x: np.ndarray) -> float:
     return max(abs(float(x.max())), abs(float(x.min())))
 
 
+def _row_blocks(rows: int) -> list[slice]:
+    """Consecutive slices of at most _BLOCK_ROWS rows covering range(rows)."""
+    return [slice(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)]
+
+
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """_max_abs(a - b), with the difference formed a block of rows at a time
     in one reused buffer instead of as a full-size temporary."""
-    rows = a.shape[0]
-    buf = np.empty((min(_BLOCK_ROWS, rows),) + a.shape[1:])
-    peaks = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
-        peaks.append(_max_abs(np.subtract(a[start:stop], b[start:stop], out=buf[: stop - start])))
+    buf = np.empty((min(_BLOCK_ROWS, a.shape[0]),) + a.shape[1:])
+    peaks = [_max_abs(np.subtract(a[rows], b[rows], out=buf[: rows.stop - rows.start]))
+             for rows in _row_blocks(a.shape[0])]
     return float(np.max(peaks))  # np.max, unlike max(), keeps a NaN wherever it sits
 
 
-def _add_sym(quad: np.ndarray, rows: slice, cols: slice, block: np.ndarray) -> None:
-    """quad[rows, cols] += block / 2 and quad[cols, rows] += block^T / 2."""
-    half = 0.5 * block
+def _add_sym(quad: np.ndarray, rows: slice, cols: slice, half: np.ndarray) -> None:
+    """quad[rows, cols] += half and quad[cols, rows] += half^T."""
     quad[rows, cols] += half
     quad[cols, rows] += half.T
+
+
+def _past_directions(hcum: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows `rows` of -[0; triu(hcum)^T]: row p holds the coefficients of the
+    past directions in x_p - x_0 (row 0 is zero)."""
+    first = max(rows.start, 1)
+    out = np.zeros((rows.stop - rows.start, hcum.shape[0]))
+    np.negative(np.triu(hcum[:, first - 1 : rows.stop - 1], 1 - first).T, out=out[first - rows.start :])
+    return out
+
+
+def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
+    """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and
+    -sum_{i<k} W[i, p] at p >= k, over the points p = 0..n.
+
+    Both sums are np.cumsum's running sums over W's rows, taken a block of
+    rows at a time with the previous block's last sum as the first row, so
+    each addition is the one a full-length cumsum makes, in its order; each
+    block sums only the columns its rows keep."""
+    star = n + 1
+    steps = np.empty((n, star))
+    carry = np.empty((0, n))  # sum_{i>=k} W[i, :k] for the k just below the block
+    for rows in reversed(_row_blocks(n)):
+        a, b = rows.start, rows.stop
+        sums = np.cumsum(np.concatenate([carry[:, :b], W[b:a:-1, :b]]), axis=0)[len(carry) :]
+        steps[rows, :b] = np.tril(sums[::-1], a)
+        steps[rows, b:] = 0.0
+        carry = sums[-1:]
+    carry = np.empty((0, n))  # sum_{i<k} W[i, k:] for the k just above the block
+    for rows in _row_blocks(n):
+        a, b = rows.start, rows.stop
+        sums = np.cumsum(np.concatenate([carry, W[a:b, a + 1 : star]]), axis=0)[len(carry) :]
+        steps[rows, a + 1 :] -= np.triu(sums)
+        carry = sums[-1:, b - a :]
+    return steps
 
 
 def coco_block(
@@ -184,7 +245,7 @@ def coco_block(
     hcum = np.asarray(hcum, dtype=float)
     n = hcum.shape[0]
     star = n + 1
-    W = np.array(W, dtype=float)
+    W = np.array(W, dtype=float)  # a copy: its diagonal is zeroed, the caller's is not
     if led.n != n or W.shape != (n + 2, n + 2):
         raise ValueError(f"need an {n}-step ledger and a {(n + 2, n + 2)} weight matrix, "
                          f"got {led.n} and {W.shape}")
@@ -200,16 +261,33 @@ def coco_block(
     # where STAR's row holds -1.  Along the directions, x_i - x_p is summed
     # from the steps x_k - x_{k-1} with prefix and suffix sums of W's columns,
     # so c[p] x_p never cancels against sum_i W[i, p] x_i.
-    x_dir = np.zeros((star, n))
-    x_dir[1:] = -np.triu(hcum).T
-    before = np.cumsum(W[:star, :star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
-    after = np.cumsum(W[n::-1, :star], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
-    steps = np.tril(after) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
-    m_dir = np.empty((n + 2, n))
-    m_dir[:star] = steps.T @ np.diff(x_dir, axis=0) - W[star, :star, None] * x_dir
-    m_dir[star] = W[:star, star] @ x_dir
+    x_dir = np.empty((star, n))
+    for rows in _row_blocks(star):
+        x_dir[rows] = _past_directions(hcum, rows)
+    steps = _step_weights(W, n)  # step k counts for p < k, against for p >= k
+    m_star = W[:star, star] @ x_dir
+    w_star = W[star, :star].copy()
     m_dist = -W[star]
     m_dist[star] += c[star]
+    if smooth:
+        lap = np.zeros((n + 2, n + 2))
+        np.fill_diagonal(lap, r + c)
+        lap -= W
+        lap -= W.T
+    del W
+
+    # steps^T diff(x_dir) - diag(w_star) x_dir, with the row differences
+    # taken in place and x_dir's rows formed again afterwards, a block at a time
+    for rows in _row_blocks(n):
+        np.subtract(x_dir[rows.start + 1 : rows.stop + 1], x_dir[rows], out=x_dir[rows])
+    m_dir = np.empty((n + 2, n))
+    np.matmul(steps.T, x_dir[:n], out=m_dir[:star])
+    del steps, x_dir
+    m_dir[star] = m_star
+    for rows in _row_blocks(star):
+        past = _past_directions(hcum, rows)
+        past *= w_star[rows, None]
+        m_dir[rows] -= past
     dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
     if composite:
         dir_cols.append(slice(ix_s(n, 1), ix_s(n, n) + 1))
@@ -223,17 +301,22 @@ def coco_block(
         star_sign = 1.0
     if star_sign:
         groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), star_sign))
-    if smooth:
-        lap = np.diag(r + c) - W - W.T
 
+    # The groups' points are disjoint, so each block of m_dir, m_dist and lap
+    # is scaled in place once, just before its only use.
     quad = led.quad
     for rows, pts, sign in groups:
+        for m in (m_dir[pts], m_dist[pts]):
+            m *= -sign
+            m *= 0.5
         for cols in dir_cols:
-            _add_sym(quad, rows, cols, -sign * m_dir[pts])
-        _add_sym(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), -sign * m_dist[pts, None])
+            _add_sym(quad, rows, cols, m_dir[pts])
+        _add_sym(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), m_dist[pts, None])
         if smooth:
             for rows2, pts2, sign2 in groups:
-                quad[rows, rows2] -= 0.5 * sign * sign2 * lap[pts, pts2]
+                block = lap[pts, pts2]
+                block *= 0.5 * sign * sign2
+                quad[rows, rows2] -= block
 
 
 _MODES = {  # mode -> (smooth, composite); composite runs couple the optimum

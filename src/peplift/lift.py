@@ -39,6 +39,9 @@ from .certificates import (
 from .ledger import (
     STAR,
     GramLedger,
+    _max_abs,
+    _max_abs_diff,
+    _row_blocks,
     basis_dim,
     coco_block,
     ix_dist,
@@ -57,7 +60,8 @@ class CompositeFuncLift:
     optimum slot); mu has one row per nonsmooth-inequality source index
     (1..n, optimum last) and one column per subgradient 1..n.  u_coeffs is
     the single-square linear combination expanded over the global symbol
-    basis.  slack is the full (n+2) x (n+2) matrix S.
+    basis.  slack is the full (n+2) x (n+2) matrix S, and laplacian its
+    lower-right block L (a view of slack when built by lift_func).
     """
 
     n: int
@@ -92,6 +96,13 @@ class CompositeGradLift:
     def __post_init__(self):
         for name in ("mu_tilde", "mu", "v", "base_block", "slack"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make arrays built here read-only, so the lift's _frozen keeps them
+    instead of copying."""
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def pseudoinverse_xi(v: np.ndarray, laplacian: np.ndarray) -> float:
@@ -129,13 +140,38 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     gamma_head = gamma[:n]
     sigma_head = sigma[:n]
 
+    # Every n x n intermediate is formed in place, and outer products a block
+    # of rows at a time.  L is written into S's corner, and is a view of S,
+    # before hat is overwritten with the second right-hand side.
     hat, tilde = aggregates(cert)
     hc = cumulative(H)
-    via_quad = -np.linalg.solve(hc, (hc @ tilde).T + np.outer(gamma_head, gamma_head + sigma_head))
-    via_hat = np.linalg.solve(hc, hat - np.outer(gamma_head, sigma_head)) + tilde
-    scale = max(np.max(np.abs(via_quad)), np.max(np.abs(via_hat)), 1.0)
-    if np.max(np.abs(via_quad - via_hat)) > 1e-9 * scale:
+    rhs = (hc @ tilde).T
+    gamma_sum = gamma_head + sigma_head
+    for rows in _row_blocks(n):
+        rhs[rows] += np.outer(gamma_head[rows], gamma_sum)
+    via_quad = np.linalg.solve(hc, rhs)
+    del rhs
+    np.negative(via_quad, out=via_quad)
+
+    slack = np.empty((n + 2, n + 2))
+    laplacian = slack[1:, 1:]
+    np.negative(hat, out=laplacian[:n, :n])
+    laplacian[:n, n] = -gamma_head
+    laplacian[n, :n] = -gamma_head
+    laplacian[n, n] = float(lam[n + 1].sum())
+    for rows in _row_blocks(n + 1):
+        laplacian[rows] -= np.outer(sigma[rows], sigma)
+
+    for rows in _row_blocks(n):
+        hat[rows] -= np.outer(gamma_head[rows], sigma_head)
+    via_hat = np.linalg.solve(hc, hat)
+    del hat
+    via_hat += tilde
+    del tilde
+    scale = max(_max_abs(via_quad), _max_abs(via_hat), 1.0)
+    if _max_abs_diff(via_quad, via_hat) > 1e-9 * scale:
         raise ValueError("closed-form multiplier expressions disagree; certificate does not satisfy the identity")
+    del via_hat
     mu_tilde = via_quad
 
     mu = np.zeros((n + 1, n))
@@ -147,21 +183,11 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     v[:n] = sigma[:n] + lam[n + 1, :n] - mu[n]
     v[n] = sigma[n]
 
-    lam_star_total = float(lam[n + 1].sum())
-    block = np.empty((n + 1, n + 1))
-    block[:n, :n] = -hat
-    block[:n, n] = -gamma_head
-    block[n, :n] = -gamma_head
-    block[n, n] = lam_star_total
-    laplacian = block - np.outer(sigma, sigma)
-
     xi_val = pseudoinverse_xi(v, laplacian) if xi == "pseudo" else float(xi)
 
-    slack = np.empty((n + 2, n + 2))
     slack[0, 0] = xi_val
     slack[0, 1:] = v
     slack[1:, 0] = v
-    slack[1:, 1:] = laplacian
 
     u = np.zeros(basis_dim(n))
     for i in range(n + 1):
@@ -170,6 +196,7 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
         u[ix_s(n, j)] += gamma[j - 1] + sigma[j - 1]
     u[ix_s_star(n)] += sigma[n]
 
+    _freeze(sigma, mu_tilde, mu, v, laplacian, slack, u)
     return CompositeFuncLift(
         n=n, sigma=sigma, mu_tilde=mu_tilde, mu=mu, v=v,
         laplacian=laplacian, xi=xi_val, slack=slack, u_coeffs=u, r=r,
@@ -190,7 +217,9 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     lam, r = cert.lam, cert.r
     hat, tilde = aggregates(cert)
     hc = cumulative(H)
-    mu_tilde = -np.linalg.solve(hc, (hc @ tilde).T)
+    mu_tilde = np.linalg.solve(hc, (hc @ tilde).T)
+    np.negative(mu_tilde, out=mu_tilde)
+    del tilde
 
     mu = np.zeros((n + 1, n))
     mu[0] = -mu_tilde.sum(axis=0)
@@ -206,12 +235,17 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     base[0, 0] = r
     base[0, 1:] = v
     base[1:, 0] = v
-    base[1:, 1:] = -hat
+    np.negative(hat, out=base[1:, 1:])
+    del hat
     corner = np.zeros(n + 1)
     corner[0] = 1.0
     corner[n] = 1.0
-    slack = base - r * (1.0 - xi) * np.outer(corner, corner)
+    weight = r * (1.0 - xi)
+    slack = np.empty_like(base)
+    for rows in _row_blocks(n + 1):
+        np.subtract(base[rows], weight * np.outer(corner[rows], corner), out=slack[rows])
 
+    _freeze(mu_tilde, mu, v, base, slack)
     return CompositeGradLift(n=n, mu_tilde=mu_tilde, mu=mu, v=v, xi=xi, base_block=base, slack=slack, r=r)
 
 
@@ -221,14 +255,20 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
 
 
 def _laplacian_violations(m: np.ndarray) -> tuple[float, float]:
-    """(largest positive off-diagonal, largest |row sum|)."""
-    off = m - np.diag(np.diag(m))
-    return float(off.max(initial=0.0)), float(np.max(np.abs(m.sum(axis=1))))
+    """(largest positive off-diagonal, largest |row sum|).
+
+    Overwrites the diagonal of m, so m must be scratch."""
+    row_max = _max_abs(m.sum(axis=1))
+    diag = np.diagonal(m).copy()
+    np.fill_diagonal(m, diag - diag)  # zero where finite, as m - diag(diag(m)) has it
+    return float(m.max(initial=0.0)), row_max
 
 
 def _diag_dominance_margin(m: np.ndarray) -> float:
     """min over rows of diag - sum |offdiag|; nonnegative means dominant."""
-    off = np.abs(m) - np.diag(np.abs(np.diag(m)))
+    off = np.abs(m)
+    diag = np.diagonal(off).copy()
+    np.fill_diagonal(off, diag - diag)  # zero where finite, as |m| - diag(|diag(m)|) has it
     return float(np.min(np.diag(m) - off.sum(axis=1)))
 
 
@@ -277,18 +317,21 @@ def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
     route requiring L - (1/xi) v v^T to stay Laplacian."""
     if lift.xi <= 0.0:
         raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
-    mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
+    mu_scale = max(1.0, _max_abs(lift.mu))
     min_mu = float(lift.mu.min())
 
     eigs = np.linalg.eigvalsh(lift.slack)
     snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
 
-    schur = lift.laplacian - np.outer(lift.v, lift.v) / lift.xi
-    lap_scale = max(1.0, float(np.max(np.abs(schur))))
+    schur = np.empty_like(lift.laplacian)
+    for rows in _row_blocks(lift.n + 1):
+        np.subtract(lift.laplacian[rows], np.outer(lift.v[rows], lift.v) / lift.xi, out=schur[rows])
+    lap_scale = max(1.0, _max_abs(schur))
     s_off, s_row = _laplacian_violations(schur)
+    del schur
 
-    l_scale = max(1.0, float(np.max(np.abs(lift.laplacian))))
-    l_off, l_row = _laplacian_violations(lift.laplacian)
+    l_scale = max(1.0, _max_abs(lift.laplacian))
+    l_off, l_row = _laplacian_violations(np.array(lift.laplacian))
 
     tol_lap = config.LAPLACIAN_TOL
     return FuncFeasibilityReport(
@@ -346,11 +389,11 @@ def check_grad_feasibility(lift: CompositeGradLift) -> GradFeasibilityReport:
     """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
     and diagonal dominance, whose only nontrivial requirement after the
     rank-one subtraction is a nonnegative (1, n+1) corner entry."""
-    mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
+    mu_scale = max(1.0, _max_abs(lift.mu))
     min_mu = float(lift.mu.min())
     eigs = np.linalg.eigvalsh(lift.slack)
     snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-    scale = max(1.0, float(np.max(np.abs(lift.slack))))
+    scale = max(1.0, _max_abs(lift.slack))
     base_margin = _diag_dominance_margin(lift.base_block)
     slack_margin = _diag_dominance_margin(lift.slack)
     corner = float(lift.slack[0, -1])
@@ -395,6 +438,7 @@ def composite_func_ledgers(
     W[:] = 0.0
     W[1:, 1 : n + 1] = lift.mu  # sources 1..n and STAR, subgradients 1..n
     coco_block(lhs, W, hcum, smooth=False, composite=True, coupled_star=True)
+    del W
 
     square = -np.array(lift.u_coeffs)
     square[ix_dist(n)] += 1.0
@@ -442,6 +486,7 @@ def composite_grad_ledgers(
     W[:] = 0.0
     W[: n + 1, 1 : n + 1] = lift.mu  # sources 0..n, subgradients 1..n
     coco_block(lhs, W, hcum, smooth=False, composite=True, coupled_star=True)
+    del W
 
     indices = np.array([ix_g(n, n)] + [ix_s(n, j) for j in range(1, n + 1)])
     lhs.add_block(indices, lift.slack, 0.5)

@@ -27,7 +27,16 @@ SILVER_RATIO = 1.0 + math.sqrt(2.0)
 
 
 def _frozen(a) -> np.ndarray:
-    """Read-only float copy of an array-like."""
+    """Read-only float array with the values of an array-like.
+
+    A float array that is read-only all the way down (it and every array it
+    views) is returned as it is, since nothing can write to it; anything
+    else is copied, so no caller keeps a writable handle on the result."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is None and a.dtype == float:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -50,14 +59,14 @@ class StepsizeMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+        a = _frozen(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError(f"stepsize matrix must be square and nonempty, got shape {a.shape}")
         if np.any(np.tril(a, k=-1) != 0.0):
             raise ValueError("stepsize matrix must be upper triangular (exact zeros below the diagonal)")
         if np.any(np.diag(a) == 0.0):
             raise ValueError("diagonal entries alpha[k, k-1] must be nonzero")
-        object.__setattr__(self, "entries", _frozen(a))
+        object.__setattr__(self, "entries", a)
 
     @property
     def n(self) -> int:
@@ -71,7 +80,9 @@ class StepsizeMatrix:
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
-        return _frozen(self.entries @ unit_upper(self.n))
+        out = self.entries @ unit_upper(self.n)
+        out.setflags(write=False)
+        return out
 
 
 def from_diagonal(steps) -> StepsizeMatrix:

@@ -4,9 +4,9 @@ The tests compare the library against these: the recursive silver doubling,
 the theta recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
 partial-sum kernel, and the plain forms of the OGM-G schedule loop, the
-runners, the lasso/box-QP oracles and the reference solve, which the
-library's faster forms must reproduce bit for bit.  None of them is used by
-the library itself.
+runners, the lasso/box-QP oracles, the reference solve, the ledger assembly,
+the lifts and the feasibility checks, which the library's faster forms must
+reproduce bit for bit.  None of them is used by the library itself.
 """
 
 import math
@@ -14,8 +14,16 @@ from dataclasses import replace
 
 import numpy as np
 
+from peplift import config
 from peplift.certificates import FuncCertificate, GradCertificate, aggregates
-from peplift.lift import CompositeFuncLift
+from peplift.ledger import GramLedger, basis_dim, ix_dist, ix_g, ix_s, ix_s_star
+from peplift.lift import (
+    CompositeFuncLift,
+    CompositeGradLift,
+    FuncFeasibilityReport,
+    GradFeasibilityReport,
+    pseudoinverse_xi,
+)
 from peplift.methods import ProxProblem, RunTrace
 from peplift.schedules import SILVER_RATIO, StepsizeMatrix, cumulative, theta_sequence, unit_upper
 
@@ -320,3 +328,287 @@ def fista_reference_plain(f_grad, prox, smoothness, x0, f_full, max_iters=100_00
         if residual <= 1e-15 * (1.0 + np.linalg.norm(x)):
             break
     return best_x, best_val
+
+
+# ---------------------------------------------------------------------------
+# Plain forms of the ledger assembly, the lifts and the feasibility checks:
+# full-size temporaries for every intermediate (np.triu/np.tril copies, np.outer,
+# np.ix_ gathers, np.abs passes), with the arithmetic the library keeps.
+# ---------------------------------------------------------------------------
+
+
+def add_square_plain(led: GramLedger, coeffs: np.ndarray, weight: float) -> None:
+    led.quad += weight * np.outer(coeffs, coeffs)
+
+
+def add_block_plain(led: GramLedger, indices: np.ndarray, block: np.ndarray, weight: float) -> None:
+    sym = 0.5 * (block + block.T)
+    led.quad[np.ix_(indices, indices)] += weight * sym
+
+
+def _add_sym_plain(quad: np.ndarray, rows: slice, cols: slice, block: np.ndarray) -> None:
+    """quad[rows, cols] += block / 2 and quad[cols, rows] += block^T / 2."""
+    half = 0.5 * block
+    quad[rows, cols] += half
+    quad[cols, rows] += half.T
+
+
+def coco_block_plain(
+    led: GramLedger,
+    W: np.ndarray,
+    hcum: np.ndarray,
+    smooth: bool,
+    composite: bool,
+    coupled_star: bool,
+) -> None:
+    """Add sum_{i != j} W[i, j] * coco(i, j) to led, in matrix form.
+
+    W is (n+2, n+2) over the points 0..n with STAR last; its diagonal is
+    ignored.  Column i-1 of hcum holds, on and above the diagonal, the
+    coefficients of the past directions in x_0 - x_i; direction l is
+    g_l + s_{l+1} when composite and g_l otherwise.  The gradient at STAR is
+    -s_star when coupled_star and zero otherwise.  Nonsmooth inequalities take
+    the subgradient at j, which point 0 lacks, so their column 0 must be zero.
+    """
+    hcum = np.asarray(hcum, dtype=float)
+    n = hcum.shape[0]
+    star = n + 1
+    W = np.array(W, dtype=float)
+    if led.n != n or W.shape != (n + 2, n + 2):
+        raise ValueError(f"need an {n}-step ledger and a {(n + 2, n + 2)} weight matrix, "
+                         f"got {led.n} and {W.shape}")
+    np.fill_diagonal(W, 0.0)
+    if not smooth and np.any(W[:, 0]):
+        raise ValueError("nonsmooth inequalities need a subgradient at j; point 0 has none")
+    r, c = W.sum(axis=1), W.sum(axis=0)
+    lin = led.lin_f if smooth else led.lin_h
+    lin += r - c
+
+    # Row p of W^T X - diag(c) X is sum_i W[i, p] (x_i - x_p).  X is nonzero
+    # on the past directions, where rows 1..n hold -hcum^T, and at x0 - x*,
+    # where STAR's row holds -1.  Along the directions, x_i - x_p is summed
+    # from the steps x_k - x_{k-1} with prefix and suffix sums of W's columns,
+    # so c[p] x_p never cancels against sum_i W[i, p] x_i.
+    x_dir = np.zeros((star, n))
+    x_dir[1:] = -np.triu(hcum).T
+    before = np.cumsum(W[:star, :star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
+    after = np.cumsum(W[n::-1, :star], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
+    steps = np.tril(after) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
+    m_dir = np.empty((n + 2, n))
+    m_dir[:star] = steps.T @ np.diff(x_dir, axis=0) - W[star, :star, None] * x_dir
+    m_dir[star] = W[:star, star] @ x_dir
+    m_dist = -W[star]
+    m_dist[star] += c[star]
+    dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
+    if composite:
+        dir_cols.append(slice(ix_s(n, 1), ix_s(n, n) + 1))
+
+    # G as (basis rows, points, sign) groups: g_0..g_n or s_1..s_n, then STAR
+    if smooth:
+        groups = [(slice(ix_g(n, 0), ix_g(n, n) + 1), slice(0, star), 1.0)]
+        star_sign = -1.0 if coupled_star else 0.0
+    else:
+        groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), 1.0)]
+        star_sign = 1.0
+    if star_sign:
+        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), star_sign))
+    if smooth:
+        lap = np.diag(r + c) - W - W.T
+
+    quad = led.quad
+    for rows, pts, sign in groups:
+        for cols in dir_cols:
+            _add_sym_plain(quad, rows, cols, -sign * m_dir[pts])
+        _add_sym_plain(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), -sign * m_dist[pts, None])
+        if smooth:
+            for rows2, pts2, sign2 in groups:
+                quad[rows, rows2] -= 0.5 * sign * sign2 * lap[pts, pts2]
+
+
+def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeFuncLift:
+    """Lift an objective-gap certificate to the composite setting.
+
+    xi is either an explicit positive constant or the string 'pseudo',
+    which picks the pseudoinverse diagnostic value v^T L^+ v.  The shifted
+    nonsmooth multipliers are computed through both closed-form expressions
+    and cross-checked; a mismatch means the input certificate does not
+    satisfy the unconstrained identity.
+    """
+    if xi != "pseudo" and (isinstance(xi, str) or not 0.0 < xi < math.inf):
+        raise ValueError(f"xi must be 'pseudo' or positive and finite for the func metric, got {xi!r}")
+    n = cert.n
+    if H.n != n:
+        raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
+    lam, gamma, r = cert.lam, cert.gamma, cert.r
+    gamma_n = gamma[n]
+    if gamma_n == 0.0:
+        raise ValueError("degenerate certificate: the last square coefficient is zero")
+
+    sigma = np.empty(n + 1)
+    sigma[:n] = (lam[:n, n] + lam[n, :n]) / gamma_n
+    sigma[n] = lam[n + 1, n] / gamma_n  # optimum slot
+    gamma_head = gamma[:n]
+    sigma_head = sigma[:n]
+
+    hat, tilde = aggregates(cert)
+    hc = cumulative(H)
+    via_quad = -np.linalg.solve(hc, (hc @ tilde).T + np.outer(gamma_head, gamma_head + sigma_head))
+    via_hat = np.linalg.solve(hc, hat - np.outer(gamma_head, sigma_head)) + tilde
+    scale = max(np.max(np.abs(via_quad)), np.max(np.abs(via_hat)), 1.0)
+    if np.max(np.abs(via_quad - via_hat)) > 1e-9 * scale:
+        raise ValueError("closed-form multiplier expressions disagree; certificate does not satisfy the identity")
+    mu_tilde = via_quad
+
+    mu = np.zeros((n + 1, n))
+    mu[:n] = mu_tilde
+    mu[np.arange(n), np.arange(n)] = 0.0
+    mu[n] = -mu_tilde.sum(axis=0)  # optimum row
+
+    v = np.empty(n + 1)
+    v[:n] = sigma[:n] + lam[n + 1, :n] - mu[n]
+    v[n] = sigma[n]
+
+    lam_star_total = float(lam[n + 1].sum())
+    block = np.empty((n + 1, n + 1))
+    block[:n, :n] = -hat
+    block[:n, n] = -gamma_head
+    block[n, :n] = -gamma_head
+    block[n, n] = lam_star_total
+    laplacian = block - np.outer(sigma, sigma)
+
+    xi_val = pseudoinverse_xi(v, laplacian) if xi == "pseudo" else float(xi)
+
+    slack = np.empty((n + 2, n + 2))
+    slack[0, 0] = xi_val
+    slack[0, 1:] = v
+    slack[1:, 0] = v
+    slack[1:, 1:] = laplacian
+
+    u = np.zeros(basis_dim(n))
+    for i in range(n + 1):
+        u[ix_g(n, i)] += gamma[i]
+    for j in range(1, n + 1):
+        u[ix_s(n, j)] += gamma[j - 1] + sigma[j - 1]
+    u[ix_s_star(n)] += sigma[n]
+
+    return CompositeFuncLift(
+        n=n, sigma=sigma, mu_tilde=mu_tilde, mu=mu, v=v,
+        laplacian=laplacian, xi=xi_val, slack=slack, u_coeffs=u, r=r,
+    )
+
+
+def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None) -> CompositeGradLift:
+    """Lift a gradient-norm certificate to the composite setting.
+
+    Defaults xi' to 1 - (lam[n-1, n] + lam[n, n-1]) / r, which zeroes the
+    critical corner of the slack matrix and keeps it diagonally dominant.
+    """
+    if xi is not None and (isinstance(xi, str) or not 0.0 <= xi < 1.0):
+        raise ValueError(f"xi must lie in [0, 1) for the grad metric, got {xi!r}")
+    n = cert.n
+    if H.n != n:
+        raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
+    lam, r = cert.lam, cert.r
+    hat, tilde = aggregates(cert)
+    hc = cumulative(H)
+    mu_tilde = -np.linalg.solve(hc, (hc @ tilde).T)
+
+    mu = np.zeros((n + 1, n))
+    mu[0] = -mu_tilde.sum(axis=0)
+    mu[1:] = mu_tilde
+    mu[np.arange(1, n + 1), np.arange(n)] = 0.0
+
+    v = lam[:n, n] + lam[n, :n]
+    if xi is None:
+        xi = 1.0 - (lam[n - 1, n] + lam[n, n - 1]) / r
+    xi = float(xi)
+
+    base = np.empty((n + 1, n + 1))
+    base[0, 0] = r
+    base[0, 1:] = v
+    base[1:, 0] = v
+    base[1:, 1:] = -hat
+    corner = np.zeros(n + 1)
+    corner[0] = 1.0
+    corner[n] = 1.0
+    slack = base - r * (1.0 - xi) * np.outer(corner, corner)
+
+    return CompositeGradLift(n=n, mu_tilde=mu_tilde, mu=mu, v=v, xi=xi, base_block=base, slack=slack, r=r)
+
+
+def laplacian_violations_plain(m: np.ndarray) -> tuple[float, float]:
+    """(largest positive off-diagonal, largest |row sum|)."""
+    off = m - np.diag(np.diag(m))
+    return float(off.max(initial=0.0)), float(np.max(np.abs(m.sum(axis=1))))
+
+
+def diag_dominance_margin_plain(m: np.ndarray) -> float:
+    """min over rows of diag - sum |offdiag|; nonnegative means dominant."""
+    off = np.abs(m) - np.diag(np.abs(np.diag(m)))
+    return float(np.min(np.diag(m) - off.sum(axis=1)))
+
+
+def check_func_feasibility_plain(lift: CompositeFuncLift) -> FuncFeasibilityReport:
+    """Nonnegativity of the nonsmooth multipliers plus two-route evidence
+    that S is positive semidefinite: eigenvalues of S itself, and the Schur
+    route requiring L - (1/xi) v v^T to stay Laplacian."""
+    if lift.xi <= 0.0:
+        raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
+    mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
+    min_mu = float(lift.mu.min())
+
+    eigs = np.linalg.eigvalsh(lift.slack)
+    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+
+    schur = lift.laplacian - np.outer(lift.v, lift.v) / lift.xi
+    lap_scale = max(1.0, float(np.max(np.abs(schur))))
+    s_off, s_row = laplacian_violations_plain(schur)
+
+    l_scale = max(1.0, float(np.max(np.abs(lift.laplacian))))
+    l_off, l_row = laplacian_violations_plain(lift.laplacian)
+
+    tol_lap = config.LAPLACIAN_TOL
+    return FuncFeasibilityReport(
+        xi=lift.xi,
+        min_mu=min_mu,
+        mu_scale=mu_scale,
+        min_eig=float(eigs[0]),
+        spectral_norm=snorm,
+        schur_offdiag_max=s_off,
+        schur_rowsum_max=s_row,
+        l_offdiag_max=l_off,
+        l_rowsum_max=l_row,
+        v_sum=float(lift.v.sum()),
+        mu_ok=min_mu >= -config.MU_TOL * mu_scale,
+        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
+        schur_laplacian_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
+        l_laplacian_ok=(l_off <= tol_lap * l_scale and l_row <= tol_lap * l_scale),
+    )
+
+
+def check_grad_feasibility_plain(lift: CompositeGradLift) -> GradFeasibilityReport:
+    """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
+    and diagonal dominance, whose only nontrivial requirement after the
+    rank-one subtraction is a nonnegative (1, n+1) corner entry."""
+    mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
+    min_mu = float(lift.mu.min())
+    eigs = np.linalg.eigvalsh(lift.slack)
+    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+    scale = max(1.0, float(np.max(np.abs(lift.slack))))
+    base_margin = diag_dominance_margin_plain(lift.base_block)
+    slack_margin = diag_dominance_margin_plain(lift.slack)
+    corner = float(lift.slack[0, -1])
+    tol = config.LAPLACIAN_TOL
+    return GradFeasibilityReport(
+        xi=lift.xi,
+        min_mu=min_mu,
+        mu_scale=mu_scale,
+        min_eig=float(eigs[0]),
+        spectral_norm=snorm,
+        base_dd_margin=base_margin,
+        slack_dd_margin=slack_margin,
+        corner_value=corner,
+        mu_ok=min_mu >= -config.MU_TOL * mu_scale,
+        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
+        dd_ok=slack_margin >= -tol * scale,
+    )

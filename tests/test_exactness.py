@@ -1,6 +1,6 @@
-"""The runners, oracles, reference solve, OGM-G schedule and ledger compare
-reproduce their plain forms bit for bit: equal values and equal signs of
-every zero.
+"""The runners, oracles, reference solve, OGM-G schedule, ledger assembly and
+compare, lifts and feasibility checks reproduce their plain forms bit for
+bit: equal values and equal signs of every zero.
 
 The faster forms reorder nothing in the arithmetic, so any difference here is
 a changed rounding or a flipped signed zero, which would move the golden
@@ -9,20 +9,34 @@ np.clip(-0.0, 0, 1) is -0.0 where np.minimum(np.maximum(-0.0, 0), 1) is +0.0,
 and np.sign(-0.0) * 0.0 is +0.0 where np.copysign(0.0, -0.0) is -0.0.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from peplift import problems, schedules
+from peplift import certificates, lift, problems, schedules
+from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate, ogmg_grad_certificate
-from peplift.ledger import GramLedger
+from peplift.ledger import GramLedger, coco_block
 from peplift.lift import verify_cell
 from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg, run_unconstrained
 from peplift.problems import ProblemSpec, initial_point, make_problem
 from peplift.schedules import ScheduleSpec, ogm_stepsize_matrix, ogmg_stepsize_matrix
 from reference_forms import (
+    add_block_plain,
+    add_square_plain,
+    check_func_feasibility_plain,
+    check_grad_feasibility_plain,
+    coco_block_plain,
+    diag_dominance_margin_plain,
     fista_reference_plain,
+    laplacian_violations_plain,
+    lift_func_plain,
+    lift_grad_plain,
     ogmg_stepsize_matrix_plain,
     plain_oracles,
     run_composite_plain,
@@ -228,3 +242,184 @@ def test_lift_cell_forms_the_cumulative_product_once(H, cert, xi, monkeypatch):
     cell = verify_cell(H, cert, xi)
     assert cell.passed
     assert calls == [6]
+
+
+# ---------------------------------------------------------------------------
+# Ledger assembly, lifts and feasibility checks against their plain forms
+# ---------------------------------------------------------------------------
+
+CELLS = [(algo, size) for algo in ("silver", "gsw") for size in range(1, 8)]
+CELLS += [(algo, size) for algo in ("ogm", "ogmg") for size in (1, 2, 3, 5, 64, 300)]
+COCO_MODES = {  # (smooth, composite, coupled_star) of the three kinds of call
+    "unconstrained": (True, False, False),
+    "composite_f": (True, True, True),
+    "composite_h": (False, True, True),
+}
+
+
+def assert_same_fields(actual, expected):
+    """Every field of two dataclass instances, bit for bit."""
+    for field in dataclasses.fields(actual):
+        assert_bitwise_equal(getattr(actual, field.name), getattr(expected, field.name))
+
+
+def assert_same_ledger(actual: GramLedger, expected: GramLedger):
+    for name in ("quad", "lin_f", "lin_h"):
+        assert_bitwise_equal(getattr(actual, name), getattr(expected, name))
+
+
+def plain_ledger_assembly(monkeypatch):
+    """Swap the plain coco_block, add_square and add_block into the library."""
+    monkeypatch.setattr(certificates, "coco_block", coco_block_plain)
+    monkeypatch.setattr(lift, "coco_block", coco_block_plain)
+    monkeypatch.setattr(GramLedger, "add_square", add_square_plain)
+    monkeypatch.setattr(GramLedger, "add_block", add_block_plain)
+
+
+@pytest.mark.parametrize("algo, size", CELLS)
+def test_cell_matches_plain_forms(algo, size, monkeypatch):
+    family = FAMILIES[algo]
+    H, cert = family.schedule(size), family.certificate(size)
+    func = family.metric == "func"
+    lift_fn, lift_plain = (lift.lift_func, lift_func_plain) if func else (lift.lift_grad, lift_grad_plain)
+    check, check_plain = ((lift.check_func_feasibility, check_func_feasibility_plain) if func
+                          else (lift.check_grad_feasibility, check_grad_feasibility_plain))
+    lifts = []
+    for xi in (family.xi(size), "pseudo") if func else (family.xi(size), None):
+        lifted = lift_fn(H, cert, xi)
+        assert_same_fields(lifted, lift_plain(H, cert, xi))
+        assert_same_fields(check(lifted), check_plain(lifted))
+        lifts.append(lifted)
+
+    identity = certificates.func_identity_ledgers if func else certificates.grad_identity_ledgers
+    composite = lift.composite_func_ledgers if func else lift.composite_grad_ledgers
+    calls = [(identity, (H, cert))] + [(composite, (H, cert, lifted)) for lifted in lifts]
+    fast = [fn(*args) for fn, args in calls]
+    plain_ledger_assembly(monkeypatch)
+    for (fn, args), sides in zip(calls, fast):
+        for led, ref in zip(sides, fn(*args)):
+            assert_same_ledger(led, ref)
+
+
+def signed_values(size: int) -> st.SearchStrategy:
+    return arrays(float, size, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-8.0, 8.0, width=16)))
+
+
+def assert_coco_matches_plain(W, hcum, mode):
+    smooth, composite, coupled_star = COCO_MODES[mode]
+    n = hcum.shape[0]
+    if not smooth:
+        W[:, 0] = 0.0
+    given_W = W.copy()
+    led, ref = GramLedger(n), GramLedger(n)
+    coco_block(led, W, hcum, smooth, composite, coupled_star)
+    coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
+    assert_same_ledger(led, ref)
+    assert_bitwise_equal(W, given_W)  # the caller's weights stay as they were
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(COCO_MODES)))
+def test_coco_block_matches_plain_form(data, n, mode):
+    W = data.draw(signed_values((n + 2, n + 2)), label="W")
+    hcum = data.draw(signed_values((n, n)), label="hcum")
+    assert_coco_matches_plain(W, hcum, mode)
+
+
+@pytest.mark.parametrize("mode", sorted(COCO_MODES))
+@pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
+def test_coco_block_matches_plain_form_at_the_block_edge(n, mode):
+    rng = np.random.default_rng(n)
+    W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
+    hcum = np.where(rng.random((n, n)) < 0.3, -0.0, rng.standard_normal((n, n)))
+    assert_coco_matches_plain(W, hcum, mode)
+
+
+def special_coefficients(size: int) -> dict[str, np.ndarray]:
+    """Coefficient vectors holding signed zeros only, and nan or +-inf on
+    either side of the 256-row block edge and in the last entry."""
+    rng = np.random.default_rng(size)
+    base = np.where(rng.random(size) < 0.5, 0.0, -0.0)
+    base[::7] = rng.standard_normal(base[::7].shape)
+    out = {"+-0.0": np.where(rng.random(size) < 0.5, 0.0, -0.0), "sparse": base}
+    for name, value in (("nan", math.nan), ("+inf", math.inf), ("-inf", -math.inf)):
+        for at in sorted({0, min(255, size - 1), min(256, size - 1), size - 1}):
+            c = base.copy()
+            c[at] = value
+            out[f"{name}@{at}"] = c
+    return out
+
+
+@pytest.mark.parametrize("size", [255, 256, 257])
+def test_add_square_matches_plain_form(size):
+    rng = np.random.default_rng(size)
+    start = np.where(rng.random((size, size)) < 0.5, -0.0, rng.standard_normal((size, size)))
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf
+        for coeffs in special_coefficients(size).values():
+            for weight in (0.5, -1.0 / 3.0, -0.0):
+                led, ref = GramLedger(1), GramLedger(1)
+                led.quad, ref.quad = start.copy(), start.copy()
+                led.add_square(coeffs, weight)
+                add_square_plain(ref, coeffs, weight)
+                assert_bitwise_equal(led.quad, ref.quad)
+
+
+@pytest.mark.parametrize("indices", [
+    [0, 5, 6, 7, 8, 12],  # the objective lift's layout: x0 - x*, then one run
+    [4, 5, 6, 7, 8],  # the gradient lift's: a single run
+    [9, 2, 3, 0, 11, 10],  # unsorted, descending neighbours are separate runs
+    [7],
+])
+def test_add_block_matches_plain_form(indices):
+    rng = np.random.default_rng(len(indices))
+    block = np.where(rng.random((len(indices),) * 2) < 0.3, -0.0, rng.standard_normal((len(indices),) * 2))
+    led, ref = GramLedger(5), GramLedger(5)
+    led.quad = np.where(rng.random((13, 13)) < 0.5, -0.0, rng.standard_normal((13, 13)))
+    ref.quad = led.quad.copy()
+    led.add_block(np.array(indices), block, -0.5)
+    add_block_plain(ref, np.array(indices), block, -0.5)
+    assert_bitwise_equal(led.quad, ref.quad)
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257])
+def test_feasibility_helpers_match_plain_forms(rows):
+    arrays_ = special_arrays(rows)
+    rng = np.random.default_rng(rows)
+    laplacian = -np.abs(rng.standard_normal((rows, rows)))
+    laplacian[np.diag_indices(rows)] = 0.0
+    laplacian[np.diag_indices(rows)] = -laplacian.sum(axis=1)
+    arrays_["laplacian"] = laplacian
+    for value in (math.nan, math.inf, -0.0):
+        a = laplacian.copy()
+        a[rows // 2, rows // 2] = value
+        arrays_[f"diagonal {value}"] = a
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        for m in arrays_.values():
+            assert_bitwise_equal(lift._laplacian_violations(m.copy()), laplacian_violations_plain(m))
+            assert_bitwise_equal(lift._diag_dominance_margin(m), diag_dominance_margin_plain(m))
+
+
+def test_frozen_copies_only_what_a_caller_can_write():
+    writable = np.arange(4.0)
+    assert schedules._frozen(writable) is not writable
+    own = np.arange(4.0)
+    own.setflags(write=False)
+    assert schedules._frozen(own) is own  # nothing can write to it
+    view = writable[1:]
+    view.setflags(write=False)
+    frozen = schedules._frozen(view)  # read-only, but writable through its base
+    writable[1] = 7.0
+    assert frozen[0] == 1.0
+    assert schedules._frozen([1, 2]).dtype == float
+
+
+def test_lift_fields_share_the_slack_and_copy_caller_arrays():
+    family = FAMILIES["ogm"]
+    lifted = lift.lift_func(family.schedule(5), family.certificate(5), "pseudo")
+    assert np.shares_memory(lifted.laplacian, lifted.slack)
+    mu = np.array(lifted.mu)
+    replaced = dataclasses.replace(lifted, mu=mu)
+    mu[0, 1] = 1e3
+    assert replaced.mu[0, 1] == lifted.mu[0, 1]
+    assert replaced.slack is lifted.slack

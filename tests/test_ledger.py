@@ -197,9 +197,22 @@ class TestLedgerArithmetic:
         led.add_block(idx, block, 1.0)
         assert led.quad[idx[0], idx[1]] == led.quad[idx[1], idx[0]] == 1.0
 
+    @pytest.mark.parametrize("indices", [[1, 1], [2, 0, 3, 2]])
+    def test_block_accumulator_rejects_repeated_indices(self, indices):
+        # a repeated position would add its contributions once, not summed
+        led = GramLedger(1)
+        with pytest.raises(ValueError, match="distinct"):
+            led.add_block(np.array(indices), np.ones((len(indices), len(indices))), 1.0)
+        assert not led.quad.any()
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_block_accumulator_rejects_positions_outside_the_basis(self, index):
+        with pytest.raises(IndexError):
+            GramLedger(1).add_block(np.array([0, index]), np.ones((2, 2)), 1.0)
+
     def test_residual_and_scale(self, hcum3):
         a = cocoercivity_ledger(hcum3, 0, 1, "unconstrained")
-        b = a.copy()
+        b = cocoercivity_ledger(hcum3, 0, 1, "unconstrained")
         b.lin_f[0] += 1e-3
         quad, lin_f, lin_h = a.residual_vs(b)
         assert quad == 0.0 and lin_h == 0.0
