@@ -42,6 +42,14 @@ differences are formed a block of rows or a slice at a time.  Each stage
 performs the floating-point operations of its one-expression form, in the
 same order, so the coefficients are bit for bit those of the plain forms in
 ``tests/reference_forms.py``.
+
+The n^3 product of the step weights with the direction differences is a
+column scaling when the differences are diagonal, which they are for a
+diagonal stepsize matrix (plain gradient descent: the silver and gsw
+schedules): each entry of the product then has one nonzero term.  It is then
+formed elementwise, with +0 added so that a zero entry is the +0 the matrix
+product sums to.  Step weights holding an inf or a nan keep the matrix
+product, whose inf * 0 terms put nans where the scaling would not.
 """
 
 from __future__ import annotations
@@ -281,7 +289,13 @@ def coco_block(
     for rows in _row_blocks(n):
         np.subtract(x_dir[rows.start + 1 : rows.stop + 1], x_dir[rows], out=x_dir[rows])
     m_dir = np.empty((n + 2, n))
-    np.matmul(steps.T, x_dir[:n], out=m_dir[:star])
+    scales = np.diagonal(x_dir[:n]).copy()  # a copy: a view would keep x_dir alive
+    if np.count_nonzero(x_dir[:n]) == np.count_nonzero(scales) and np.isfinite(steps.sum()):
+        # one term per entry; the gemm sums it onto +0, so a zero product is +0
+        np.multiply(steps.T, scales, out=m_dir[:star])
+        m_dir[:star] += 0.0
+    else:
+        np.matmul(steps.T, x_dir[:n], out=m_dir[:star])
     del steps, x_dir
     m_dir[star] = m_star
     for rows in _row_blocks(star):

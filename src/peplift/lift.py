@@ -496,9 +496,7 @@ def composite_grad_ledgers(
     rhs.add_f(n, -1.0)
     rhs.add_h(0, 1.0)
     rhs.add_h(n, -1.0)
-    final = np.zeros(basis_dim(n))
-    final[[ix_g(n, n), ix_s(n, n)]] = 1.0
-    rhs.add_square(final, -0.5 * cert.r * (1.0 - lift.xi))
+    rhs.add_block([ix_g(n, n), ix_s(n, n)], np.ones((2, 2)), -0.5 * cert.r * (1.0 - lift.xi))
     return lhs, rhs
 
 

@@ -80,7 +80,17 @@ class StepsizeMatrix:
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
-        out = self.entries @ unit_upper(self.n)
+        a, n = self.entries, self.n
+        if np.count_nonzero(a) == n and np.isfinite(np.diagonal(a)).all():
+            # Diagonal H: each partial sum has one nonzero term, h_l from
+            # column l on, so the product's value is h_l there and +0
+            # elsewhere.  A non-finite h_l keeps the product, whose h_l * 0
+            # terms are nan.
+            out = np.zeros((n, n))
+            for l in range(n):
+                out[l, l:] = a[l, l]
+        else:
+            out = a @ unit_upper(n)
         out.setflags(write=False)
         return out
 
@@ -91,11 +101,16 @@ def from_diagonal(steps) -> StepsizeMatrix:
 
 
 def cumulative(H: StepsizeMatrix) -> np.ndarray:
-    """Partial-sum form of a stepsize matrix, read-only: the exact product
-    with the all-ones upper triangle, whose column i-1 expands x_0 - x_i.
+    """Partial-sum form of a stepsize matrix, read-only: its product with the
+    all-ones upper triangle, whose column i-1 expands x_0 - x_i.
 
-    The dense product runs once per matrix; later calls return the stored
-    array, so every stage of a cell shares one copy."""
+    The value is the one BLAS's dense product rounds to.  A diagonal H (plain
+    gradient descent) has one term per sum, so its rows are written directly
+    and the result is exact; any other H pays for the product.  Running sums
+    (np.cumsum) would be cheaper but differ from the product by up to 1.3e-12
+    at ogm n=1024, which moves report digits.  The work runs once per matrix;
+    later calls return the stored array, so every stage of a cell shares one
+    copy."""
     return H._cumulative
 
 

@@ -7,6 +7,10 @@ a changed rounding or a flipped signed zero, which would move the golden
 reports.  Both obvious one-call rewrites of the prox expressions flip one:
 np.clip(-0.0, 0, 1) is -0.0 where np.minimum(np.maximum(-0.0, 0), 1) is +0.0,
 and np.sign(-0.0) * 0.0 is +0.0 where np.copysign(0.0, -0.0) is -0.0.
+
+For a diagonal stepsize matrix (silver, gsw) the cumulative form and the
+direction product of a ledger skip their dense products: they keep the one
+nonzero term of each sum and give a zero the +0 the product would have.
 """
 
 import dataclasses
@@ -14,18 +18,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from peplift import certificates, lift, problems, schedules
+from peplift import certificates, ledger, lift, problems, schedules
 from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate, ogmg_grad_certificate
 from peplift.ledger import GramLedger, coco_block
 from peplift.lift import verify_cell
 from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg, run_unconstrained
 from peplift.problems import ProblemSpec, initial_point, make_problem
-from peplift.schedules import ScheduleSpec, ogm_stepsize_matrix, ogmg_stepsize_matrix
+from peplift.schedules import ScheduleSpec, cumulative, from_diagonal, ogm_stepsize_matrix, ogmg_stepsize_matrix
 from reference_forms import (
     add_block_plain,
     add_square_plain,
@@ -244,6 +248,79 @@ def test_lift_cell_forms_the_cumulative_product_once(H, cert, xi, monkeypatch):
     assert calls == [6]
 
 
+def cumulative_product(H: schedules.StepsizeMatrix) -> np.ndarray:
+    n = H.n
+    return H.entries @ np.triu(np.ones((n, n)))
+
+
+@pytest.mark.parametrize("algo", ["silver", "gsw"])
+@pytest.mark.parametrize("k", range(1, 12))
+def test_gradient_descent_cumulative_is_the_product(algo, k):
+    H = FAMILIES[algo].schedule(k)
+    assert_bitwise_equal(cumulative(H), cumulative_product(H))
+
+
+@pytest.mark.parametrize("steps", [
+    [2.5], [-1.5], [1e-300], [1e300], [-1e-300],
+    [1.5, -2.0, 1e-300, 3.0, -1e300, 1e300, 0.5],
+    np.geomspace(1e-300, 1e300, 300),
+    -np.geomspace(1e300, 1e-300, 257),
+])
+def test_diagonal_cumulative_is_the_product(steps):
+    H = from_diagonal(steps)
+    assert_bitwise_equal(cumulative(H), cumulative_product(H))
+
+
+@pytest.mark.parametrize("steps", [[math.inf], [1.0, -math.inf, 2.0], [1.0, math.nan]])
+def test_non_finite_diagonal_cumulative_keeps_the_product(steps):
+    H = from_diagonal(steps)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        assert_bitwise_equal(cumulative(H), cumulative_product(H))
+
+
+class CountingNumpy:
+    """numpy as the ledger module sees it, with its np.matmul calls counted,
+    and a count of schedules.unit_upper calls beside them."""
+
+    def __init__(self):
+        self.matmul_calls = 0
+        self.unit_upper_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmul_calls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.fixture
+def counted_products(monkeypatch):
+    """Count the ledger's np.matmul calls and schedules.unit_upper calls."""
+    counts = CountingNumpy()
+    unit_upper = schedules.unit_upper
+
+    def counted(n):
+        counts.unit_upper_calls += 1
+        return unit_upper(n)
+
+    monkeypatch.setattr(ledger, "np", counts)
+    monkeypatch.setattr(schedules, "unit_upper", counted)
+    return counts
+
+
+@pytest.mark.parametrize("lift_", [False, True])
+@pytest.mark.parametrize("algo, size, dense", [
+    ("silver", 3, False), ("gsw", 3, False), ("ogm", 6, True), ("ogmg", 6, True),
+])
+def test_gradient_descent_cells_skip_the_dense_products(algo, size, dense, lift_, counted_products):
+    family = FAMILIES[algo]
+    H, cert = family.schedule(size), family.certificate(size)
+    assert verify_cell(H, cert, family.xi(size), lift=lift_).passed
+    assert counted_products.unit_upper_calls == (1 if dense else 0)
+    assert (counted_products.matmul_calls > 0) == dense
+
+
 # ---------------------------------------------------------------------------
 # Ledger assembly, lifts and feasibility checks against their plain forms
 # ---------------------------------------------------------------------------
@@ -307,16 +384,21 @@ def signed_values(size: int) -> st.SearchStrategy:
 
 
 def assert_coco_matches_plain(W, hcum, mode):
+    """Both forms add the same bits to a fresh ledger and to one holding -0.0
+    everywhere, where a -0.0 added stays -0.0."""
     smooth, composite, coupled_star = COCO_MODES[mode]
     n = hcum.shape[0]
     if not smooth:
         W[:, 0] = 0.0
     given_W = W.copy()
-    led, ref = GramLedger(n), GramLedger(n)
-    coco_block(led, W, hcum, smooth, composite, coupled_star)
-    coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
-    assert_same_ledger(led, ref)
-    assert_bitwise_equal(W, given_W)  # the caller's weights stay as they were
+    for start in (0.0, -0.0):
+        led, ref = GramLedger(n), GramLedger(n)
+        for name in ("quad", "lin_f", "lin_h"):
+            getattr(led, name)[...] = getattr(ref, name)[...] = start
+        coco_block(led, W, hcum, smooth, composite, coupled_star)
+        coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
+        assert_same_ledger(led, ref)
+        assert_bitwise_equal(W, given_W)  # the caller's weights stay as they were
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,6 +407,45 @@ def test_coco_block_matches_plain_form(data, n, mode):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
     hcum = data.draw(signed_values((n, n)), label="hcum")
     assert_coco_matches_plain(W, hcum, mode)
+
+
+def diagonal_hcum(steps: np.ndarray) -> np.ndarray:
+    """The cumulative form of diag(steps): row l holds steps[l] from column l on."""
+    n = steps.shape[0]
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), steps[:, None], 0.0)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # counts are compared per input
+@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(COCO_MODES)))
+def test_coco_block_matches_plain_form_on_a_diagonal_schedule(data, n, mode, counted_products):
+    W = data.draw(signed_values((n + 2, n + 2)), label="W")
+    hcum = diagonal_hcum(data.draw(signed_values(n), label="steps"))
+    calls = counted_products.matmul_calls
+    assert_coco_matches_plain(W, hcum, mode)
+    assert counted_products.matmul_calls == calls  # the column scaling ran
+
+
+@pytest.mark.parametrize("mode", sorted(COCO_MODES))
+@pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
+def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(n, mode, counted_products):
+    rng = np.random.default_rng(n)
+    W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
+    steps = np.where(rng.random(n) < 0.1, -0.0, rng.standard_normal(n))
+    assert_coco_matches_plain(W, diagonal_hcum(steps), mode)
+    assert counted_products.matmul_calls == 0
+
+
+@pytest.mark.parametrize("mode", sorted(COCO_MODES))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_weights_keep_the_matrix_product(value, mode, counted_products):
+    n = 9
+    rng = np.random.default_rng(n)
+    W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
+    W[4, 2] = value
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
+        assert_coco_matches_plain(W, diagonal_hcum(rng.standard_normal(n)), mode)
+    assert counted_products.matmul_calls > 0
 
 
 @pytest.mark.parametrize("mode", sorted(COCO_MODES))
