@@ -285,15 +285,22 @@ def _report(lhs: GramLedger, rhs: GramLedger) -> IdentityReport:
     )
 
 
-def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the objective-gap identity as ledgers."""
+def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, composite: bool) -> GramLedger:
+    """A fresh ledger holding the certificate's smooth inequalities, sum
+    lam[i, j] Q_ij, along the plain method or, when composite, along its
+    composite extension; a func certificate's optimum row lands on STAR."""
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
-    lhs = GramLedger(n)
-    W = np.zeros((n + 2, n + 2))
-    W[:, : n + 1] = cert.lam
-    coco_block(lhs, W, cumulative(H), smooth=True, composite=False, coupled_star=False)
+    led = GramLedger(n)
+    coco_block(led, cert.lam, cumulative(H), smooth=True, composite=composite, coupled_star=composite)
+    return led
+
+
+def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[GramLedger, GramLedger]:
+    """Both sides of the objective-gap identity as ledgers."""
+    n = cert.n
+    lhs = _smooth_ledger(H, cert, composite=False)
     square = np.zeros(lhs.quad.shape[0])
     square[ix_dist(n)] = 1.0
     for i in range(n + 1):
@@ -313,19 +320,13 @@ def verify_func_identity(H: StepsizeMatrix, cert: FuncCertificate) -> IdentityRe
     Failure is reported, not raised: the report carries the residuals split
     by coefficient group and the pass flag at the configured tolerance.
     """
-    lhs, rhs = func_identity_ledgers(H, cert)
-    return _report(lhs, rhs)
+    return _report(*func_identity_ledgers(H, cert))
 
 
 def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[GramLedger, GramLedger]:
     """Both sides of the gradient-norm identity as ledgers."""
     n = cert.n
-    if H.n != n:
-        raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
-    lhs = GramLedger(n)
-    W = np.zeros((n + 2, n + 2))
-    W[: n + 1, : n + 1] = cert.lam
-    coco_block(lhs, W, cumulative(H), smooth=True, composite=False, coupled_star=False)
+    lhs = _smooth_ledger(H, cert, composite=False)
 
     rhs = GramLedger(n)
     rhs.add_f(0, 1.0)
@@ -336,8 +337,7 @@ def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[Gra
 
 def verify_grad_identity(H: StepsizeMatrix, cert: GradCertificate) -> IdentityReport:
     """Check the gradient-norm identity for the plain method with H."""
-    lhs, rhs = grad_identity_ledgers(H, cert)
-    return _report(lhs, rhs)
+    return _report(*grad_identity_ledgers(H, cert))
 
 
 # ---------------------------------------------------------------------------

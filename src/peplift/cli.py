@@ -99,7 +99,7 @@ def cmd_lift(args) -> int:
         "identity_residual": cell.identity.max_residual,
         "min_mu": cell.feasibility.min_mu,
         "min_eig_S": cell.feasibility.min_eig,
-        "laplacian_ok": cell.structural_ok,
+        "laplacian_ok": cell.feasibility.structural_ok,
         "rate": cell.rate,
         "paper_rate": paper_rate,
         "asymptotic": family.asymptotic,

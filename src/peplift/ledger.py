@@ -34,13 +34,16 @@ its diagonal zeroed.  Then :func:`coco_block` adds
 with sym(A) = (A + A^T) / 2.  The one-inequality-at-a-time expansion it
 replaces is kept as the reference oracle in ``tests/coco_oracle.py``.
 
-Building a ledger allocates little beyond its own quadratic form: the
-assembly's scratch is a few n x n buffers (the step weights, the directions,
-whose row differences are taken in place, the product, and for smooth
-inequalities the Laplacian), and outer products, symmetrized blocks and
-differences are formed a block of rows or a slice at a time.  Each stage
-performs the floating-point operations of its one-expression form, in the
-same order, so the coefficients are bit for bit those of the plain forms in
+Callers pass their multipliers as they hold them, with the position of their
+block; the (n+2) x (n+2) weight matrix W lives only inside
+:func:`coco_block`, which drops it before the n^3 product.  Building a
+ledger allocates little beyond its own quadratic form: the assembly's
+scratch is a few n x n buffers (the step weights, the directions, whose row
+differences are taken in place, the product, and for smooth inequalities the
+Laplacian), and outer products, symmetrized blocks and differences are
+formed a block of rows or a slice at a time.  Each stage performs the
+floating-point operations of its one-expression form, in the same order, so
+the coefficients are bit for bit those of the plain forms in
 ``tests/reference_forms.py``.
 
 The n^3 product of the step weights with the direction differences is a
@@ -235,17 +238,19 @@ def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
 
 def coco_block(
     led: GramLedger,
-    W: np.ndarray,
+    weights: np.ndarray,
     hcum: np.ndarray,
     smooth: bool,
     composite: bool,
     coupled_star: bool,
+    origin: tuple[int, int] = (0, 0),
 ) -> None:
     """Add sum_{i != j} W[i, j] * coco(i, j) to led, in matrix form.
 
-    W is (n+2, n+2) over the points 0..n with STAR last; its diagonal is
-    ignored.  Column i-1 of hcum holds, on and above the diagonal, the
-    coefficients of the past directions in x_0 - x_i; direction l is
+    W is (n+2, n+2) over the points 0..n with STAR last: the block `weights`
+    placed with its first entry at `origin`, zero elsewhere, and its diagonal
+    ignored; `weights` itself is only read.  Column i-1 of hcum holds, on and
+    above the diagonal, the coefficients of the past directions in x_0 - x_i; direction l is
     g_l + s_{l+1} when composite and g_l otherwise.  The gradient at STAR is
     -s_star when coupled_star and zero otherwise.  Nonsmooth inequalities take
     the subgradient at j, which point 0 lacks, so their column 0 must be zero.
@@ -253,10 +258,14 @@ def coco_block(
     hcum = np.asarray(hcum, dtype=float)
     n = hcum.shape[0]
     star = n + 1
-    W = np.array(W, dtype=float)  # a copy: its diagonal is zeroed, the caller's is not
-    if led.n != n or W.shape != (n + 2, n + 2):
-        raise ValueError(f"need an {n}-step ledger and a {(n + 2, n + 2)} weight matrix, "
-                         f"got {led.n} and {W.shape}")
+    weights = np.asarray(weights, dtype=float)
+    top, left = origin
+    if (led.n != n or weights.ndim != 2 or top < 0 or left < 0
+            or top + weights.shape[0] > n + 2 or left + weights.shape[1] > n + 2):
+        raise ValueError(f"need an {n}-step ledger and a weight block inside {(n + 2, n + 2)} at a "
+                         f"nonnegative origin, got {led.n} and {weights.shape} at {origin}")
+    W = np.zeros((n + 2, n + 2))
+    W[top : top + weights.shape[0], left : left + weights.shape[1]] = weights
     np.fill_diagonal(W, 0.0)
     if not smooth and np.any(W[:, 0]):
         raise ValueError("nonsmooth inequalities need a subgradient at j; point 0 has none")
@@ -358,8 +367,7 @@ def cocoercivity_ledger(hcum: np.ndarray, i: Index, j: Index, mode: str) -> Gram
     for k, lo in ((i, 0), (j, 0 if smooth else 1)):  # no subgradient at point 0
         if k != STAR and not lo <= int(k) <= n:
             raise IndexError(f"index {k} out of range {lo}..{n}")
-    W = np.zeros((n + 2, n + 2))
-    W[ix_val(n, i), ix_val(n, j)] = 1.0
     led = GramLedger(n)
-    coco_block(led, W, hcum, smooth, composite, coupled_star=composite)
+    coco_block(led, [[1.0]], hcum, smooth, composite, coupled_star=composite,
+               origin=(ix_val(n, i), ix_val(n, j)))
     return led

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .certificates import (
     GradCertificate,
     IdentityReport,
     _report,
+    _smooth_ledger,
     aggregates,
     verify_func_identity,
     verify_grad_identity,
@@ -273,27 +275,21 @@ def _diag_dominance_margin(m: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class FuncFeasibilityReport:
+class _FeasibilityReport:
     """Feasibility evidence: `passed` covers the two required items
     (nonnegative multipliers, S positive semidefinite by its eigenvalues);
-    the Schur-Laplacian flag reports the structural route separately, since
-    the eigenvalue-minimal xi is PSD-feasible without being Laplacian-checkable.
-    """
+    each metric's subclass reports its structural PSD route separately, as
+    `structural_ok`, under the JSON key STRUCTURAL_KEY."""
+
+    STRUCTURAL_KEY: ClassVar[str]
 
     xi: float
     min_mu: float
     mu_scale: float
     min_eig: float
     spectral_norm: float
-    schur_offdiag_max: float
-    schur_rowsum_max: float
-    l_offdiag_max: float
-    l_rowsum_max: float
-    v_sum: float
     mu_ok: bool
     eig_ok: bool
-    schur_laplacian_ok: bool
-    l_laplacian_ok: bool
 
     @property
     def passed(self) -> bool:
@@ -304,11 +300,49 @@ class FuncFeasibilityReport:
             "xi": self.xi,
             "min_mu": self.min_mu,
             "min_eig_S": self.min_eig,
-            "laplacian_ok": self.schur_laplacian_ok,
+            self.STRUCTURAL_KEY: self.structural_ok,
             "mu_ok": self.mu_ok,
             "eig_ok": self.eig_ok,
             "pass": self.passed,
         }
+
+
+def _required_items(lift: CompositeFuncLift | CompositeGradLift) -> dict:
+    """The fields of the two required items, as _FeasibilityReport names them."""
+    mu_scale = max(1.0, _max_abs(lift.mu))
+    min_mu = float(lift.mu.min())
+    eigs = np.linalg.eigvalsh(lift.slack)
+    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+    return {
+        "xi": lift.xi,
+        "min_mu": min_mu,
+        "mu_scale": mu_scale,
+        "min_eig": float(eigs[0]),
+        "spectral_norm": snorm,
+        "mu_ok": min_mu >= -config.MU_TOL * mu_scale,
+        "eig_ok": float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
+    }
+
+
+@dataclass(frozen=True)
+class FuncFeasibilityReport(_FeasibilityReport):
+    """The structural route is the Schur-Laplacian flag, reported apart from
+    `passed` since the eigenvalue-minimal xi is PSD-feasible without being
+    Laplacian-checkable."""
+
+    STRUCTURAL_KEY = "laplacian_ok"
+
+    schur_offdiag_max: float
+    schur_rowsum_max: float
+    l_offdiag_max: float
+    l_rowsum_max: float
+    v_sum: float
+    schur_laplacian_ok: bool
+    l_laplacian_ok: bool
+
+    @property
+    def structural_ok(self) -> bool:
+        return self.schur_laplacian_ok
 
 
 def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
@@ -317,12 +351,6 @@ def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
     route requiring L - (1/xi) v v^T to stay Laplacian."""
     if lift.xi <= 0.0:
         raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
-    mu_scale = max(1.0, _max_abs(lift.mu))
-    min_mu = float(lift.mu.min())
-
-    eigs = np.linalg.eigvalsh(lift.slack)
-    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-
     schur = np.empty_like(lift.laplacian)
     for rows in _row_blocks(lift.n + 1):
         np.subtract(lift.laplacian[rows], np.outer(lift.v[rows], lift.v) / lift.xi, out=schur[rows])
@@ -335,81 +363,45 @@ def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
 
     tol_lap = config.LAPLACIAN_TOL
     return FuncFeasibilityReport(
-        xi=lift.xi,
-        min_mu=min_mu,
-        mu_scale=mu_scale,
-        min_eig=float(eigs[0]),
-        spectral_norm=snorm,
+        **_required_items(lift),
         schur_offdiag_max=s_off,
         schur_rowsum_max=s_row,
         l_offdiag_max=l_off,
         l_rowsum_max=l_row,
         v_sum=float(lift.v.sum()),
-        mu_ok=min_mu >= -config.MU_TOL * mu_scale,
-        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
         schur_laplacian_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
         l_laplacian_ok=(l_off <= tol_lap * l_scale and l_row <= tol_lap * l_scale),
     )
 
 
 @dataclass(frozen=True)
-class GradFeasibilityReport:
-    """As in the objective case: `passed` is the two required items, with
-    diagonal dominance reported as the structural route."""
+class GradFeasibilityReport(_FeasibilityReport):
+    """The structural route is diagonal dominance of the slack."""
 
-    xi: float
-    min_mu: float
-    mu_scale: float
-    min_eig: float
-    spectral_norm: float
+    STRUCTURAL_KEY = "diag_dominant_ok"
+
     base_dd_margin: float
     slack_dd_margin: float
     corner_value: float
-    mu_ok: bool
-    eig_ok: bool
     dd_ok: bool
 
     @property
-    def passed(self) -> bool:
-        return self.mu_ok and self.eig_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "min_mu": self.min_mu,
-            "min_eig_S": self.min_eig,
-            "diag_dominant_ok": self.dd_ok,
-            "mu_ok": self.mu_ok,
-            "eig_ok": self.eig_ok,
-            "pass": self.passed,
-        }
+    def structural_ok(self) -> bool:
+        return self.dd_ok
 
 
 def check_grad_feasibility(lift: CompositeGradLift) -> GradFeasibilityReport:
     """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
     and diagonal dominance, whose only nontrivial requirement after the
     rank-one subtraction is a nonnegative (1, n+1) corner entry."""
-    mu_scale = max(1.0, _max_abs(lift.mu))
-    min_mu = float(lift.mu.min())
-    eigs = np.linalg.eigvalsh(lift.slack)
-    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
     scale = max(1.0, _max_abs(lift.slack))
-    base_margin = _diag_dominance_margin(lift.base_block)
     slack_margin = _diag_dominance_margin(lift.slack)
-    corner = float(lift.slack[0, -1])
-    tol = config.LAPLACIAN_TOL
     return GradFeasibilityReport(
-        xi=lift.xi,
-        min_mu=min_mu,
-        mu_scale=mu_scale,
-        min_eig=float(eigs[0]),
-        spectral_norm=snorm,
-        base_dd_margin=base_margin,
+        **_required_items(lift),
+        base_dd_margin=_diag_dominance_margin(lift.base_block),
         slack_dd_margin=slack_margin,
-        corner_value=corner,
-        mu_ok=min_mu >= -config.MU_TOL * mu_scale,
-        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
-        dd_ok=slack_margin >= -tol * scale,
+        corner_value=float(lift.slack[0, -1]),
+        dd_ok=slack_margin >= -config.LAPLACIAN_TOL * scale,
     )
 
 
@@ -429,16 +421,9 @@ def composite_func_ledgers(
 ) -> tuple[GramLedger, GramLedger]:
     """Both sides of the lifted objective-gap identity as ledgers."""
     n = cert.n
-    hcum = cumulative(H)
-
-    lhs = GramLedger(n)
-    W = np.zeros((n + 2, n + 2))
-    W[:, : n + 1] = cert.lam
-    coco_block(lhs, W, hcum, smooth=True, composite=True, coupled_star=True)
-    W[:] = 0.0
-    W[1:, 1 : n + 1] = lift.mu  # sources 1..n and STAR, subgradients 1..n
-    coco_block(lhs, W, hcum, smooth=False, composite=True, coupled_star=True)
-    del W
+    lhs = _smooth_ledger(H, cert, composite=True)
+    # sources 1..n and STAR, subgradients 1..n
+    coco_block(lhs, lift.mu, cumulative(H), smooth=False, composite=True, coupled_star=True, origin=(1, 1))
 
     square = -np.array(lift.u_coeffs)
     square[ix_dist(n)] += 1.0
@@ -466,8 +451,7 @@ def verify_composite_func_identity(
     vectors), so the check is independent of any problem instance.  The
     identity holds for every xi since it enters both sides identically.
     """
-    lhs, rhs = composite_func_ledgers(H, cert, lift)
-    return _report(lhs, rhs)
+    return _report(*composite_func_ledgers(H, cert, lift))
 
 
 def composite_grad_ledgers(
@@ -477,16 +461,9 @@ def composite_grad_ledgers(
 ) -> tuple[GramLedger, GramLedger]:
     """Both sides of the lifted gradient-norm identity as ledgers."""
     n = cert.n
-    hcum = cumulative(H)
-
-    lhs = GramLedger(n)
-    W = np.zeros((n + 2, n + 2))
-    W[: n + 1, : n + 1] = cert.lam
-    coco_block(lhs, W, hcum, smooth=True, composite=True, coupled_star=True)
-    W[:] = 0.0
-    W[: n + 1, 1 : n + 1] = lift.mu  # sources 0..n, subgradients 1..n
-    coco_block(lhs, W, hcum, smooth=False, composite=True, coupled_star=True)
-    del W
+    lhs = _smooth_ledger(H, cert, composite=True)
+    # sources 0..n, subgradients 1..n
+    coco_block(lhs, lift.mu, cumulative(H), smooth=False, composite=True, coupled_star=True, origin=(0, 1))
 
     indices = np.array([ix_g(n, n)] + [ix_s(n, j) for j in range(1, n + 1)])
     lhs.add_block(indices, lift.slack, 0.5)
@@ -506,8 +483,7 @@ def verify_composite_grad_identity(
     lift: CompositeGradLift,
 ) -> IdentityReport:
     """Exact coefficient check of the lifted gradient-norm identity."""
-    lhs, rhs = composite_grad_ledgers(H, cert, lift)
-    return _report(lhs, rhs)
+    return _report(*composite_grad_ledgers(H, cert, lift))
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +503,7 @@ def certified_rate(lift: CompositeFuncLift | CompositeGradLift) -> float:
 @dataclass(frozen=True)
 class Cell:
     """One run of the recipe on a certificate.  The lift fields stay None
-    when only the unconstrained identity was checked.  structural_ok is the
-    structural PSD route of the metric: the Schur complement stays Laplacian
-    (func) or the slack stays diagonally dominant (grad)."""
+    when only the unconstrained identity was checked."""
 
     n: int
     identity: IdentityReport
@@ -537,7 +511,6 @@ class Cell:
     lifted: CompositeFuncLift | CompositeGradLift | None = None
     feasibility: FuncFeasibilityReport | GradFeasibilityReport | None = None
     composite: IdentityReport | None = None
-    structural_ok: bool = False
     rate: float | None = None
 
 
@@ -561,6 +534,5 @@ def verify_cell(
     lifted = (lift_func if func else lift_grad)(H, cert, xi)
     feasibility = (check_func_feasibility if func else check_grad_feasibility)(lifted)
     composite = (verify_composite_func_identity if func else verify_composite_grad_identity)(H, cert, lifted)
-    structural_ok = feasibility.schur_laplacian_ok if func else feasibility.dd_ok
     passed = identity.passed and composite.passed and feasibility.passed
-    return Cell(cert.n, identity, passed, lifted, feasibility, composite, structural_ok, certified_rate(lifted))
+    return Cell(cert.n, identity, passed, lifted, feasibility, composite, certified_rate(lifted))

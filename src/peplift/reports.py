@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,6 +79,9 @@ def dumps17(obj, indent: int = 2) -> str:
     return "".join(parts)
 
 
+_KEYS = {"passed": "pass"}  # field -> JSON/CSV key, where the two differ
+
+
 @dataclass
 class ReportRow:
     """One verification cell: residuals, feasibility and the two constants."""
@@ -94,32 +98,14 @@ class ReportRow:
     runtime_ms: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "metric": self.metric,
-            "size": self.size,
-            "residual_identity": self.residual_identity,
-            "residual_composite": self.residual_composite,
-            "feasible": self.feasible,
-            "certified_rate": self.certified_rate,
-            "paper_rate": self.paper_rate,
-            "observed_worst_ratio": self.observed_worst_ratio,
-            "runtime_ms": self.runtime_ms,
-            "pass": self.passed,
-        }
+    CSV_FIELDS: ClassVar[tuple[str, ...]]  # the to_dict keys, in field order
 
-    CSV_FIELDS = (
-        "algorithm", "metric", "size", "residual_identity", "residual_composite",
-        "feasible", "certified_rate", "paper_rate", "observed_worst_ratio",
-        "runtime_ms", "pass",
-    )
+    def to_dict(self) -> dict:
+        return {_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     def csv_row(self) -> list[str]:
-        doc = self.to_dict()
         out = []
-        for name in self.CSV_FIELDS:
-            value = doc[name]
+        for value in self.to_dict().values():
             if isinstance(value, bool):
                 out.append(str(value).lower())
             elif isinstance(value, float):
@@ -129,6 +115,9 @@ class ReportRow:
             else:
                 out.append(str(value))
         return out
+
+
+ReportRow.CSV_FIELDS = tuple(_KEYS.get(f.name, f.name) for f in fields(ReportRow))
 
 
 def write_rollup_csv(rows: list[ReportRow], path) -> None:

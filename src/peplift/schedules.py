@@ -51,9 +51,9 @@ def unit_upper(n: int) -> np.ndarray:
 class StepsizeMatrix:
     """Upper-triangular stepsize matrix of an n-step first-order method.
 
-    Rejects matrices with entries below the diagonal or with a zero on the
-    diagonal (a zero fresh-gradient weight would make an iterate redundant
-    and the matrix singular).
+    Rejects matrices with a non-finite entry, with entries below the
+    diagonal or with a zero on the diagonal (a zero fresh-gradient weight
+    would make an iterate redundant and the matrix singular).
     """
 
     entries: np.ndarray
@@ -62,6 +62,8 @@ class StepsizeMatrix:
         a = _frozen(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError(f"stepsize matrix must be square and nonempty, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("stepsize matrix entries must be finite")
         if np.any(np.tril(a, k=-1) != 0.0):
             raise ValueError("stepsize matrix must be upper triangular (exact zeros below the diagonal)")
         if np.any(np.diag(a) == 0.0):
@@ -81,11 +83,10 @@ class StepsizeMatrix:
     @cached_property
     def _cumulative(self) -> np.ndarray:
         a, n = self.entries, self.n
-        if np.count_nonzero(a) == n and np.isfinite(np.diagonal(a)).all():
+        if np.count_nonzero(a) == n:
             # Diagonal H: each partial sum has one nonzero term, h_l from
             # column l on, so the product's value is h_l there and +0
-            # elsewhere.  A non-finite h_l keeps the product, whose h_l * 0
-            # terms are nan.
+            # elsewhere.
             out = np.zeros((n, n))
             for l in range(n):
                 out[l, l:] = a[l, l]
@@ -290,7 +291,7 @@ class ScheduleSpec:
 
     @classmethod
     def custom(cls, matrix) -> "ScheduleSpec":
-        m = np.asarray(matrix, dtype=float)
+        m = StepsizeMatrix(matrix).entries  # rejects what a stepsize matrix cannot hold
         return cls(kind="custom", n=m.shape[0], matrix=m)
 
     def build(self) -> StepsizeMatrix:

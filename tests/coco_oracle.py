@@ -120,3 +120,18 @@ def coco_block_reference(
     for i, j, w in iter_nonzero(np.asarray(W, dtype=float)):
         if i != j:
             add(led, w, STAR if i == n + 1 else i, STAR if j == n + 1 else j)
+
+
+def placed(block_form):
+    """block_form, which takes the full (n+2, n+2) weight matrix, behind
+    coco_block's signature: a weight block placed at an origin.  Lets a
+    W-taking form stand in for coco_block in the library's callers."""
+
+    def place(led, weights, hcum, smooth, composite, coupled_star, origin=(0, 0)):
+        weights = np.asarray(weights, dtype=float)
+        top, left = origin
+        W = np.zeros((led.n + 2, led.n + 2))
+        W[top : top + weights.shape[0], left : left + weights.shape[1]] = weights
+        block_form(led, W, hcum, smooth, composite, coupled_star)
+
+    return place

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coco_oracle import placed
 from peplift import certificates, ledger, lift, problems, schedules
 from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate, ogmg_grad_certificate
@@ -272,10 +273,12 @@ def test_diagonal_cumulative_is_the_product(steps):
 
 
 @pytest.mark.parametrize("steps", [[math.inf], [1.0, -math.inf, 2.0], [1.0, math.nan]])
-def test_non_finite_diagonal_cumulative_keeps_the_product(steps):
-    H = from_diagonal(steps)
-    with np.errstate(invalid="ignore"):  # inf * 0
-        assert_bitwise_equal(cumulative(H), cumulative_product(H))
+def test_non_finite_diagonal_is_rejected(steps):
+    """from_diagonal and StepsizeMatrix reject the same inputs, so a diagonal
+    H reaching the direct cumulative rows has finite steps."""
+    for build in (from_diagonal, lambda s: schedules.StepsizeMatrix(np.diag(s))):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            build(steps)
 
 
 class CountingNumpy:
@@ -347,8 +350,8 @@ def assert_same_ledger(actual: GramLedger, expected: GramLedger):
 
 def plain_ledger_assembly(monkeypatch):
     """Swap the plain coco_block, add_square and add_block into the library."""
-    monkeypatch.setattr(certificates, "coco_block", coco_block_plain)
-    monkeypatch.setattr(lift, "coco_block", coco_block_plain)
+    monkeypatch.setattr(certificates, "coco_block", placed(coco_block_plain))
+    monkeypatch.setattr(lift, "coco_block", placed(coco_block_plain))
     monkeypatch.setattr(GramLedger, "add_square", add_square_plain)
     monkeypatch.setattr(GramLedger, "add_block", add_block_plain)
 
@@ -407,6 +410,31 @@ def test_coco_block_matches_plain_form(data, n, mode):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
     hcum = data.draw(signed_values((n, n)), label="hcum")
     assert_coco_matches_plain(W, hcum, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(COCO_MODES)))
+def test_placed_block_matches_the_embedded_weight_matrix(data, n, mode):
+    """A block at an origin adds the bits the full weight matrix holding it
+    adds, read-only weights included, on a fresh ledger and a -0.0 one."""
+    smooth, composite, coupled_star = COCO_MODES[mode]
+    first = 0 if smooth else 1  # nonsmooth inequalities have no subgradient at point 0
+    rows = data.draw(st.integers(1, n + 2), label="rows")
+    cols = data.draw(st.integers(1, n + 2 - first), label="cols")
+    top = data.draw(st.integers(0, n + 2 - rows), label="top")
+    left = data.draw(st.integers(first, n + 2 - cols), label="left")
+    weights = data.draw(signed_values((rows, cols)), label="weights")
+    weights.setflags(write=False)
+    hcum = data.draw(signed_values((n, n)), label="hcum")
+    W = np.zeros((n + 2, n + 2))
+    W[top : top + rows, left : left + cols] = weights
+    for start in (0.0, -0.0):
+        led, ref = GramLedger(n), GramLedger(n)
+        for name in ("quad", "lin_f", "lin_h"):
+            getattr(led, name)[...] = getattr(ref, name)[...] = start
+        coco_block(led, weights, hcum, smooth, composite, coupled_star, origin=(top, left))
+        coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
+        assert_same_ledger(led, ref)
 
 
 def diagonal_hcum(steps: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coco_oracle import coco_block_reference
+from coco_oracle import coco_block_reference, placed
 from conftest import basis_realization
 from peplift import certificates, lift
 from peplift.catalog import FAMILIES
@@ -113,6 +113,33 @@ class TestCocoBlock:
         with pytest.raises(ValueError):
             coco_block(GramLedger(n), W, np.triu(np.ones((n, n))), False, True, True)
 
+    @pytest.mark.parametrize("origin, shape", [
+        ((0, 0), (6, 5)), ((0, 0), (5, 6)), ((2, 1), (4, 3)), ((1, 5), (1, 1)), ((5, 0), (1, 1)),
+        ((-1, 0), (1, 1)), ((0, -1), (1, 1)),
+    ])
+    def test_block_outside_the_weight_matrix_raises(self, origin, shape):
+        n = 3  # the weight matrix is 5 x 5
+        with pytest.raises(ValueError, match="weight block"):
+            coco_block(GramLedger(n), np.ones(shape), np.triu(np.ones((n, n))), True, False, False, origin=origin)
+
+    def test_weights_are_read_and_their_diagonal_ignored(self):
+        n = 4
+        rng = np.random.default_rng(4)
+        hcum = np.triu(rng.standard_normal((n, n)))
+        weights = rng.random((n + 1, n))
+        weights.setflags(write=False)
+        given_weights = weights.copy()
+        led = GramLedger(n)
+        coco_block(led, weights, hcum, True, True, True, origin=(1, 1))
+        np.testing.assert_array_equal(weights, given_weights)
+        off_diagonal = np.zeros((n + 2, n + 2))
+        off_diagonal[1:, 1 : n + 1] = weights
+        np.fill_diagonal(off_diagonal, 0.0)
+        ref = GramLedger(n)
+        coco_block(ref, off_diagonal, hcum, True, True, True)
+        for name in ("quad", "lin_f", "lin_h"):
+            np.testing.assert_array_equal(getattr(led, name), getattr(ref, name))
+
     @pytest.mark.parametrize("algo,size", [("silver", 3), ("ogm", 9), ("gsw", 3), ("ogmg", 9)])
     def test_identity_ledgers_match_oracle(self, monkeypatch, algo, size):
         H = FAMILIES[algo].schedule(size)
@@ -124,8 +151,8 @@ class TestCocoBlock:
             lifted = lift.lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
             calls = [(certificates.grad_identity_ledgers, (H, cert)), (lift.composite_grad_ledgers, (H, cert, lifted))]
         fast = [fn(*args) for fn, args in calls]
-        monkeypatch.setattr(certificates, "coco_block", coco_block_reference)
-        monkeypatch.setattr(lift, "coco_block", coco_block_reference)
+        monkeypatch.setattr(certificates, "coco_block", placed(coco_block_reference))
+        monkeypatch.setattr(lift, "coco_block", placed(coco_block_reference))
         for (fn, args), sides in zip(calls, fast):
             for led, ref in zip(sides, fn(*args)):
                 assert _relative_gap(led, ref) <= 1e-12

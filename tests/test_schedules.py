@@ -315,6 +315,17 @@ class TestScheduleSpec:
         with pytest.raises(ValueError, match="does not match"):
             load_schedule_json(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "custom", "n": 2, "diagonal": [1.0, NaN]}',
+        '{"kind": "custom", "n": 1, "diagonal": [Infinity]}',
+        '{"kind": "custom", "n": 2, "matrix": [[1.0, -Infinity], [0.0, 1.0]]}',
+    ])
+    def test_custom_json_rejects_non_finite_literals(self, tmp_path, text):
+        path = tmp_path / "sched.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must be finite"):
+            load_schedule_json(path)
+
     def test_custom_json_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "sched.json"
         path.write_text(json.dumps({"kind": "silver", "n": 1, "diagonal": [1.0]}))
