@@ -11,7 +11,8 @@ total weight ``r`` appearing in the objective-gap identity
 A :class:`GradCertificate` packages ``lam`` and ``r`` for the gradient-norm
 identity  sum lam[i,j] Q_ij = -(r/2) ||g_n||^2 + f_0 - f_n.  Both are checked
 instance-free: the two sides are expanded over the symbol basis and compared
-coefficient by coefficient.
+coefficient by coefficient.  The constructors reject what would make no
+proof, so a certificate whose identity holds is one.
 """
 
 from __future__ import annotations
@@ -34,6 +35,22 @@ from .schedules import (
 )
 
 
+def _check_multipliers(lam: np.ndarray, r, *coeffs: np.ndarray) -> None:
+    """Reject what makes no proof: a non-finite entry, r <= 0, a nonzero
+    lam[i, i] (the identities ignore it, aggregates reads it) or an entry of
+    lam below -MU_TOL times its scale, the slack the mu check allows."""
+    low, high = float(lam.min()), float(lam.max())  # a NaN anywhere makes both NaN
+    if not (np.isfinite([r, low, high]).all() and all(np.isfinite(c).all() for c in coeffs)):
+        raise ValueError("certificate entries must be finite")
+    if not r > 0.0:
+        raise ValueError(f"certificate weight r must be positive, got {r!r}")
+    if np.any(np.diagonal(lam)):
+        raise ValueError("certificate multipliers lam[i, i] must be zero")
+    if low < -config.MU_TOL * max(1.0, -low, high):
+        i, j = np.unravel_index(np.argmin(lam), lam.shape)
+        raise ValueError(f"certificate multipliers must be nonnegative, got lam[{i}, {j}] = {low:.6g}")
+
+
 @dataclass(frozen=True)
 class FuncCertificate:
     """Multipliers certifying an objective-gap rate.
@@ -53,6 +70,7 @@ class FuncCertificate:
             raise ValueError(f"lam must be (n+2, n+1), got {lam.shape}")
         if gamma.shape != (lam.shape[1],):
             raise ValueError(f"gamma length {gamma.shape} does not match lam {lam.shape}")
+        _check_multipliers(lam, self.r, gamma)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
 
@@ -88,6 +106,7 @@ class GradCertificate:
         lam = _frozen(self.lam)
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
             raise ValueError(f"lam must be square, got {lam.shape}")
+        _check_multipliers(lam, self.r)
         object.__setattr__(self, "lam", lam)
 
     @property
@@ -293,7 +312,7 @@ def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, c
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
     led = GramLedger(n)
-    coco_block(led, cert.lam, cumulative(H), smooth=True, composite=composite, coupled_star=composite)
+    coco_block(led, cert.lam, cumulative(H), "composite_f" if composite else "unconstrained")
     return led
 
 

@@ -34,17 +34,20 @@ its diagonal zeroed.  Then :func:`coco_block` adds
 with sym(A) = (A + A^T) / 2.  The one-inequality-at-a-time expansion it
 replaces is kept as the reference oracle in ``tests/coco_oracle.py``.
 
-Callers pass their multipliers as they hold them, with the position of their
-block; the (n+2) x (n+2) weight matrix W lives only inside
-:func:`coco_block`, which drops it before the n^3 product.  Building a
-ledger allocates little beyond its own quadratic form: the assembly's
-scratch is a few n x n buffers (the step weights, the directions, whose row
-differences are taken in place, the product, and for smooth inequalities the
-Laplacian), and outer products, symmetrized blocks and differences are
-formed a block of rows or a slice at a time.  Each stage performs the
-floating-point operations of its one-expression form, in the same order, so
-the coefficients are bit for bit those of the plain forms in
-``tests/reference_forms.py``.
+Callers name the kind of inequality by a mode: 'unconstrained' (smooth,
+along the plain method, zero gradient at the optimum), 'composite_f'
+(smooth, along the composite extension, gradient -s_star at the optimum) or
+'composite_h' (nonsmooth, along the composite extension).  They pass their
+multipliers as they hold them, with the position of their block; the
+(n+2) x (n+2) weight matrix W lives only inside :func:`coco_block`, which
+drops it before the n^3 product.  Building a ledger allocates little beyond
+its own quadratic form: the assembly's scratch is a few n x n buffers (the
+step weights, the directions, whose row differences are taken in place, the
+product, and for smooth inequalities the Laplacian), and outer products,
+symmetrized blocks and differences are formed a block of rows or a slice at
+a time.  Each stage performs the floating-point operations of its
+one-expression form, in the same order, so the coefficients are bit for bit
+those of the plain forms in ``tests/reference_forms.py``.
 
 The n^3 product of the step weights with the direction differences is a
 column scaling when the differences are diagonal, which they are for a
@@ -236,13 +239,25 @@ def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
     return steps
 
 
+_MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
+    "unconstrained": (True, False),
+    "composite_f": (True, True),
+    "composite_h": (False, True),
+}
+
+
+def _mode(mode: str) -> tuple[bool, bool]:
+    """(smooth, composite) of a mode name."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; valid: {tuple(_MODES)}")
+    return _MODES[mode]
+
+
 def coco_block(
     led: GramLedger,
     weights: np.ndarray,
     hcum: np.ndarray,
-    smooth: bool,
-    composite: bool,
-    coupled_star: bool,
+    mode: str,
     origin: tuple[int, int] = (0, 0),
 ) -> None:
     """Add sum_{i != j} W[i, j] * coco(i, j) to led, in matrix form.
@@ -250,11 +265,12 @@ def coco_block(
     W is (n+2, n+2) over the points 0..n with STAR last: the block `weights`
     placed with its first entry at `origin`, zero elsewhere, and its diagonal
     ignored; `weights` itself is only read.  Column i-1 of hcum holds, on and
-    above the diagonal, the coefficients of the past directions in x_0 - x_i; direction l is
-    g_l + s_{l+1} when composite and g_l otherwise.  The gradient at STAR is
-    -s_star when coupled_star and zero otherwise.  Nonsmooth inequalities take
+    above the diagonal, the coefficients of the past directions in x_0 - x_i;
+    direction l is g_l + s_{l+1} in the composite modes and g_l otherwise.
+    A mode not in _MODES raises.  Nonsmooth inequalities ('composite_h') take
     the subgradient at j, which point 0 lacks, so their column 0 must be zero.
     """
+    smooth, composite = _mode(mode)
     hcum = np.asarray(hcum, dtype=float)
     n = hcum.shape[0]
     star = n + 1
@@ -318,7 +334,7 @@ def coco_block(
     # G as (basis rows, points, sign) groups: g_0..g_n or s_1..s_n, then STAR
     if smooth:
         groups = [(slice(ix_g(n, 0), ix_g(n, n) + 1), slice(0, star), 1.0)]
-        star_sign = -1.0 if coupled_star else 0.0
+        star_sign = -1.0 if composite else 0.0
     else:
         groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), 1.0)]
         star_sign = 1.0
@@ -342,32 +358,16 @@ def coco_block(
                 quad[rows, rows2] -= block
 
 
-_MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
-    "unconstrained": (True, False),
-    "composite_f": (True, True),
-    "composite_h": (False, True),
-}
-
-
 def cocoercivity_ledger(hcum: np.ndarray, i: Index, j: Index, mode: str) -> GramLedger:
-    """Single co-coercivity inequality as a standalone ledger.
-
-    mode 'unconstrained': smooth inequality along the plain method (optimal
-    gradient substituted by zero); 'composite_f': smooth inequality along the
-    composite extension (optimal gradient is -s_star); 'composite_h': the
-    nonsmooth inequality along the composite extension.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    """Single co-coercivity inequality of a mode as a standalone ledger."""
+    smooth, _ = _mode(mode)
     if i == j:
         raise ValueError("co-coercivity requires distinct indices")
     hcum = np.asarray(hcum, dtype=float)
     n = hcum.shape[0]
-    smooth, composite = _MODES[mode]
     for k, lo in ((i, 0), (j, 0 if smooth else 1)):  # no subgradient at point 0
         if k != STAR and not lo <= int(k) <= n:
             raise IndexError(f"index {k} out of range {lo}..{n}")
     led = GramLedger(n)
-    coco_block(led, [[1.0]], hcum, smooth, composite, coupled_star=composite,
-               origin=(ix_val(n, i), ix_val(n, j)))
+    coco_block(led, [[1.0]], hcum, mode, origin=(ix_val(n, i), ix_val(n, j)))
     return led

@@ -131,9 +131,7 @@ def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     for k in range(1, n + 1):
         x_prev = xs[k - 1]
         g_prev = ghat[k - 1] = problem.f_grad(x_prev) / L
-        akk = a[k - 1, k - 1]
-        if akk == 0.0:
-            raise ValueError(f"invalid schedule: zero fresh-gradient weight at step {k}")
+        akk = a[k - 1, k - 1]  # nonzero: StepsizeMatrix rejects a zero diagonal
         drift = a[: k - 1, k - 1] @ combined[: k - 1] if k >= 2 else 0.0
         x_new = problem.prox(akk / L, x_prev - drift - akk * g_prev)
         if not np.isfinite(x_new).all():

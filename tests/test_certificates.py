@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from peplift import catalog, certificates, config
 from peplift.certificates import (
     FuncCertificate,
     GradCertificate,
@@ -19,8 +21,11 @@ from peplift.certificates import (
     verify_func_identity,
     verify_grad_identity,
 )
+from peplift.cli import main
+from peplift.ledger import GramLedger, coco_block
 from peplift.schedules import (
     SILVER_RATIO,
+    cumulative,
     from_diagonal,
     gsw_schedule,
     gsw_taus,
@@ -233,3 +238,113 @@ class TestSnapshots:
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError):
             certificate_from_dict({"metric": "nope", "lam": [[0.0]], "r": 1.0})
+
+
+def ogm3_null_direction_lam(sign: float) -> np.ndarray:
+    """The ogm n=3 multipliers moved one unit along the null direction of
+    the identity's coefficient map over the 16 off-diagonal lam entries."""
+    n = 3
+    hcum = cumulative(ogm_stepsize_matrix(n))
+    entries = [(i, j) for i in range(n + 2) for j in range(n + 1) if i != j]
+    columns = []
+    for i, j in entries:
+        led = GramLedger(n)
+        coco_block(led, [[1.0]], hcum, "unconstrained", origin=(i, j))
+        columns.append(np.concatenate([led.quad.ravel(), led.lin_f, led.lin_h]))
+    _, singular, vt = np.linalg.svd(np.array(columns).T)
+    assert singular[-1] < 1e-12 * singular[0] < singular[-2]  # one null direction
+    lam = np.array(ogm_func_certificate(n).lam)
+    for (i, j), step in zip(entries, sign * vt[-1]):
+        lam[i, j] += step
+    return lam
+
+
+CONTRACT_CERTS = {"func": lambda: ogm_func_certificate(3), "grad": lambda: ogmg_grad_certificate(3)}
+
+
+def rebuilt(cert, lam=None, gamma=None, r=None):
+    """A certificate of cert's type from its fields, some replaced."""
+    lam = cert.lam if lam is None else lam
+    r = cert.r if r is None else r
+    if isinstance(cert, FuncCertificate):
+        return FuncCertificate(lam=lam, gamma=cert.gamma if gamma is None else gamma, r=r)
+    return GradCertificate(lam=lam, r=r)
+
+
+class TestMultiplierContract:
+    """A certificate is a proof only with nonnegative, finite multipliers and
+    r > 0; the constructors reject anything else."""
+
+    @pytest.mark.parametrize("metric", ["func", "grad"])
+    @pytest.mark.parametrize("entry, value, match", [
+        ((1, 0), math.nan, "finite"),
+        ((0, 1), math.inf, "finite"),
+        ((3, 0), -math.inf, "finite"),
+        ((2, 2), 1e-3, r"lam\[i, i\]"),
+        ((3, 3), -1e-3, r"lam\[i, i\]"),
+        ((2, 0), -1e-3, "nonnegative"),
+    ])
+    def test_rejects_lam_entry(self, metric, entry, value, match):
+        cert = CONTRACT_CERTS[metric]()
+        lam = np.array(cert.lam)
+        lam[entry] = value
+        with pytest.raises(ValueError, match=match):
+            rebuilt(cert, lam=lam)
+
+    @pytest.mark.parametrize("metric", ["func", "grad"])
+    @pytest.mark.parametrize("r, match", [
+        (math.nan, "finite"), (math.inf, "finite"), (0.0, "positive"), (-2.0, "positive"),
+    ])
+    def test_rejects_r(self, metric, r, match):
+        with pytest.raises(ValueError, match=match):
+            rebuilt(CONTRACT_CERTS[metric](), r=r)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_func_rejects_non_finite_gamma(self, value):
+        cert = ogm_func_certificate(3)
+        gamma = np.array(cert.gamma)
+        gamma[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            rebuilt(cert, gamma=gamma)
+
+    def test_negative_entries_within_the_multiplier_slack_pass(self):
+        cert = ogm_func_certificate(3)
+        lam = np.array(cert.lam)
+        lam[1, 0] = -0.5 * config.MU_TOL * np.max(np.abs(lam))
+        assert verify_func_identity(ogm_stepsize_matrix(3), rebuilt(cert, lam=lam)).passed
+        lam[1, 0] *= 4.0
+        with pytest.raises(ValueError, match=r"nonnegative, got lam\[1, 0\]"):
+            rebuilt(cert, lam=lam)
+
+    @pytest.mark.parametrize("cert", [silver_func_certificate(2), gsw_grad_certificate(2)], ids=["func", "grad"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["lam", "r"])
+    def test_from_dict_rejects_non_finite_literals(self, cert, literal, field):
+        doc = certificate_to_dict(cert)
+        if field == "lam":
+            doc["lam"][1][0] = json.loads(literal)
+        else:
+            doc["r"] = json.loads(literal)
+        text = json.dumps(doc)
+        assert literal in text
+        with pytest.raises(ValueError, match="finite"):
+            certificate_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ogm_n3_negative_multiplier_certificate_is_rejected(self, monkeypatch, sign):
+        cert = ogm_func_certificate(3)
+        lam = ogm3_null_direction_lam(sign)
+        assert lam.min() < -0.3
+        with monkeypatch.context() as patched:
+            patched.setattr(certificates, "_check_multipliers", lambda *args: None)
+            assert verify_func_identity(ogm_stepsize_matrix(3), rebuilt(cert, lam=lam)).passed  # its identity holds
+        with pytest.raises(ValueError, match="nonnegative"):
+            rebuilt(cert, lam=lam)
+
+    @pytest.mark.parametrize("command", ["certify", "lift"])
+    def test_negative_multiplier_certificate_is_a_usage_error(self, monkeypatch, capsys, command):
+        cert = ogm_func_certificate(3)
+        lam = ogm3_null_direction_lam(-1.0)
+        monkeypatch.setattr(catalog, "ogm_func_certificate", lambda n: rebuilt(cert, lam=lam))
+        assert main([command, "--algo", "ogm", "--metric", "func", "--n", "3"]) == 2
+        assert "nonnegative" in capsys.readouterr().err

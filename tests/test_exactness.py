@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coco_oracle import placed
+from coco_oracle import MODES, placed
 from peplift import certificates, ledger, lift, problems, schedules
 from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate, ogmg_grad_certificate
@@ -330,11 +330,6 @@ def test_gradient_descent_cells_skip_the_dense_products(algo, size, dense, lift_
 
 CELLS = [(algo, size) for algo in ("silver", "gsw") for size in range(1, 8)]
 CELLS += [(algo, size) for algo in ("ogm", "ogmg") for size in (1, 2, 3, 5, 64, 300)]
-COCO_MODES = {  # (smooth, composite, coupled_star) of the three kinds of call
-    "unconstrained": (True, False, False),
-    "composite_f": (True, True, True),
-    "composite_h": (False, True, True),
-}
 
 
 def assert_same_fields(actual, expected):
@@ -389,7 +384,7 @@ def signed_values(size: int) -> st.SearchStrategy:
 def assert_coco_matches_plain(W, hcum, mode):
     """Both forms add the same bits to a fresh ledger and to one holding -0.0
     everywhere, where a -0.0 added stays -0.0."""
-    smooth, composite, coupled_star = COCO_MODES[mode]
+    smooth, composite, coupled_star = MODES[mode]
     n = hcum.shape[0]
     if not smooth:
         W[:, 0] = 0.0
@@ -398,14 +393,14 @@ def assert_coco_matches_plain(W, hcum, mode):
         led, ref = GramLedger(n), GramLedger(n)
         for name in ("quad", "lin_f", "lin_h"):
             getattr(led, name)[...] = getattr(ref, name)[...] = start
-        coco_block(led, W, hcum, smooth, composite, coupled_star)
+        coco_block(led, W, hcum, mode)
         coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
         assert_same_ledger(led, ref)
         assert_bitwise_equal(W, given_W)  # the caller's weights stay as they were
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(COCO_MODES)))
+@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(MODES)))
 def test_coco_block_matches_plain_form(data, n, mode):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
     hcum = data.draw(signed_values((n, n)), label="hcum")
@@ -413,11 +408,11 @@ def test_coco_block_matches_plain_form(data, n, mode):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(COCO_MODES)))
+@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(MODES)))
 def test_placed_block_matches_the_embedded_weight_matrix(data, n, mode):
     """A block at an origin adds the bits the full weight matrix holding it
     adds, read-only weights included, on a fresh ledger and a -0.0 one."""
-    smooth, composite, coupled_star = COCO_MODES[mode]
+    smooth, composite, coupled_star = MODES[mode]
     first = 0 if smooth else 1  # nonsmooth inequalities have no subgradient at point 0
     rows = data.draw(st.integers(1, n + 2), label="rows")
     cols = data.draw(st.integers(1, n + 2 - first), label="cols")
@@ -432,7 +427,7 @@ def test_placed_block_matches_the_embedded_weight_matrix(data, n, mode):
         led, ref = GramLedger(n), GramLedger(n)
         for name in ("quad", "lin_f", "lin_h"):
             getattr(led, name)[...] = getattr(ref, name)[...] = start
-        coco_block(led, weights, hcum, smooth, composite, coupled_star, origin=(top, left))
+        coco_block(led, weights, hcum, mode, origin=(top, left))
         coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
         assert_same_ledger(led, ref)
 
@@ -445,7 +440,7 @@ def diagonal_hcum(steps: np.ndarray) -> np.ndarray:
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # counts are compared per input
-@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(COCO_MODES)))
+@given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(MODES)))
 def test_coco_block_matches_plain_form_on_a_diagonal_schedule(data, n, mode, counted_products):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
     hcum = diagonal_hcum(data.draw(signed_values(n), label="steps"))
@@ -454,7 +449,7 @@ def test_coco_block_matches_plain_form_on_a_diagonal_schedule(data, n, mode, cou
     assert counted_products.matmul_calls == calls  # the column scaling ran
 
 
-@pytest.mark.parametrize("mode", sorted(COCO_MODES))
+@pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
 def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(n, mode, counted_products):
     rng = np.random.default_rng(n)
@@ -464,7 +459,7 @@ def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(
     assert counted_products.matmul_calls == 0
 
 
-@pytest.mark.parametrize("mode", sorted(COCO_MODES))
+@pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_weights_keep_the_matrix_product(value, mode, counted_products):
     n = 9
@@ -476,7 +471,7 @@ def test_non_finite_weights_keep_the_matrix_product(value, mode, counted_product
     assert counted_products.matmul_calls > 0
 
 
-@pytest.mark.parametrize("mode", sorted(COCO_MODES))
+@pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
 def test_coco_block_matches_plain_form_at_the_block_edge(n, mode):
     rng = np.random.default_rng(n)

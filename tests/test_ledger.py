@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coco_oracle import coco_block_reference, placed
+from coco_oracle import MODES, coco_block_reference, placed
 from conftest import basis_realization
 from peplift import certificates, lift
 from peplift.catalog import FAMILIES
@@ -78,13 +78,6 @@ class TestSingleInequalities:
             cocoercivity_ledger(hcum3, 2, 0, "composite_h")
 
 
-MODES = {  # name -> (smooth, composite, coupled_star)
-    "unconstrained": (True, False, False),
-    "composite smooth": (True, True, True),
-    "composite nonsmooth": (False, True, True),
-}
-
-
 def _relative_gap(led: GramLedger, ref: GramLedger) -> float:
     return max(led.residual_vs(ref)) / max(ref.max_abs(), 1.0)
 
@@ -101,7 +94,7 @@ class TestCocoBlock:
         if not smooth:
             W[:, 0] = 0.0
         led, ref = GramLedger(n), GramLedger(n)
-        coco_block(led, W, hcum, smooth, composite, coupled_star)
+        coco_block(led, W, hcum, mode)
         coco_block_reference(ref, W, hcum, smooth, composite, coupled_star)
         assert _relative_gap(led, ref) <= 1e-12
 
@@ -111,7 +104,7 @@ class TestCocoBlock:
         W = np.zeros((n + 2, n + 2))
         W[data.draw(st.integers(1, n + 1), label="row"), 0] = weight
         with pytest.raises(ValueError):
-            coco_block(GramLedger(n), W, np.triu(np.ones((n, n))), False, True, True)
+            coco_block(GramLedger(n), W, np.triu(np.ones((n, n))), "composite_h")
 
     @pytest.mark.parametrize("origin, shape", [
         ((0, 0), (6, 5)), ((0, 0), (5, 6)), ((2, 1), (4, 3)), ((1, 5), (1, 1)), ((5, 0), (1, 1)),
@@ -120,7 +113,13 @@ class TestCocoBlock:
     def test_block_outside_the_weight_matrix_raises(self, origin, shape):
         n = 3  # the weight matrix is 5 x 5
         with pytest.raises(ValueError, match="weight block"):
-            coco_block(GramLedger(n), np.ones(shape), np.triu(np.ones((n, n))), True, False, False, origin=origin)
+            coco_block(GramLedger(n), np.ones(shape), np.triu(np.ones((n, n))), "unconstrained", origin=origin)
+
+    @pytest.mark.parametrize("mode", ["bogus", "composite smooth", "composite_F"])
+    def test_unknown_mode_raises(self, mode):
+        n = 2
+        with pytest.raises(ValueError, match="unknown mode"):
+            coco_block(GramLedger(n), np.ones((n + 2, n + 2)), np.triu(np.ones((n, n))), mode)
 
     def test_weights_are_read_and_their_diagonal_ignored(self):
         n = 4
@@ -130,13 +129,13 @@ class TestCocoBlock:
         weights.setflags(write=False)
         given_weights = weights.copy()
         led = GramLedger(n)
-        coco_block(led, weights, hcum, True, True, True, origin=(1, 1))
+        coco_block(led, weights, hcum, "composite_f", origin=(1, 1))
         np.testing.assert_array_equal(weights, given_weights)
         off_diagonal = np.zeros((n + 2, n + 2))
         off_diagonal[1:, 1 : n + 1] = weights
         np.fill_diagonal(off_diagonal, 0.0)
         ref = GramLedger(n)
-        coco_block(ref, off_diagonal, hcum, True, True, True)
+        coco_block(ref, off_diagonal, hcum, "composite_f")
         for name in ("quad", "lin_f", "lin_h"):
             np.testing.assert_array_equal(getattr(led, name), getattr(ref, name))
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from peplift import catalog
 from peplift.catalog import FAMILIES
 from peplift.certificates import (
+    FuncCertificate,
     aggregates,
     func_identity_ledgers,
     gsw_grad_certificate,
@@ -13,6 +15,7 @@ from peplift.certificates import (
     ogmg_grad_certificate,
     silver_func_certificate,
 )
+from peplift.cli import main
 from peplift.ledger import ix_dist, ix_g
 from peplift.lift import (
     certified_rate,
@@ -22,6 +25,7 @@ from peplift.lift import (
     lift_func,
     lift_grad,
     pseudoinverse_xi,
+    verify_cell,
     verify_composite_func_identity,
     verify_composite_grad_identity,
 )
@@ -120,21 +124,46 @@ class TestFuncLiftStructure:
         broken = silver_func_certificate(1)
         gamma = np.array(broken.gamma)
         gamma[-1] = 0.0
-        from peplift.certificates import FuncCertificate
-
         bad = FuncCertificate(lam=cert.lam, gamma=gamma, r=cert.r)
         with pytest.raises(ValueError, match="degenerate"):
             lift_func(from_diagonal(silver_schedule(1)), bad, xi=0.5)
 
-    def test_corrupted_certificate_fails_cross_check(self):
-        from peplift.certificates import FuncCertificate
 
-        cert = silver_func_certificate(2)
-        lam = np.array(cert.lam)
-        lam[0, 2] += 0.05
-        bad = FuncCertificate(lam=lam, gamma=cert.gamma, r=cert.r)
-        with pytest.raises(ValueError, match="disagree"):
-            lift_func(from_diagonal(silver_schedule(2)), bad, xi=0.5)
+def corrupted_silver_certificate() -> FuncCertificate:
+    """The silver k=2 certificate with lam[0, 2] raised by 0.05."""
+    cert = silver_func_certificate(2)
+    lam = np.array(cert.lam)
+    lam[0, 2] += 0.05
+    return FuncCertificate(lam=lam, gamma=cert.gamma, r=cert.r)
+
+
+class TestVerifiersJudge:
+    """The lift computes a lift from any certificate; only the verifiers say
+    whether the certificate holds."""
+
+    def test_corrupted_certificate_lifts_and_fails_the_composite_identity(self):
+        H, bad = from_diagonal(silver_schedule(2)), corrupted_silver_certificate()
+        lifted = lift_func(H, bad, xi=0.5)
+        assert not verify_composite_func_identity(H, bad, lifted).passed
+
+    @pytest.mark.parametrize("algo,size", [("silver", 2), ("ogm", 5)])
+    def test_every_off_diagonal_bump_fails_the_cell(self, algo, size):
+        family = FAMILIES[algo]
+        H, cert = family.schedule(size), family.certificate(size)
+        n = cert.n
+        for i in range(n + 2):
+            for j in range(n + 1):
+                if i == j:
+                    continue  # the constructor rejects a nonzero lam[i, i]
+                lam = np.array(cert.lam)
+                lam[i, j] += 1e-3
+                bad = FuncCertificate(lam=lam, gamma=cert.gamma, r=cert.r)
+                assert not verify_cell(H, bad, family.xi(size)).passed, (i, j)
+
+    @pytest.mark.parametrize("command", ["certify", "lift"])
+    def test_corrupted_certificate_exits_one(self, monkeypatch, command):
+        monkeypatch.setattr(catalog, "silver_func_certificate", lambda k: corrupted_silver_certificate())
+        assert main([command, "--algo", "silver", "--metric", "func", "--k", "2"]) == 1
 
 
 class TestFuncFeasibility:
