@@ -19,7 +19,7 @@ import subprocess
 import sys
 import time
 
-PEAK_RSS_MB = 575.0
+PEAK_RSS_MB = 500.0
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (lift arguments, required exit code); the bound applies to passing cells

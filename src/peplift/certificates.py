@@ -55,8 +55,8 @@ def _check_multipliers(lam: np.ndarray, r, *coeffs: np.ndarray) -> None:
 class FuncCertificate:
     """Multipliers certifying an objective-gap rate.
 
-    lam has shape (n+2, n+1): rows are iterate indices 0..n plus the optimum
-    row last, columns are 0..n.  gamma has length n+1 and r > 0.
+    lam has shape (n+2, n+1) with n >= 1: rows are iterate indices 0..n plus
+    the optimum row last, columns are 0..n.  gamma has length n+1 and r > 0.
     """
 
     lam: np.ndarray
@@ -66,8 +66,8 @@ class FuncCertificate:
     def __post_init__(self):
         lam = _frozen(self.lam)
         gamma = _frozen(self.gamma)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1] + 1:
-            raise ValueError(f"lam must be (n+2, n+1), got {lam.shape}")
+        if lam.ndim != 2 or lam.shape[0] != lam.shape[1] + 1 or lam.shape[1] < 2:
+            raise ValueError(f"lam must be (n+2, n+1) with n >= 1, got {lam.shape}")
         if gamma.shape != (lam.shape[1],):
             raise ValueError(f"gamma length {gamma.shape} does not match lam {lam.shape}")
         _check_multipliers(lam, self.r, gamma)
@@ -97,15 +97,15 @@ class FuncCertificate:
 
 @dataclass(frozen=True)
 class GradCertificate:
-    """Multipliers certifying a gradient-norm rate; lam is (n+1, n+1)."""
+    """Multipliers certifying a gradient-norm rate; lam is (n+1, n+1), n >= 1."""
 
     lam: np.ndarray
     r: float
 
     def __post_init__(self):
         lam = _frozen(self.lam)
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise ValueError(f"lam must be square, got {lam.shape}")
+        if lam.ndim != 2 or lam.shape[0] != lam.shape[1] or lam.shape[1] < 2:
+            raise ValueError(f"lam must be square (n+1, n+1) with n >= 1, got {lam.shape}")
         _check_multipliers(lam, self.r)
         object.__setattr__(self, "lam", lam)
 

@@ -24,6 +24,7 @@ report rather than raise on failure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -61,7 +62,9 @@ class CompositeFuncLift:
 
     sigma stacks the subgradient square-term weights (positions 1..n plus the
     optimum slot); mu has one row per nonsmooth-inequality source index
-    (1..n, optimum last) and one column per subgradient 1..n.  u_coeffs is
+    (1..n, optimum last) and one column per subgradient 1..n, and its
+    optimum row makes each column sum minus the diagonal entry the rows
+    above drop (the self-pair, which is no inequality).  u_coeffs is
     the single-square linear combination expanded over the global symbol
     basis.  slack is the full (n+2) x (n+2) matrix S, and laplacian its
     lower-right block L (a view of slack when built by lift_func).
@@ -69,7 +72,6 @@ class CompositeFuncLift:
 
     n: int
     sigma: np.ndarray
-    mu_tilde: np.ndarray
     mu: np.ndarray
     v: np.ndarray
     laplacian: np.ndarray
@@ -79,7 +81,7 @@ class CompositeFuncLift:
     r: float
 
     def __post_init__(self):
-        for name in ("sigma", "mu_tilde", "mu", "v", "laplacian", "slack", "u_coeffs"):
+        for name in ("sigma", "mu", "v", "laplacian", "slack", "u_coeffs"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
@@ -88,16 +90,14 @@ class CompositeGradLift:
     """Closed-form composite certificate derived from a gradient-norm one."""
 
     n: int
-    mu_tilde: np.ndarray
     mu: np.ndarray
     v: np.ndarray
     xi: float
-    base_block: np.ndarray  # [[r, v^T], [v, -hat]], diagonally dominant
-    slack: np.ndarray  # base_block minus the rank-one corner term
+    slack: np.ndarray  # [[r, v^T], [v, -hat]] minus r (1 - xi) at its four corners
     r: float
 
     def __post_init__(self):
-        for name in ("mu_tilde", "mu", "v", "base_block", "slack"):
+        for name in ("mu", "v", "slack"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
@@ -125,7 +125,7 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     which picks the pseudoinverse diagnostic value v^T L^+ v.  The shifted
     nonsmooth multipliers come from one closed form; verify_cell judges them.
     """
-    if xi != "pseudo" and (isinstance(xi, str) or not 0.0 < xi < math.inf):
+    if xi != "pseudo" and not (isinstance(xi, numbers.Real) and 0.0 < xi < math.inf):
         raise ValueError(f"xi must be 'pseudo' or positive and finite for the func metric, got {xi!r}")
     n = cert.n
     if H.n != n:
@@ -149,9 +149,12 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     gamma_sum = gamma_head + sigma[:n]
     for rows in _row_blocks(n):
         rhs[rows] += np.outer(gamma_head[rows], gamma_sum)
-    mu_tilde = np.linalg.solve(hc, rhs)
+    mu = np.empty((n + 1, n))
+    mu[:n] = np.linalg.solve(hc, rhs)
     del rhs
-    np.negative(mu_tilde, out=mu_tilde)
+    np.negative(mu[:n], out=mu[:n])
+    mu[n] = -mu[:n].sum(axis=0)  # optimum row, taken before the diagonal is zeroed
+    mu[np.arange(n), np.arange(n)] = 0.0
 
     slack = np.empty((n + 2, n + 2))
     laplacian = slack[1:, 1:]
@@ -162,11 +165,6 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     laplacian[n, n] = float(lam[n + 1].sum())
     for rows in _row_blocks(n + 1):
         laplacian[rows] -= np.outer(sigma[rows], sigma)
-
-    mu = np.zeros((n + 1, n))
-    mu[:n] = mu_tilde
-    mu[np.arange(n), np.arange(n)] = 0.0
-    mu[n] = -mu_tilde.sum(axis=0)  # optimum row
 
     v = np.empty(n + 1)
     v[:n] = sigma[:n] + lam[n + 1, :n] - mu[n]
@@ -185,9 +183,9 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
         u[ix_s(n, j)] += gamma[j - 1] + sigma[j - 1]
     u[ix_s_star(n)] += sigma[n]
 
-    _freeze(sigma, mu_tilde, mu, v, laplacian, slack, u)
+    _freeze(sigma, mu, v, laplacian, slack, u)
     return CompositeFuncLift(
-        n=n, sigma=sigma, mu_tilde=mu_tilde, mu=mu, v=v,
+        n=n, sigma=sigma, mu=mu, v=v,
         laplacian=laplacian, xi=xi_val, slack=slack, u_coeffs=u, r=r,
     )
 
@@ -196,9 +194,10 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     """Lift a gradient-norm certificate to the composite setting.
 
     Defaults xi' to 1 - (lam[n-1, n] + lam[n, n-1]) / r, which zeroes the
-    critical corner of the slack matrix and keeps it diagonally dominant.
+    critical corner of the slack matrix and keeps it diagonally dominant;
+    a default outside [0, 1) raises, as an explicit xi' there does.
     """
-    if xi is not None and (isinstance(xi, str) or not 0.0 <= xi < 1.0):
+    if xi is not None and not (isinstance(xi, numbers.Real) and 0.0 <= xi < 1.0):
         raise ValueError(f"xi must lie in [0, 1) for the grad metric, got {xi!r}")
     n = cert.n
     if H.n != n:
@@ -206,31 +205,34 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     lam, r = cert.lam, cert.r
     hat, tilde = aggregates(cert)
     hc = cumulative(H)
-    mu_tilde = np.linalg.solve(hc, (hc @ tilde).T)
-    np.negative(mu_tilde, out=mu_tilde)
+    mu = np.empty((n + 1, n))
+    mu[1:] = np.linalg.solve(hc, (hc @ tilde).T)
     del tilde
-
-    mu = np.zeros((n + 1, n))
-    mu[0] = -mu_tilde.sum(axis=0)
-    mu[1:] = mu_tilde
+    np.negative(mu[1:], out=mu[1:])
+    mu[0] = -mu[1:].sum(axis=0)  # taken before the diagonal is zeroed
     mu[np.arange(1, n + 1), np.arange(n)] = 0.0
 
     v = lam[:n, n] + lam[n, :n]
     if xi is None:
-        xi = 1.0 - (lam[n - 1, n] + lam[n, n - 1]) / r
+        corner = float(lam[n - 1, n] + lam[n, n - 1])
+        xi = 1.0 - corner / r
+        if not 0.0 <= xi < 1.0:
+            raise ValueError(
+                f"the default xi' = 1 - (lam[{n - 1}, {n}] + lam[{n}, {n - 1}]) / r = {xi!r} lies outside [0, 1):"
+                f" the two corner entries sum to {corner!r}, and r = {r!r}"
+            )
     xi = float(xi)
 
-    base = np.empty((n + 1, n + 1))
-    base[0, 0] = r
-    base[0, 1:] = v
-    base[1:, 0] = v
-    np.negative(hat, out=base[1:, 1:])
+    slack = np.empty((n + 1, n + 1))
+    slack[0, 0] = r
+    slack[0, 1:] = v
+    slack[1:, 0] = v
+    np.negative(hat, out=slack[1:, 1:])
     del hat
-    slack = base.copy()  # minus r (1 - xi) e e^T, e the indicator of positions 0 and n
-    slack[np.ix_([0, n], [0, n])] -= r * (1.0 - xi)
+    slack[np.ix_([0, n], [0, n])] -= r * (1.0 - xi)  # r (1 - xi) e e^T, e the indicator of 0 and n
 
-    _freeze(mu_tilde, mu, v, base, slack)
-    return CompositeGradLift(n=n, mu_tilde=mu_tilde, mu=mu, v=v, xi=xi, base_block=base, slack=slack, r=r)
+    _freeze(mu, v, slack)
+    return CompositeGradLift(n=n, mu=mu, v=v, xi=xi, slack=slack, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +318,7 @@ class FuncFeasibilityReport(_FeasibilityReport):
 
     schur_offdiag_max: float
     schur_rowsum_max: float
-    l_offdiag_max: float
-    l_rowsum_max: float
-    v_sum: float
     schur_laplacian_ok: bool
-    l_laplacian_ok: bool
 
     @property
     def structural_ok(self) -> bool:
@@ -340,19 +338,12 @@ def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
     s_off, s_row = _laplacian_violations(schur)
     del schur
 
-    l_scale = max(1.0, _max_abs(lift.laplacian))
-    l_off, l_row = _laplacian_violations(np.array(lift.laplacian))
-
-    tol_lap = config.LAPLACIAN_TOL
+    tol = config.LAPLACIAN_TOL * lap_scale
     return FuncFeasibilityReport(
         **_required_items(lift),
         schur_offdiag_max=s_off,
         schur_rowsum_max=s_row,
-        l_offdiag_max=l_off,
-        l_rowsum_max=l_row,
-        v_sum=float(lift.v.sum()),
-        schur_laplacian_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
-        l_laplacian_ok=(l_off <= tol_lap * l_scale and l_row <= tol_lap * l_scale),
+        schur_laplacian_ok=(s_off <= tol and s_row <= tol),
     )
 
 
@@ -362,9 +353,7 @@ class GradFeasibilityReport(_FeasibilityReport):
 
     STRUCTURAL_KEY = "diag_dominant_ok"
 
-    base_dd_margin: float
     slack_dd_margin: float
-    corner_value: float
     dd_ok: bool
 
     @property
@@ -380,9 +369,7 @@ def check_grad_feasibility(lift: CompositeGradLift) -> GradFeasibilityReport:
     slack_margin = _diag_dominance_margin(lift.slack)
     return GradFeasibilityReport(
         **_required_items(lift),
-        base_dd_margin=_diag_dominance_margin(lift.base_block),
         slack_dd_margin=slack_margin,
-        corner_value=float(lift.slack[0, -1]),
         dd_ok=slack_margin >= -config.LAPLACIAN_TOL * scale,
     )
 

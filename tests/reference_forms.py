@@ -457,12 +457,11 @@ def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -
     scale = max(np.max(np.abs(via_quad)), np.max(np.abs(via_hat)), 1.0)
     if np.max(np.abs(via_quad - via_hat)) > 1e-9 * scale:
         raise ValueError("closed-form multiplier expressions disagree; certificate does not satisfy the identity")
-    mu_tilde = via_quad
 
     mu = np.zeros((n + 1, n))
-    mu[:n] = mu_tilde
+    mu[:n] = via_quad
     mu[np.arange(n), np.arange(n)] = 0.0
-    mu[n] = -mu_tilde.sum(axis=0)  # optimum row
+    mu[n] = -via_quad.sum(axis=0)  # optimum row
 
     v = np.empty(n + 1)
     v[:n] = sigma[:n] + lam[n + 1, :n] - mu[n]
@@ -492,7 +491,7 @@ def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -
     u[ix_s_star(n)] += sigma[n]
 
     return CompositeFuncLift(
-        n=n, sigma=sigma, mu_tilde=mu_tilde, mu=mu, v=v,
+        n=n, sigma=sigma, mu=mu, v=v,
         laplacian=laplacian, xi=xi_val, slack=slack, u_coeffs=u, r=r,
     )
 
@@ -511,11 +510,11 @@ def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None =
     lam, r = cert.lam, cert.r
     hat, tilde = aggregates(cert)
     hc = cumulative(H)
-    mu_tilde = -np.linalg.solve(hc, (hc @ tilde).T)
+    solved = -np.linalg.solve(hc, (hc @ tilde).T)
 
     mu = np.zeros((n + 1, n))
-    mu[0] = -mu_tilde.sum(axis=0)
-    mu[1:] = mu_tilde
+    mu[0] = -solved.sum(axis=0)
+    mu[1:] = solved
     mu[np.arange(1, n + 1), np.arange(n)] = 0.0
 
     v = lam[:n, n] + lam[n, :n]
@@ -533,7 +532,7 @@ def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None =
     corner[n] = 1.0
     slack = base - r * (1.0 - xi) * np.outer(corner, corner)
 
-    return CompositeGradLift(n=n, mu_tilde=mu_tilde, mu=mu, v=v, xi=xi, base_block=base, slack=slack, r=r)
+    return CompositeGradLift(n=n, mu=mu, v=v, xi=xi, slack=slack, r=r)
 
 
 def laplacian_violations_plain(m: np.ndarray) -> tuple[float, float]:
@@ -564,9 +563,6 @@ def check_func_feasibility_plain(lift: CompositeFuncLift) -> FuncFeasibilityRepo
     lap_scale = max(1.0, float(np.max(np.abs(schur))))
     s_off, s_row = laplacian_violations_plain(schur)
 
-    l_scale = max(1.0, float(np.max(np.abs(lift.laplacian))))
-    l_off, l_row = laplacian_violations_plain(lift.laplacian)
-
     tol_lap = config.LAPLACIAN_TOL
     return FuncFeasibilityReport(
         xi=lift.xi,
@@ -576,13 +572,9 @@ def check_func_feasibility_plain(lift: CompositeFuncLift) -> FuncFeasibilityRepo
         spectral_norm=snorm,
         schur_offdiag_max=s_off,
         schur_rowsum_max=s_row,
-        l_offdiag_max=l_off,
-        l_rowsum_max=l_row,
-        v_sum=float(lift.v.sum()),
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
         eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
         schur_laplacian_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
-        l_laplacian_ok=(l_off <= tol_lap * l_scale and l_row <= tol_lap * l_scale),
     )
 
 
@@ -595,9 +587,7 @@ def check_grad_feasibility_plain(lift: CompositeGradLift) -> GradFeasibilityRepo
     eigs = np.linalg.eigvalsh(lift.slack)
     snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
     scale = max(1.0, float(np.max(np.abs(lift.slack))))
-    base_margin = diag_dominance_margin_plain(lift.base_block)
     slack_margin = diag_dominance_margin_plain(lift.slack)
-    corner = float(lift.slack[0, -1])
     tol = config.LAPLACIAN_TOL
     return GradFeasibilityReport(
         xi=lift.xi,
@@ -605,9 +595,7 @@ def check_grad_feasibility_plain(lift: CompositeGradLift) -> GradFeasibilityRepo
         mu_scale=mu_scale,
         min_eig=float(eigs[0]),
         spectral_norm=snorm,
-        base_dd_margin=base_margin,
         slack_dd_margin=slack_margin,
-        corner_value=corner,
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
         eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
         dd_ok=slack_margin >= -tol * scale,

@@ -42,6 +42,14 @@ def gsw_partial_sum_violation(k: int) -> float:
     return scaled_partial_sum_violation(lam, gammas, n)
 
 
+def grad_base_block(lifted) -> np.ndarray:
+    """The diagonally dominant block [[r, v^T], [v, -hat]] of a gradient lift:
+    its slack with r (1 - xi') added back at (0, 0), (0, n), (n, 0) and (n, n)."""
+    base = np.array(lifted.slack)
+    base[np.ix_([0, lifted.n], [0, lifted.n])] += lifted.r * (1.0 - lifted.xi)
+    return base
+
+
 def silver_t_sum_violation(k: int) -> float:
     """Nonnegativity of pi_j * sum_{l<j} lam[l, n] - lam[j-1, n] - lam[n, j-1]."""
     if k < 2:

@@ -272,8 +272,8 @@ def rebuilt(cert, lam=None, gamma=None, r=None):
 
 
 class TestMultiplierContract:
-    """A certificate is a proof only with nonnegative, finite multipliers and
-    r > 0; the constructors reject anything else."""
+    """A certificate is a proof only with nonnegative, finite multipliers,
+    r > 0 and at least one step; the constructors reject anything else."""
 
     @pytest.mark.parametrize("metric", ["func", "grad"])
     @pytest.mark.parametrize("entry, value, match", [
@@ -298,6 +298,16 @@ class TestMultiplierContract:
     def test_rejects_r(self, metric, r, match):
         with pytest.raises(ValueError, match=match):
             rebuilt(CONTRACT_CERTS[metric](), r=r)
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: FuncCertificate(lam=np.zeros((1, 0)), gamma=np.zeros(0), r=1.0), r"\(1, 0\)"),
+        (lambda: FuncCertificate(lam=np.zeros((2, 1)), gamma=np.zeros(1), r=1.0), r"\(2, 1\)"),
+        (lambda: GradCertificate(lam=np.zeros((0, 0)), r=1.0), r"\(0, 0\)"),
+        (lambda: GradCertificate(lam=np.zeros((1, 1)), r=1.0), r"\(1, 1\)"),
+    ], ids=["func-empty", "func-n0", "grad-empty", "grad-n0"])
+    def test_rejects_fewer_than_one_step(self, make, shape):
+        with pytest.raises(ValueError, match=r"n >= 1, got " + shape):
+            make()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_func_rejects_non_finite_gamma(self, value):

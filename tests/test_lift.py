@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from peplift import catalog
+from peplift import catalog, config
 from peplift.catalog import FAMILIES
 from peplift.certificates import (
     FuncCertificate,
+    GradCertificate,
     aggregates,
     func_identity_ledgers,
     gsw_grad_certificate,
@@ -39,7 +40,13 @@ from peplift.schedules import (
     silver_schedule,
     theta_sequence,
 )
-from reference_forms import partial_sum_kernel, perturbed_func_lift
+from reference_forms import (
+    diag_dominance_margin_plain,
+    laplacian_violations_plain,
+    partial_sum_kernel,
+    perturbed_func_lift,
+)
+from structural_checks import grad_base_block
 
 RHO = SILVER_RATIO
 SQ2 = math.sqrt(2.0)
@@ -108,7 +115,9 @@ class TestFuncLiftStructure:
         n = cert.n
         target = np.zeros(n)
         target[-1] = -cert.r
-        np.testing.assert_allclose(lifted.mu_tilde @ np.ones(n), target, atol=1e-9 * max(1.0, cert.r))
+        # mu's columns sum to minus the diagonal its rows drop, so this is the solve's row sums
+        row_sums = lifted.mu[:n].sum(axis=1) - lifted.mu.sum(axis=0)
+        np.testing.assert_allclose(row_sums, target, atol=1e-9 * max(1.0, cert.r))
         # total optimum-row mass and zero total for v
         assert abs(lifted.mu[n].sum() - cert.r) < 1e-9 * max(1.0, cert.r)
         assert abs(lifted.v.sum()) < 1e-10 * max(1.0, cert.r)
@@ -116,8 +125,9 @@ class TestFuncLiftStructure:
     @pytest.mark.parametrize("algo,size", [("silver", 4), ("ogm", 8)])
     def test_laplacian_structure(self, algo, size):
         _, _, lifted = silver_lift(size) if algo == "silver" else ogm_lift(size)
-        report = check_func_feasibility(lifted)
-        assert report.l_laplacian_ok
+        off, row = laplacian_violations_plain(lifted.laplacian)
+        scale = max(1.0, float(np.max(np.abs(lifted.laplacian))))
+        assert off <= config.LAPLACIAN_TOL * scale and row <= config.LAPLACIAN_TOL * scale
 
     def test_degenerate_gamma_rejected(self):
         cert = silver_func_certificate(1)
@@ -164,6 +174,45 @@ class TestVerifiersJudge:
     def test_corrupted_certificate_exits_one(self, monkeypatch, command):
         monkeypatch.setattr(catalog, "silver_func_certificate", lambda k: corrupted_silver_certificate())
         assert main([command, "--algo", "silver", "--metric", "func", "--k", "2"]) == 1
+
+
+def ogmg3_with_corner(pair: float) -> GradCertificate:
+    """The ogmg n=3 certificate with lam[2, 3] and lam[3, 2] set to pair each."""
+    cert = ogmg_grad_certificate(3)
+    lam = np.array(cert.lam)
+    lam[2, 3] = lam[3, 2] = pair
+    return GradCertificate(lam=lam, r=cert.r)
+
+
+class TestXiContract:
+    """Every xi a lift uses, given or default, is checked before it is used."""
+
+    @pytest.mark.parametrize("share, xi", [(0.0, r"1\.0"), (1.0, r"-1\.0")], ids=["zero", "above-r"])
+    def test_default_grad_xi_out_of_range_raises(self, share, xi):
+        bad = ogmg3_with_corner(share * ogmg_grad_certificate(3).r)  # corner sum 0 or 2r
+        with pytest.raises(ValueError, match=r"lam\[2, 3\] \+ lam\[3, 2\]\) / r = " + xi):
+            verify_cell(ogmg_stepsize_matrix(3), bad)
+
+    def test_default_grad_xi_out_of_range_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(catalog, "ogmg_grad_certificate", lambda n: ogmg3_with_corner(0.0))
+        assert main(["lift", "--algo", "ogmg", "--metric", "grad", "--n", "3"]) == 2
+        assert "lam[2, 3] + lam[3, 2]" in capsys.readouterr().err
+
+    def test_func_xi_none_raises_value_error(self):
+        H, cert = from_diagonal(silver_schedule(2)), silver_func_certificate(2)
+        with pytest.raises(ValueError, match="xi must be 'pseudo' or positive"):
+            verify_cell(H, cert)
+        with pytest.raises(ValueError, match="got None"):
+            FAMILIES["silver"].cell(2)
+
+    @pytest.mark.parametrize("xi", [[0.5], b"pseudo", complex(0.5, 0.0)], ids=["list", "bytes", "complex"])
+    def test_non_number_xi_raises_value_error(self, xi):
+        H, cert = from_diagonal(silver_schedule(2)), silver_func_certificate(2)
+        with pytest.raises(ValueError, match="xi must be"):
+            lift_func(H, cert, xi)
+        H, cert = ogmg_stepsize_matrix(3), ogmg_grad_certificate(3)
+        with pytest.raises(ValueError, match="xi must lie in"):
+            lift_grad(H, cert, xi)
 
 
 class TestFuncFeasibility:
@@ -308,13 +357,14 @@ class TestGradLift:
         n = cert.n
         target = np.zeros(n)
         target[-1] = -1.0
-        np.testing.assert_allclose(lifted.mu_tilde @ np.ones(n), target, atol=1e-9)
+        row_sums = lifted.mu[1:].sum(axis=1) - lifted.mu.sum(axis=0)
+        np.testing.assert_allclose(row_sums, target, atol=1e-9)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_gsw_base_block_diagonally_dominant(self, k):
         _, _, lifted = gsw_lift(k, xi=None)
-        report = check_grad_feasibility(lifted)
-        assert report.base_dd_margin >= -1e-10 * max(1.0, lifted.r)
+        margin = diag_dominance_margin_plain(grad_base_block(lifted))
+        assert margin >= -1e-10 * max(1.0, lifted.r)
 
     def test_ogmg_xi_closed_form(self):
         for n in (2, 5, 16):
