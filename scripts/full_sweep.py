@@ -6,6 +6,7 @@ Usage: python scripts/full_sweep.py [outdir]
 """
 
 import json
+import os
 import sys
 import tempfile
 import time
@@ -29,13 +30,16 @@ def build_config() -> dict:
 
 def main() -> int:
     outdir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="peplift_sweep_")
+    config = build_config()
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(build_config(), fh)
-        config_path = fh.name
-    start = time.perf_counter()
-    code = cli_main(["sweep", "--config", config_path, "--out", outdir])
-    elapsed = time.perf_counter() - start
-    print(f"\nsweep of {len(build_config()['cells'])} cells finished in {elapsed:.1f}s -> {outdir}/rollup.csv")
+        json.dump(config, fh)
+    try:
+        start = time.perf_counter()
+        code = cli_main(["sweep", "--config", fh.name, "--out", outdir])
+        elapsed = time.perf_counter() - start
+    finally:
+        os.unlink(fh.name)
+    print(f"\nsweep of {len(config['cells'])} cells finished in {elapsed:.1f}s -> {outdir}/rollup.csv")
     return code
 
 

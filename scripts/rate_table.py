@@ -16,7 +16,7 @@ SIZES = {"k": range(1, 7), "n": (1, 2, 4, 8, 16, 32, 64)}
 def cells():
     for family in sorted(FAMILIES.values(), key=lambda f: f.metric):  # objective-gap families first
         for size in SIZES[family.size_flag]:
-            yield family, size, family.cell(size, family.xi(size))
+            yield family, size, family.cell(size)
 
 
 def main() -> int:

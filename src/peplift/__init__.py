@@ -14,7 +14,7 @@ from .certificates import (
     verify_func_identity,
     verify_grad_identity,
 )
-from .ledger import STAR, GramLedger, cocoercivity_ledger
+from .ledger import STAR, GramLedger
 from .lift import (
     CompositeFuncLift,
     CompositeGradLift,
@@ -35,7 +35,7 @@ from .methods import (
     run_pogmg,
     run_unconstrained,
 )
-from .problems import ProblemSpec, composite_gap, initial_point, make_problem
+from .problems import ProblemSpec, initial_point, make_problem
 from .schedules import (
     SILVER_RATIO,
     ScheduleSpec,

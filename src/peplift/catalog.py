@@ -64,7 +64,9 @@ class Family:
     bound: Callable[[RunTrace, ProxProblem, np.ndarray, float], tuple[float, float]]
 
     def cell(self, size: int, xi: float | str | None = None, *, lift: bool = True) -> Cell:
-        """Certify, and unless lift is False, lift and verify at this size."""
+        """Certify, and unless lift is False, lift at xi (the row's own
+        `xi(size)` when None) and verify at this size."""
+        xi = self.xi(size) if xi is None else xi
         return verify_cell(self.schedule(size), self.certificate(size), xi, lift=lift)
 
 

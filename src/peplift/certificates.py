@@ -78,22 +78,6 @@ class FuncCertificate:
     def n(self) -> int:
         return self.lam.shape[1] - 1
 
-    def invariant_residuals(self) -> dict[str, float]:
-        """Max violations of nonnegativity, the row/column-sum identities and
-        the coupling between the optimum row and gamma."""
-        n = self.n
-        lam, r = self.lam, self.r
-        row = lam[: n + 1].sum(axis=1)  # over columns, iterate rows only
-        col = lam.sum(axis=0)  # over all rows incl. optimum
-        interior = np.max(np.abs(row[:n] - col[:n])) if n > 0 else 0.0
-        return {
-            "nonneg": max(0.0, float(-lam.min())),
-            "interior_rows": float(interior),
-            "last_row": abs(float(row[n] - col[n]) + r),
-            "star_total": abs(float(lam[-1].sum()) - r),
-            "star_equals_gamma": float(np.max(np.abs(lam[-1] - self.gamma))),
-        }
-
 
 @dataclass(frozen=True)
 class GradCertificate:
@@ -112,20 +96,6 @@ class GradCertificate:
     @property
     def n(self) -> int:
         return self.lam.shape[1] - 1
-
-    def invariant_residuals(self) -> dict[str, float]:
-        n = self.n
-        lam, r = self.lam, self.r
-        row = lam.sum(axis=1)
-        col = lam.sum(axis=0)
-        interior = np.max(np.abs(row[1:n] - col[1:n])) if n > 1 else 0.0
-        return {
-            "nonneg": max(0.0, float(-lam.min())),
-            "first_row": abs(float(row[0] - col[0]) - 1.0),
-            "interior_rows": float(interior),
-            "last_row": abs(float(row[n] - col[n]) + 1.0),
-            "last_cross_sum": abs(float(row[n] + col[n]) - r),
-        }
 
 
 # ---------------------------------------------------------------------------

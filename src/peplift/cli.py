@@ -47,17 +47,18 @@ def _size(family: catalog.Family, raw) -> int:
     return raw
 
 
-def _xi(family: catalog.Family, raw, size: int):
-    """(xi, xi_mode) from 'paper', 'pseudo' or a number (a string on the
-    command line).  The lift rejects values outside its metric's range."""
+def _xi(raw):
+    """(xi, xi_mode) from 'paper' (None: the row's own xi), 'pseudo' or a
+    number (a string on the command line).  The lift rejects values outside
+    its metric's range."""
     if raw == "paper":
-        return family.xi(size), "paper"
+        return None, "paper"
     if raw == "pseudo":
         return "pseudo", "pseudo"
     if type(raw) in (str, int, float):
         try:
             return float(raw), "explicit"
-        except ValueError:
+        except (ValueError, OverflowError):  # an int beyond float range overflows
             pass
     raise UsageError(f"xi must be a number, 'paper' or 'pseudo', got {raw!r}")
 
@@ -85,7 +86,7 @@ def cmd_certify(args) -> int:
 def cmd_lift(args) -> int:
     family = _family(args.algo, args.metric)
     size = _size(family, getattr(args, family.size_flag))
-    xi, xi_mode = _xi(family, args.xi, size)
+    xi, xi_mode = _xi(args.xi)
     cell = family.cell(size, xi)
     paper_rate = family.rate(size)
     doc = {
@@ -180,7 +181,7 @@ def _sweep_job(cell) -> tuple[catalog.Family, int, float | str | None, int]:
         raise UsageError(f"sweep cell must be an object, got {cell!r}")
     family = _family(cell.get("algo"), cell.get("metric"))
     size = _size(family, cell.get(family.size_flag))
-    xi, _ = _xi(family, cell.get("xi", "paper"), size)
+    xi, _ = _xi(cell.get("xi", "paper"))
     instances = cell.get("instances", 0)
     if type(instances) is not int or instances < 0:
         raise UsageError(f"'instances' must be an integer >= 0, got {instances!r}")

@@ -96,7 +96,7 @@ def ix_val(n: int, i: Index) -> int:
 
 
 class GramLedger:
-    """Quadratic + linear form with exact add/scale arithmetic.
+    """Quadratic + linear form of an identity side.
 
     The quadratic form is z^T quad z over the symbol basis (quad symmetric);
     lin_f and lin_h hold the coefficients of f_0..f_n, f_star and
@@ -111,12 +111,6 @@ class GramLedger:
         self.quad = np.zeros((d, d))
         self.lin_f = np.zeros(n + 2)
         self.lin_h = np.zeros(n + 2)
-
-    def add(self, other: "GramLedger", weight: float = 1.0) -> "GramLedger":
-        self.quad += weight * other.quad
-        self.lin_f += weight * other.lin_f
-        self.lin_h += weight * other.lin_h
-        return self
 
     def add_f(self, i: Index, weight: float) -> None:
         self.lin_f[ix_val(self.n, i)] += weight
@@ -155,12 +149,6 @@ class GramLedger:
         for at_p, to_p in runs:
             for at_q, to_q in runs:
                 self.quad[to_p, to_q] += sym[at_p, at_q]
-
-    def evaluate(self, vectors: np.ndarray, f_vals: np.ndarray, h_vals: np.ndarray) -> float:
-        """Numeric value of the form on concrete data: vectors is a
-        (basis_dim, space_dim) stack of realizations of the symbols."""
-        gram = vectors @ vectors.T
-        return float(np.sum(self.quad * gram) + self.lin_f @ f_vals + self.lin_h @ h_vals)
 
     def max_abs(self) -> float:
         return max(_max_abs(self.quad), _max_abs(self.lin_f), _max_abs(self.lin_h))
@@ -246,13 +234,6 @@ _MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
 }
 
 
-def _mode(mode: str) -> tuple[bool, bool]:
-    """(smooth, composite) of a mode name."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; valid: {tuple(_MODES)}")
-    return _MODES[mode]
-
-
 def coco_block(
     led: GramLedger,
     weights: np.ndarray,
@@ -270,7 +251,9 @@ def coco_block(
     A mode not in _MODES raises.  Nonsmooth inequalities ('composite_h') take
     the subgradient at j, which point 0 lacks, so their column 0 must be zero.
     """
-    smooth, composite = _mode(mode)
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; valid: {tuple(_MODES)}")
+    smooth, composite = _MODES[mode]
     hcum = np.asarray(hcum, dtype=float)
     n = hcum.shape[0]
     star = n + 1
@@ -357,17 +340,3 @@ def coco_block(
                 block *= 0.5 * sign * sign2
                 quad[rows, rows2] -= block
 
-
-def cocoercivity_ledger(hcum: np.ndarray, i: Index, j: Index, mode: str) -> GramLedger:
-    """Single co-coercivity inequality of a mode as a standalone ledger."""
-    smooth, _ = _mode(mode)
-    if i == j:
-        raise ValueError("co-coercivity requires distinct indices")
-    hcum = np.asarray(hcum, dtype=float)
-    n = hcum.shape[0]
-    for k, lo in ((i, 0), (j, 0 if smooth else 1)):  # no subgradient at point 0
-        if k != STAR and not lo <= int(k) <= n:
-            raise IndexError(f"index {k} out of range {lo}..{n}")
-    led = GramLedger(n)
-    coco_block(led, [[1.0]], hcum, mode, origin=(ix_val(n, i), ix_val(n, j)))
-    return led

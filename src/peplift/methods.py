@@ -224,7 +224,7 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
 # ---------------------------------------------------------------------------
 
 
-def trace_summary(trace: RunTrace, problem: ProxProblem | None = None) -> dict:
+def trace_summary(trace: RunTrace, problem: ProxProblem) -> dict:
     """Per-iterate gaps, stationarity norms and distances as a JSON-ready dict.
 
     Infinite objective values (indicator h at an infeasible start) become
@@ -240,14 +240,14 @@ def trace_summary(trace: RunTrace, problem: ProxProblem | None = None) -> dict:
         "grad_plus_subgrad_sq": [None]
         + [float(np.dot(trace.grads[i] + trace.subgrads[i - 1], trace.grads[i] + trace.subgrads[i - 1])) for i in range(1, n + 1)],
     }
-    if problem is not None and problem.opt_value is not None:
+    if problem.opt_value is not None:
         doc["obj_gap"] = [_clean(v - problem.opt_value) for v in trace.obj_values]
-    if problem is not None and problem.x_star is not None:
+    if problem.x_star is not None:
         doc["dist_to_opt"] = [float(np.linalg.norm(x - problem.x_star)) for x in trace.xs]
     return doc
 
 
-def write_trace_csv(trace: RunTrace, path, problem: ProxProblem | None = None) -> None:
+def write_trace_csv(trace: RunTrace, path, problem: ProxProblem) -> None:
     """One row per iterate: objective, gap and stationarity columns."""
     doc = trace_summary(trace, problem)
     fields = ["k", "obj", "grad_plus_subgrad_sq"]

@@ -368,13 +368,3 @@ def _reference_optimum(spec, a, b, f_value, f_grad, h_value, prox, smoothness, c
         _store_cached(cache_dir, spec, x_star, opt_value)
     return x_star, opt_value
 
-
-def composite_gap(trace, problem: ProxProblem) -> np.ndarray:
-    """Per-iterate objective gap F(x_k) - F_star.
-
-    Not monotone in general (long-step schedules overshoot); gaps are only
-    guaranteed nonnegative up to the reference-solve accuracy.
-    """
-    if problem.opt_value is None:
-        raise ValueError("problem has no known optimal value")
-    return trace.obj_values - problem.opt_value

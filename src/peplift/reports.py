@@ -23,9 +23,9 @@ def format17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, parts: list[str], indent: int, pad: str) -> None:
-    here = pad * indent
-    inner = pad * (indent + 1)
+def _emit(obj, parts: list[str], indent: int) -> None:
+    here = "  " * indent
+    inner = here + "  "
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -47,7 +47,7 @@ def _emit(obj, parts: list[str], indent: int, pad: str) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             parts.append(inner + json.dumps(key) + ": ")
-            _emit(value, parts, indent + 1, pad)
+            _emit(value, parts, indent + 1)
             parts.append(",\n" if idx < len(obj) - 1 else "\n")
         parts.append(here + "}")
     elif isinstance(obj, (list, tuple)):
@@ -57,24 +57,24 @@ def _emit(obj, parts: list[str], indent: int, pad: str) -> None:
         parts.append("[\n")
         for idx, value in enumerate(obj):
             parts.append(inner)
-            _emit(value, parts, indent + 1, pad)
+            _emit(value, parts, indent + 1)
             parts.append(",\n" if idx < len(obj) - 1 else "\n")
         parts.append(here + "]")
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts, indent, pad)
+        _emit(obj.tolist(), parts, indent)
     elif isinstance(obj, np.bool_):
         parts.append("true" if obj else "false")
     elif isinstance(obj, np.floating):
-        _emit(float(obj), parts, indent, pad)
+        _emit(float(obj), parts, indent)
     elif isinstance(obj, np.integer):
-        _emit(int(obj), parts, indent, pad)
+        _emit(int(obj), parts, indent)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps17(obj, indent: int = 2) -> str:
+def dumps17(obj) -> str:
     parts: list[str] = []
-    _emit(obj, parts, 0, " " * indent)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

@@ -74,12 +74,6 @@ class StepsizeMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def alpha(self, k: int, j: int) -> float:
-        """Weight on gradient j at step k (1 <= k <= n, 0 <= j < k)."""
-        if not (1 <= k <= self.n and 0 <= j < k):
-            raise IndexError(f"alpha index (k={k}, j={j}) out of range for n={self.n}")
-        return float(self.entries[j, k - 1])
-
     @cached_property
     def _cumulative(self) -> np.ndarray:
         a, n = self.entries, self.n

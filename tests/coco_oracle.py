@@ -3,14 +3,31 @@
 peplift assembles every weighted sum of co-coercivity inequalities in matrix
 form (:func:`peplift.ledger.coco_block`).  This module expands the same sums
 one inequality at a time, straight from the definitions, and is the oracle
-the matrix form is tested against.
+the matrix form is tested against.  It also builds a single inequality as a
+ledger and evaluates a ledger on concrete data, which ties the symbols to
+the runs they describe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from peplift.ledger import STAR, GramLedger, Index, basis_dim, ix_dist, ix_g, ix_s, ix_s_star
+from peplift.ledger import STAR, GramLedger, Index, basis_dim, coco_block, ix_dist, ix_g, ix_s, ix_s_star, ix_val
+
+
+def evaluate(led: GramLedger, vectors: np.ndarray, f_vals: np.ndarray, h_vals: np.ndarray) -> float:
+    """Numeric value of the form on concrete data: vectors is a
+    (basis_dim, space_dim) stack of realizations of the symbols."""
+    gram = vectors @ vectors.T
+    return float(np.sum(led.quad * gram) + led.lin_f @ f_vals + led.lin_h @ h_vals)
+
+
+def single_inequality(hcum: np.ndarray, i: Index, j: Index, mode: str) -> GramLedger:
+    """The co-coercivity inequality (i, j) of a mode as a standalone ledger."""
+    n = np.shape(hcum)[0]
+    led = GramLedger(n)
+    coco_block(led, [[1.0]], hcum, mode, origin=(ix_val(n, i), ix_val(n, j)))
+    return led
 
 
 def iter_nonzero(lam: np.ndarray):

@@ -11,6 +11,39 @@ from peplift.schedules import gsw_schedule, silver_schedule, theta_sequence
 from reference_forms import phi_sequence, u_matrix
 
 
+def func_invariant_residuals(cert) -> dict[str, float]:
+    """Max violations of nonnegativity, the row/column-sum identities and
+    the coupling between the optimum row and gamma."""
+    n = cert.n
+    lam, r = cert.lam, cert.r
+    row = lam[: n + 1].sum(axis=1)  # over columns, iterate rows only
+    col = lam.sum(axis=0)  # over all rows incl. optimum
+    interior = np.max(np.abs(row[:n] - col[:n])) if n > 0 else 0.0
+    return {
+        "nonneg": max(0.0, float(-lam.min())),
+        "interior_rows": float(interior),
+        "last_row": abs(float(row[n] - col[n]) + r),
+        "star_total": abs(float(lam[-1].sum()) - r),
+        "star_equals_gamma": float(np.max(np.abs(lam[-1] - cert.gamma))),
+    }
+
+
+def grad_invariant_residuals(cert) -> dict[str, float]:
+    """Max violations of nonnegativity and the row/column-sum identities."""
+    n = cert.n
+    lam, r = cert.lam, cert.r
+    row = lam.sum(axis=1)
+    col = lam.sum(axis=0)
+    interior = np.max(np.abs(row[1:n] - col[1:n])) if n > 1 else 0.0
+    return {
+        "nonneg": max(0.0, float(-lam.min())),
+        "first_row": abs(float(row[0] - col[0]) - 1.0),
+        "interior_rows": float(interior),
+        "last_row": abs(float(row[n] - col[n]) + 1.0),
+        "last_cross_sum": abs(float(row[n] + col[n]) - r),
+    }
+
+
 def scaled_partial_sum_violation(lam: np.ndarray, gammas: np.ndarray, j_max: int) -> float:
     """Sign pattern of lam[i, j-1]/gamma[j-1] - lam[i, j]/gamma[j]:
     nonnegative above the band (i <= j-2), nonpositive below (i >= j+1)."""

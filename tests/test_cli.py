@@ -263,6 +263,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "[0, 1)" in capsys.readouterr().err
 
+    def test_cell_xi_beyond_float_range_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": [{"algo": "ogm", "metric": "func", "n": 2, "xi": 10**400}]}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "xi must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [
         [{"algo": "silver", "k": 2}],
         {"cells": {"algo": "silver", "k": 2}},

@@ -11,10 +11,10 @@ below the certified constant.
 import numpy as np
 import pytest
 
-from coco_oracle import iter_nonzero
+from coco_oracle import evaluate, iter_nonzero, single_inequality
 from conftest import basis_realization
 from peplift.catalog import FAMILIES
-from peplift.ledger import STAR, cocoercivity_ledger
+from peplift.ledger import STAR
 from peplift.lift import (
     certified_rate,
     composite_func_ledgers,
@@ -50,8 +50,8 @@ def test_identity_evaluates_to_zero_on_traces(algo, size, spec):
     else:
         lifted = lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
         lhs, rhs = composite_grad_ledgers(H, cert, lifted)
-    left = lhs.evaluate(vectors, f_vals, h_vals)
-    right = rhs.evaluate(vectors, f_vals, h_vals)
+    left = evaluate(lhs, vectors, f_vals, h_vals)
+    right = evaluate(rhs, vectors, f_vals, h_vals)
     scale = max(1.0, abs(left), abs(right)) * max(1.0, cert.r)
     assert abs(left - right) <= 1e-9 * scale
 
@@ -88,12 +88,12 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
         if i == j:
             continue
         ii = STAR if (FAMILIES[algo].metric == "func" and i == n + 1) else i
-        value = cocoercivity_ledger(hcum, ii, j, "composite_f").evaluate(vectors, f_vals, h_vals)
+        value = evaluate(single_inequality(hcum, ii, j, "composite_f"), vectors, f_vals, h_vals)
         assert w >= 0 and value >= -1e-8
     for i, j, w in mu_pairs:
         if i == j:
             continue
-        value = cocoercivity_ledger(hcum, i, j, "composite_h").evaluate(vectors, f_vals, h_vals)
+        value = evaluate(single_inequality(hcum, i, j, "composite_h"), vectors, f_vals, h_vals)
         assert w >= -1e-10 and value >= -1e-8
 
     assert np.linalg.eigvalsh(slack)[0] >= -1e-9 * max(1.0, abs(np.max(slack)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coco_oracle import MODES, coco_block_reference, placed
+from coco_oracle import MODES, coco_block_reference, evaluate, placed, single_inequality
 from conftest import basis_realization
 from peplift import certificates, lift
 from peplift.catalog import FAMILIES
@@ -12,7 +12,6 @@ from peplift.ledger import (
     STAR,
     GramLedger,
     coco_block,
-    cocoercivity_ledger,
     ix_dist,
     ix_g,
     ix_s,
@@ -33,7 +32,7 @@ class TestSingleInequalities:
     def test_unconstrained_final_vs_optimum(self, hcum3):
         # f_n - f_star - ||g_n||^2 / 2 once the optimal gradient is zeroed out
         n = 3
-        led = cocoercivity_ledger(hcum3, n, STAR, "unconstrained")
+        led = single_inequality(hcum3, n, STAR, "unconstrained")
         expected_f = np.zeros(n + 2)
         expected_f[ix_val(n, n)] = 1.0
         expected_f[ix_val(n, STAR)] = -1.0
@@ -47,8 +46,9 @@ class TestSingleInequalities:
         # smooth + nonsmooth inequality at (n, star) collapses to
         # F_n - F_star - ||g_n + s_star||^2 / 2
         n = 3
-        led = cocoercivity_ledger(hcum3, n, STAR, "composite_f")
-        led.add(cocoercivity_ledger(hcum3, n, STAR, "composite_h"))
+        led = GramLedger(n)
+        for mode in ("composite_f", "composite_h"):
+            coco_block(led, [[1.0]], hcum3, mode, origin=(ix_val(n, n), ix_val(n, STAR)))
         assert led.lin_f[ix_val(n, n)] == 1.0 and led.lin_f[ix_val(n, STAR)] == -1.0
         assert led.lin_h[ix_val(n, n)] == 1.0 and led.lin_h[ix_val(n, STAR)] == -1.0
         quad = np.zeros_like(led.quad)
@@ -58,24 +58,6 @@ class TestSingleInequalities:
         quad[gn, ss] = -0.5
         quad[ss, gn] = -0.5
         np.testing.assert_allclose(led.quad, quad, atol=1e-14)
-
-    def test_rejects_equal_indices(self, hcum3):
-        with pytest.raises(ValueError):
-            cocoercivity_ledger(hcum3, 1, 1, "unconstrained")
-
-    def test_rejects_unknown_mode(self, hcum3):
-        with pytest.raises(ValueError):
-            cocoercivity_ledger(hcum3, 0, 1, "bogus")
-
-    def test_rejects_out_of_range_index(self, hcum3):
-        with pytest.raises(IndexError):
-            cocoercivity_ledger(hcum3, 4, 0, "unconstrained")
-        with pytest.raises(IndexError):
-            cocoercivity_ledger(hcum3, STAR, -1, "composite_f")
-
-    def test_nonsmooth_rejects_subgradient_at_zero(self, hcum3):
-        with pytest.raises(IndexError):
-            cocoercivity_ledger(hcum3, 2, 0, "composite_h")
 
 
 def _relative_gap(led: GramLedger, ref: GramLedger) -> float:
@@ -173,8 +155,8 @@ class TestNonnegativitySampling:
             vectors, f_vals, h_vals = basis_realization(trace, problem)
             for idx, (i, j) in enumerate(pairs):
                 mode = "composite_f" if idx < (n + 2) * (n + 1) - (n + 1) else "composite_h"
-                led = cocoercivity_ledger(hcum, i, j, mode)
-                worst = min(worst, led.evaluate(vectors, f_vals, h_vals))
+                led = single_inequality(hcum, i, j, mode)
+                worst = min(worst, evaluate(led, vectors, f_vals, h_vals))
         assert worst >= -1e-9
 
     def test_smooth_and_nonsmooth_split(self):
@@ -190,24 +172,17 @@ class TestNonnegativitySampling:
             for j in range(n + 1):
                 if i == j:
                     continue
-                val = cocoercivity_ledger(hcum, i, j, "composite_f").evaluate(vectors, f_vals, h_vals)
+                val = evaluate(single_inequality(hcum, i, j, "composite_f"), vectors, f_vals, h_vals)
                 assert val >= -1e-9
         for i in list(range(1, n + 1)) + [STAR]:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                val = cocoercivity_ledger(hcum, i, j, "composite_h").evaluate(vectors, f_vals, h_vals)
+                val = evaluate(single_inequality(hcum, i, j, "composite_h"), vectors, f_vals, h_vals)
                 assert val >= -1e-9
 
 
 class TestLedgerArithmetic:
-    def test_linearity(self, hcum3):
-        a = cocoercivity_ledger(hcum3, 0, 1, "unconstrained")
-        b = cocoercivity_ledger(hcum3, 1, 0, "unconstrained")
-        combo = GramLedger(3).add(a, 2.0).add(b, -0.5)
-        np.testing.assert_allclose(combo.quad, 2.0 * a.quad - 0.5 * b.quad)
-        np.testing.assert_allclose(combo.lin_f, 2.0 * a.lin_f - 0.5 * b.lin_f)
-
     def test_square_accumulator(self):
         led = GramLedger(1)
         c = np.zeros(5)
@@ -237,8 +212,8 @@ class TestLedgerArithmetic:
             GramLedger(1).add_block(np.array([0, index]), np.ones((2, 2)), 1.0)
 
     def test_residual_and_scale(self, hcum3):
-        a = cocoercivity_ledger(hcum3, 0, 1, "unconstrained")
-        b = cocoercivity_ledger(hcum3, 0, 1, "unconstrained")
+        a = single_inequality(hcum3, 0, 1, "unconstrained")
+        b = single_inequality(hcum3, 0, 1, "unconstrained")
         b.lin_f[0] += 1e-3
         quad, lin_f, lin_h = a.residual_vs(b)
         assert quad == 0.0 and lin_h == 0.0

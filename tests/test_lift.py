@@ -202,8 +202,8 @@ class TestXiContract:
         H, cert = from_diagonal(silver_schedule(2)), silver_func_certificate(2)
         with pytest.raises(ValueError, match="xi must be 'pseudo' or positive"):
             verify_cell(H, cert)
-        with pytest.raises(ValueError, match="got None"):
-            FAMILIES["silver"].cell(2)
+        # a family row lifts at its own xi when none is given
+        assert FAMILIES["silver"].cell(2).lifted.xi == FAMILIES["silver"].xi(2)
 
     @pytest.mark.parametrize("xi", [[0.5], b"pseudo", complex(0.5, 0.0)], ids=["list", "bytes", "complex"])
     def test_non_number_xi_raises_value_error(self, xi):
@@ -464,6 +464,13 @@ class TestCertifiedRates:
         _, _, lifted = ogmg_lift(n)
         tn2 = theta_sequence(n)[-1] ** 2
         assert certified_rate(lifted) == pytest.approx(2 * (SQ5 - 1) / tn2, rel=1e-12)
+
+    @pytest.mark.parametrize("algo", sorted(FAMILIES))
+    @pytest.mark.parametrize("size", range(1, 5))
+    def test_family_cell_certifies_its_closed_form(self, algo, size):
+        # without an xi, a row lifts at its own xi(size), whose constant is rate(size)
+        family = FAMILIES[algo]
+        assert family.cell(size).rate == pytest.approx(family.rate(size), rel=1e-12)
 
 
 class TestPartialSumKernel:

@@ -6,7 +6,6 @@ import pytest
 from peplift.methods import run_composite, run_fista
 from peplift.problems import (
     ProblemSpec,
-    composite_gap,
     initial_point,
     make_problem,
     soft_threshold,
@@ -122,7 +121,7 @@ class TestCompositeGap:
         spec = ProblemSpec(kind="lasso", dim=5, rows=0, seed=2, tau=0.3)
         problem = make_problem(spec)
         trace = run_composite(from_diagonal([1.0]), problem, problem.x_star)
-        gaps = composite_gap(trace, problem)
+        gaps = trace.obj_values - problem.opt_value
         assert abs(gaps[-1]) < 1e-12
 
     def test_one_step_hand_value(self):
@@ -134,7 +133,7 @@ class TestCompositeGap:
         rng = np.random.default_rng(5)
         b = rng.standard_normal(4)
         np.testing.assert_allclose(trace.xs[1], soft_threshold(b, 0.25), atol=1e-14)
-        gaps = composite_gap(trace, problem)
+        gaps = trace.obj_values - problem.opt_value
         expected0 = problem.objective(x0) - problem.opt_value
         assert gaps[0] == pytest.approx(expected0)
         assert abs(gaps[1]) < 1e-14
@@ -145,21 +144,10 @@ class TestCompositeGap:
         from peplift.schedules import silver_schedule
 
         trace = run_composite(from_diagonal(silver_schedule(3)), problem, initial_point(spec))
-        gaps = composite_gap(trace, problem)
+        gaps = trace.obj_values - problem.opt_value
         assert np.min(gaps) >= -1e-10
         # long steps overshoot: at least one uptick is expected on this seed
         assert np.any(np.diff(gaps) > 0)
-
-    def test_requires_known_optimum(self):
-        spec = ProblemSpec(kind="lasso", dim=3, rows=0, seed=1, tau=0.2)
-        problem = make_problem(spec)
-        trace = run_composite(from_diagonal([1.0]), problem, np.zeros(3))
-        stripped = type(problem)(
-            dim=problem.dim, f_value=problem.f_value, f_grad=problem.f_grad,
-            h_value=problem.h_value, prox=problem.prox, smoothness=problem.smoothness,
-        )
-        with pytest.raises(ValueError, match="optimal value"):
-            composite_gap(trace, stripped)
 
 
 class TestSpecValidation:

@@ -257,13 +257,6 @@ class TestStepsizeMatrixInvariants:
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
 
-    def test_alpha_paper_indexing(self):
-        h = ogm_stepsize_matrix(3)
-        assert h.alpha(2, 1) == h.entries[1, 1]
-        assert h.alpha(3, 0) == h.entries[0, 2]
-        with pytest.raises(IndexError):
-            h.alpha(1, 1)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
     def test_random_upper_triangular_invertible(self, n, seed):
