@@ -16,8 +16,7 @@ from .certificates import (
 )
 from .ledger import STAR, GramLedger
 from .lift import (
-    CompositeFuncLift,
-    CompositeGradLift,
+    CompositeLift,
     certified_rate,
     check_func_feasibility,
     check_grad_feasibility,

@@ -17,7 +17,7 @@ import time
 from functools import partial
 
 from . import catalog, methods, problems
-from .reports import ReportRow, dumps17, write_rollup_csv
+from .reports import ReportRow, dumps17, finite_or_none, write_rollup_csv
 from .schedules import ScheduleSpec
 
 USAGE_ERROR = 2
@@ -65,8 +65,9 @@ def _xi(raw):
 
 def _write_json(path: str | None, doc: dict) -> None:
     if path:
+        text = dumps17(finite_or_none(doc))  # before the file is opened, so a failure leaves none
         with open(path, "w") as fh:
-            fh.write(dumps17(doc))
+            fh.write(text)
 
 
 def cmd_certify(args) -> int:
@@ -237,8 +238,7 @@ def cmd_sweep(args) -> int:
         stem = f"{row.algorithm}_{row.metric}_{row.size}"
         seen[stem] = seen.get(stem, 0) + 1  # a repeated family and size gets _2, _3, ...
         name = f"{stem}.json" if seen[stem] == 1 else f"{stem}_{seen[stem]}.json"
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(dumps17(doc))
+        _write_json(os.path.join(args.out, name), doc)
     write_rollup_csv(rows, os.path.join(args.out, "rollup.csv"))
     failed = [r for r in rows if not r.passed]
     for row in rows:

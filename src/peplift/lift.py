@@ -2,8 +2,7 @@
 
 Given an objective-gap certificate (lam, gamma, r) for a method with
 stepsize matrix H, the lift produces in closed form the extra multipliers for
-the nonsmooth inequalities, the single-square coefficients and the structured
-slack matrix
+the nonsmooth inequalities and the structured slack matrix
 
     S = [[xi, v^T], [v, L]],      L Laplacian,  sum(v) = 0,
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -57,47 +55,27 @@ from .schedules import StepsizeMatrix, _frozen, cumulative
 
 
 @dataclass(frozen=True)
-class CompositeFuncLift:
-    """Closed-form composite certificate derived from an objective one.
+class CompositeLift:
+    """Closed-form composite certificate derived from an unconstrained one.
 
-    sigma stacks the subgradient square-term weights (positions 1..n plus the
-    optimum slot); mu has one row per nonsmooth-inequality source index
-    (1..n, optimum last) and one column per subgradient 1..n, and its
-    optimum row makes each column sum minus the diagonal entry the rows
-    above drop (the self-pair, which is no inequality).  u_coeffs is
-    the single-square linear combination expanded over the global symbol
-    basis.  slack is the full (n+2) x (n+2) matrix S, and laplacian its
-    lower-right block L (a view of slack when built by lift_func).
+    metric is 'func' (objective gap) or 'grad' (gradient norm).  mu has one
+    row per nonsmooth-inequality source index and one column per subgradient
+    1..n.  The func sources are 1..n with the optimum last, whose row makes
+    each column sum minus the diagonal entry the rows above drop (the
+    self-pair, which is no inequality); the grad sources are 0..n.  slack is
+    the whole matrix S and its only copy: [[xi, v^T], [v, L]] for func, and
+    [[r, v^T], [v, -hat]] minus r (1 - xi) at its four corners for grad.
     """
 
+    metric: str
     n: int
-    sigma: np.ndarray
     mu: np.ndarray
-    v: np.ndarray
-    laplacian: np.ndarray
     xi: float
     slack: np.ndarray
-    u_coeffs: np.ndarray
     r: float
 
     def __post_init__(self):
-        for name in ("sigma", "mu", "v", "laplacian", "slack", "u_coeffs"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class CompositeGradLift:
-    """Closed-form composite certificate derived from a gradient-norm one."""
-
-    n: int
-    mu: np.ndarray
-    v: np.ndarray
-    xi: float
-    slack: np.ndarray  # [[r, v^T], [v, -hat]] minus r (1 - xi) at its four corners
-    r: float
-
-    def __post_init__(self):
-        for name in ("mu", "v", "slack"):
+        for name in ("mu", "slack"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
@@ -118,7 +96,17 @@ def pseudoinverse_xi(v: np.ndarray, laplacian: np.ndarray) -> float:
     return float(proj @ (inv * proj))
 
 
-def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeFuncLift:
+def _sigma(cert: FuncCertificate) -> np.ndarray:
+    """The subgradient square-term weights: positions 1..n, then the
+    optimum slot."""
+    n, lam, gamma_n = cert.n, cert.lam, cert.gamma[cert.n]
+    sigma = np.empty(n + 1)
+    sigma[:n] = (lam[:n, n] + lam[n, :n]) / gamma_n
+    sigma[n] = lam[n + 1, n] / gamma_n
+    return sigma
+
+
+def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeLift:
     """Lift an objective-gap certificate to the composite setting.
 
     xi is either an explicit positive constant or the string 'pseudo',
@@ -131,17 +119,14 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
     lam, gamma, r = cert.lam, cert.gamma, cert.r
-    gamma_n = gamma[n]
-    if gamma_n == 0.0:
+    if gamma[n] == 0.0:
         raise ValueError("degenerate certificate: the last square coefficient is zero")
 
-    sigma = np.empty(n + 1)
-    sigma[:n] = (lam[:n, n] + lam[n, :n]) / gamma_n
-    sigma[n] = lam[n + 1, n] / gamma_n  # optimum slot
+    sigma = _sigma(cert)
     gamma_head = gamma[:n]
 
     # Every n x n intermediate is formed in place, and outer products a block
-    # of rows at a time.  L is written into S's corner, and is a view of S.
+    # of rows at a time.  L is written into S's corner.
     hat, tilde = aggregates(cert)
     hc = cumulative(H)
     rhs = (hc @ tilde).T
@@ -176,21 +161,11 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     slack[0, 1:] = v
     slack[1:, 0] = v
 
-    u = np.zeros(basis_dim(n))
-    for i in range(n + 1):
-        u[ix_g(n, i)] += gamma[i]
-    for j in range(1, n + 1):
-        u[ix_s(n, j)] += gamma[j - 1] + sigma[j - 1]
-    u[ix_s_star(n)] += sigma[n]
-
-    _freeze(sigma, mu, v, laplacian, slack, u)
-    return CompositeFuncLift(
-        n=n, sigma=sigma, mu=mu, v=v,
-        laplacian=laplacian, xi=xi_val, slack=slack, u_coeffs=u, r=r,
-    )
+    _freeze(mu, slack)
+    return CompositeLift("func", n, mu, xi_val, slack, r)
 
 
-def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None) -> CompositeGradLift:
+def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None) -> CompositeLift:
     """Lift a gradient-norm certificate to the composite setting.
 
     Defaults xi' to 1 - (lam[n-1, n] + lam[n, n-1]) / r, which zeroes the
@@ -231,8 +206,8 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     del hat
     slack[np.ix_([0, n], [0, n])] -= r * (1.0 - xi)  # r (1 - xi) e e^T, e the indicator of 0 and n
 
-    _freeze(mu, v, slack)
-    return CompositeGradLift(n=n, mu=mu, v=v, xi=xi, slack=slack, r=r)
+    _freeze(mu, slack)
+    return CompositeLift("grad", n, mu, xi, slack, r)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +234,15 @@ def _diag_dominance_margin(m: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class _FeasibilityReport:
+class FeasibilityReport:
     """Feasibility evidence: `passed` covers the two required items
-    (nonnegative multipliers, S positive semidefinite by its eigenvalues);
-    each metric's subclass reports its structural PSD route separately, as
-    `structural_ok`, under the JSON key STRUCTURAL_KEY."""
+    (nonnegative multipliers, S positive semidefinite by its eigenvalues).
+    structural_ok is the metric's structural PSD route, reported apart from
+    `passed`: for func the Schur-Laplacian route, since the eigenvalue-minimal
+    xi is PSD-feasible without being Laplacian-checkable, and for grad
+    diagonal dominance of the slack."""
 
-    STRUCTURAL_KEY: ClassVar[str]
-
+    metric: str
     xi: float
     min_mu: float
     mu_scale: float
@@ -274,6 +250,7 @@ class _FeasibilityReport:
     spectral_norm: float
     mu_ok: bool
     eig_ok: bool
+    structural_ok: bool
 
     @property
     def passed(self) -> bool:
@@ -284,94 +261,56 @@ class _FeasibilityReport:
             "xi": self.xi,
             "min_mu": self.min_mu,
             "min_eig_S": self.min_eig,
-            self.STRUCTURAL_KEY: self.structural_ok,
+            "laplacian_ok" if self.metric == "func" else "diag_dominant_ok": self.structural_ok,
             "mu_ok": self.mu_ok,
             "eig_ok": self.eig_ok,
             "pass": self.passed,
         }
 
 
-def _required_items(lift: CompositeFuncLift | CompositeGradLift) -> dict:
-    """The fields of the two required items, as _FeasibilityReport names them."""
+def _feasibility(lift: CompositeLift, structural_ok: bool) -> FeasibilityReport:
+    """The report: the two required items judged here, the structural route
+    as its check function judged it."""
     mu_scale = max(1.0, _max_abs(lift.mu))
     min_mu = float(lift.mu.min())
     eigs = np.linalg.eigvalsh(lift.slack)
     snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-    return {
-        "xi": lift.xi,
-        "min_mu": min_mu,
-        "mu_scale": mu_scale,
-        "min_eig": float(eigs[0]),
-        "spectral_norm": snorm,
-        "mu_ok": min_mu >= -config.MU_TOL * mu_scale,
-        "eig_ok": float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
-    }
-
-
-@dataclass(frozen=True)
-class FuncFeasibilityReport(_FeasibilityReport):
-    """The structural route is the Schur-Laplacian flag, reported apart from
-    `passed` since the eigenvalue-minimal xi is PSD-feasible without being
-    Laplacian-checkable."""
-
-    STRUCTURAL_KEY = "laplacian_ok"
-
-    schur_offdiag_max: float
-    schur_rowsum_max: float
-    schur_laplacian_ok: bool
-
-    @property
-    def structural_ok(self) -> bool:
-        return self.schur_laplacian_ok
-
-
-def check_func_feasibility(lift: CompositeFuncLift) -> FuncFeasibilityReport:
-    """Nonnegativity of the nonsmooth multipliers plus two-route evidence
-    that S is positive semidefinite: eigenvalues of S itself, and the Schur
-    route requiring L - (1/xi) v v^T to stay Laplacian."""
-    if lift.xi <= 0.0:
-        raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
-    schur = np.empty_like(lift.laplacian)
-    for rows in _row_blocks(lift.n + 1):
-        np.subtract(lift.laplacian[rows], np.outer(lift.v[rows], lift.v) / lift.xi, out=schur[rows])
-    lap_scale = max(1.0, _max_abs(schur))
-    s_off, s_row = _laplacian_violations(schur)
-    del schur
-
-    tol = config.LAPLACIAN_TOL * lap_scale
-    return FuncFeasibilityReport(
-        **_required_items(lift),
-        schur_offdiag_max=s_off,
-        schur_rowsum_max=s_row,
-        schur_laplacian_ok=(s_off <= tol and s_row <= tol),
+    return FeasibilityReport(
+        metric=lift.metric,
+        xi=lift.xi,
+        min_mu=min_mu,
+        mu_scale=mu_scale,
+        min_eig=float(eigs[0]),
+        spectral_norm=snorm,
+        mu_ok=min_mu >= -config.MU_TOL * mu_scale,
+        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
+        structural_ok=structural_ok,
     )
 
 
-@dataclass(frozen=True)
-class GradFeasibilityReport(_FeasibilityReport):
-    """The structural route is diagonal dominance of the slack."""
+def check_func_feasibility(lift: CompositeLift) -> FeasibilityReport:
+    """Nonnegativity of the nonsmooth multipliers plus two-route evidence
+    that S is positive semidefinite: eigenvalues of S itself, and the Schur
+    route requiring L - (1/xi) v v^T to stay Laplacian, with v and L read
+    from S."""
+    if lift.xi <= 0.0:
+        raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
+    v, laplacian = lift.slack[1:, 0], lift.slack[1:, 1:]
+    schur = np.empty_like(laplacian)
+    for rows in _row_blocks(lift.n + 1):
+        np.subtract(laplacian[rows], np.outer(v[rows], v) / lift.xi, out=schur[rows])
+    tol = config.LAPLACIAN_TOL * max(1.0, _max_abs(schur))
+    schur_offdiag_max, schur_rowsum_max = _laplacian_violations(schur)
+    del schur
+    return _feasibility(lift, schur_offdiag_max <= tol and schur_rowsum_max <= tol)
 
-    STRUCTURAL_KEY = "diag_dominant_ok"
 
-    slack_dd_margin: float
-    dd_ok: bool
-
-    @property
-    def structural_ok(self) -> bool:
-        return self.dd_ok
-
-
-def check_grad_feasibility(lift: CompositeGradLift) -> GradFeasibilityReport:
+def check_grad_feasibility(lift: CompositeLift) -> FeasibilityReport:
     """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
     and diagonal dominance, whose only nontrivial requirement after the
     rank-one subtraction is a nonnegative (1, n+1) corner entry."""
-    scale = max(1.0, _max_abs(lift.slack))
-    slack_margin = _diag_dominance_margin(lift.slack)
-    return GradFeasibilityReport(
-        **_required_items(lift),
-        slack_dd_margin=slack_margin,
-        dd_ok=slack_margin >= -config.LAPLACIAN_TOL * scale,
-    )
+    slack_dd_margin = _diag_dominance_margin(lift.slack)
+    return _feasibility(lift, slack_dd_margin >= -config.LAPLACIAN_TOL * max(1.0, _max_abs(lift.slack)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +325,7 @@ def _slack_indices_func(n: int) -> np.ndarray:
 def composite_func_ledgers(
     H: StepsizeMatrix,
     cert: FuncCertificate,
-    lift: CompositeFuncLift,
+    lift: CompositeLift,
 ) -> tuple[GramLedger, GramLedger]:
     """Both sides of the lifted objective-gap identity as ledgers."""
     n = cert.n
@@ -394,7 +333,13 @@ def composite_func_ledgers(
     # sources 1..n and STAR, subgradients 1..n
     coco_block(lhs, lift.mu, cumulative(H), "composite_h", origin=(1, 1))
 
-    square = -np.array(lift.u_coeffs)
+    # the single square's linear combination over the global symbol basis
+    sigma = _sigma(cert)
+    u = np.zeros(basis_dim(n))
+    u[ix_g(n, 0):ix_g(n, n) + 1] += cert.gamma
+    u[ix_s(n, 1):ix_s(n, n) + 1] += cert.gamma[:n] + sigma[:n]
+    u[ix_s_star(n)] += sigma[n]
+    square = -u
     square[ix_dist(n)] += 1.0
     lhs.add_square(square, 0.5)
 
@@ -412,7 +357,7 @@ def composite_func_ledgers(
 def verify_composite_func_identity(
     H: StepsizeMatrix,
     cert: FuncCertificate,
-    lift: CompositeFuncLift,
+    lift: CompositeLift,
 ) -> IdentityReport:
     """Exact coefficient check of the lifted objective-gap identity.
 
@@ -426,7 +371,7 @@ def verify_composite_func_identity(
 def composite_grad_ledgers(
     H: StepsizeMatrix,
     cert: GradCertificate,
-    lift: CompositeGradLift,
+    lift: CompositeLift,
 ) -> tuple[GramLedger, GramLedger]:
     """Both sides of the lifted gradient-norm identity as ledgers."""
     n = cert.n
@@ -449,7 +394,7 @@ def composite_grad_ledgers(
 def verify_composite_grad_identity(
     H: StepsizeMatrix,
     cert: GradCertificate,
-    lift: CompositeGradLift,
+    lift: CompositeLift,
 ) -> IdentityReport:
     """Exact coefficient check of the lifted gradient-norm identity."""
     return _report(*composite_grad_ledgers(H, cert, lift))
@@ -460,11 +405,11 @@ def verify_composite_grad_identity(
 # ---------------------------------------------------------------------------
 
 
-def certified_rate(lift: CompositeFuncLift | CompositeGradLift) -> float:
+def certified_rate(lift: CompositeLift) -> float:
     """The constant certified by a feasible lift: (1 + xi)/(2 r) in front of
     the squared initial distance, or 2/(r (1 - xi)) in front of the initial
     composite gap."""
-    if isinstance(lift, CompositeFuncLift):
+    if lift.metric == "func":
         return (1.0 + lift.xi) / (2.0 * lift.r)
     return 2.0 / (lift.r * (1.0 - lift.xi))
 
@@ -477,8 +422,8 @@ class Cell:
     n: int
     identity: IdentityReport
     passed: bool  # every check that ran
-    lifted: CompositeFuncLift | CompositeGradLift | None = None
-    feasibility: FuncFeasibilityReport | GradFeasibilityReport | None = None
+    lifted: CompositeLift | None = None
+    feasibility: FeasibilityReport | None = None
     composite: IdentityReport | None = None
     rate: float | None = None
 

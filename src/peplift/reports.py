@@ -72,6 +72,14 @@ def _emit(obj, parts: list[str], indent: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def finite_or_none(doc):
+    """A report document (nested dicts) with every non-finite float made
+    None, which JSON writes as null and a CSV row as an empty field."""
+    if isinstance(doc, dict):
+        return {key: finite_or_none(value) for key, value in doc.items()}
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
 def dumps17(obj) -> str:
     parts: list[str] = []
     _emit(obj, parts, 0)
@@ -105,7 +113,7 @@ class ReportRow:
 
     def csv_row(self) -> list[str]:
         out = []
-        for value in self.to_dict().values():
+        for value in finite_or_none(self.to_dict()).values():
             if isinstance(value, bool):
                 out.append(str(value).lower())
             elif isinstance(value, float):

@@ -16,14 +16,8 @@ import numpy as np
 
 from peplift import config
 from peplift.certificates import FuncCertificate, GradCertificate, aggregates
-from peplift.ledger import GramLedger, basis_dim, ix_dist, ix_g, ix_s, ix_s_star
-from peplift.lift import (
-    CompositeFuncLift,
-    CompositeGradLift,
-    FuncFeasibilityReport,
-    GradFeasibilityReport,
-    pseudoinverse_xi,
-)
+from peplift.ledger import GramLedger, ix_dist, ix_g, ix_s, ix_s_star
+from peplift.lift import CompositeLift, FeasibilityReport, pseudoinverse_xi
 from peplift.methods import ProxProblem, RunTrace
 from peplift.schedules import SILVER_RATIO, StepsizeMatrix, cumulative, theta_sequence, unit_upper
 
@@ -116,7 +110,7 @@ def aggregate_identity_residual(H: StepsizeMatrix, cert: FuncCertificate | GradC
     return float(np.max(np.abs(m)))
 
 
-def perturbed_func_lift(lift: CompositeFuncLift, *, mu_entry=None, slack_entry=None, delta=1e-3) -> CompositeFuncLift:
+def perturbed_func_lift(lift: CompositeLift, *, mu_entry=None, slack_entry=None, delta=1e-3) -> CompositeLift:
     """Copy of a lift with one multiplier or slack entry bumped (negative
     controls for the verifiers)."""
     if mu_entry is not None:
@@ -425,7 +419,7 @@ def coco_block_plain(
                 quad[rows, rows2] -= 0.5 * sign * sign2 * lap[pts, pts2]
 
 
-def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeFuncLift:
+def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeLift:
     """Lift an objective-gap certificate to the composite setting.
 
     xi is either an explicit positive constant or the string 'pseudo',
@@ -483,20 +477,10 @@ def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -
     slack[1:, 0] = v
     slack[1:, 1:] = laplacian
 
-    u = np.zeros(basis_dim(n))
-    for i in range(n + 1):
-        u[ix_g(n, i)] += gamma[i]
-    for j in range(1, n + 1):
-        u[ix_s(n, j)] += gamma[j - 1] + sigma[j - 1]
-    u[ix_s_star(n)] += sigma[n]
-
-    return CompositeFuncLift(
-        n=n, sigma=sigma, mu=mu, v=v,
-        laplacian=laplacian, xi=xi_val, slack=slack, u_coeffs=u, r=r,
-    )
+    return CompositeLift("func", n, mu, xi_val, slack, r)
 
 
-def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None) -> CompositeGradLift:
+def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None) -> CompositeLift:
     """Lift a gradient-norm certificate to the composite setting.
 
     Defaults xi' to 1 - (lam[n-1, n] + lam[n, n-1]) / r, which zeroes the
@@ -532,7 +516,7 @@ def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None =
     corner[n] = 1.0
     slack = base - r * (1.0 - xi) * np.outer(corner, corner)
 
-    return CompositeGradLift(n=n, mu=mu, v=v, xi=xi, slack=slack, r=r)
+    return CompositeLift("grad", n, mu, xi, slack, r)
 
 
 def laplacian_violations_plain(m: np.ndarray) -> tuple[float, float]:
@@ -547,10 +531,11 @@ def diag_dominance_margin_plain(m: np.ndarray) -> float:
     return float(np.min(np.diag(m) - off.sum(axis=1)))
 
 
-def check_func_feasibility_plain(lift: CompositeFuncLift) -> FuncFeasibilityReport:
+def check_func_feasibility_plain(lift: CompositeLift) -> FeasibilityReport:
     """Nonnegativity of the nonsmooth multipliers plus two-route evidence
     that S is positive semidefinite: eigenvalues of S itself, and the Schur
-    route requiring L - (1/xi) v v^T to stay Laplacian."""
+    route requiring L - (1/xi) v v^T to stay Laplacian, with v and L read
+    from S."""
     if lift.xi <= 0.0:
         raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
     mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
@@ -559,26 +544,26 @@ def check_func_feasibility_plain(lift: CompositeFuncLift) -> FuncFeasibilityRepo
     eigs = np.linalg.eigvalsh(lift.slack)
     snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
 
-    schur = lift.laplacian - np.outer(lift.v, lift.v) / lift.xi
+    v, laplacian = lift.slack[1:, 0], lift.slack[1:, 1:]
+    schur = laplacian - np.outer(v, v) / lift.xi
     lap_scale = max(1.0, float(np.max(np.abs(schur))))
     s_off, s_row = laplacian_violations_plain(schur)
 
     tol_lap = config.LAPLACIAN_TOL
-    return FuncFeasibilityReport(
+    return FeasibilityReport(
+        metric="func",
         xi=lift.xi,
         min_mu=min_mu,
         mu_scale=mu_scale,
         min_eig=float(eigs[0]),
         spectral_norm=snorm,
-        schur_offdiag_max=s_off,
-        schur_rowsum_max=s_row,
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
         eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
-        schur_laplacian_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
+        structural_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
     )
 
 
-def check_grad_feasibility_plain(lift: CompositeGradLift) -> GradFeasibilityReport:
+def check_grad_feasibility_plain(lift: CompositeLift) -> FeasibilityReport:
     """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
     and diagonal dominance, whose only nontrivial requirement after the
     rank-one subtraction is a nonnegative (1, n+1) corner entry."""
@@ -589,14 +574,14 @@ def check_grad_feasibility_plain(lift: CompositeGradLift) -> GradFeasibilityRepo
     scale = max(1.0, float(np.max(np.abs(lift.slack))))
     slack_margin = diag_dominance_margin_plain(lift.slack)
     tol = config.LAPLACIAN_TOL
-    return GradFeasibilityReport(
+    return FeasibilityReport(
+        metric="grad",
         xi=lift.xi,
         min_mu=min_mu,
         mu_scale=mu_scale,
         min_eig=float(eigs[0]),
         spectral_norm=snorm,
-        slack_dd_margin=slack_margin,
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
         eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
-        dd_ok=slack_margin >= -tol * scale,
+        structural_ok=slack_margin >= -tol * scale,
     )

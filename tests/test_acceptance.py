@@ -21,6 +21,7 @@ from peplift.certificates import (
     verify_grad_identity,
 )
 from peplift.lift import (
+    _sigma,
     certified_rate,
     check_func_feasibility,
     check_grad_feasibility,
@@ -84,7 +85,7 @@ def test_criterion_2_composite_lift_suite():
         cert = FAMILIES[algo].certificate(size)
         lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
         feas = check_func_feasibility(lifted)
-        feasible &= feas.passed and feas.schur_laplacian_ok  # both PSD routes
+        feasible &= feas.passed and feas.structural_ok  # both PSD routes
         report = verify_composite_func_identity(H, cert, lifted)
         worst_resid = max(worst_resid, report.max_residual / report.scale)
         rate = certified_rate(lifted)
@@ -95,7 +96,7 @@ def test_criterion_2_composite_lift_suite():
         cert = FAMILIES[algo].certificate(size)
         lifted = lift_grad(H, cert, xi=FAMILIES[algo].xi(size))
         feas = check_grad_feasibility(lifted)
-        feasible &= feas.passed and feas.dd_ok
+        feasible &= feas.passed and feas.structural_ok
         report = verify_composite_grad_identity(H, cert, lifted)
         worst_resid = max(worst_resid, report.max_residual / report.scale)
         rate = certified_rate(lifted)
@@ -124,16 +125,17 @@ def test_criterion_3_structural_lemmas():
         lifted = lift_func(H, cert, xi=FAMILIES[algo].xi(size))
         n = cert.n
         scale = max(1.0, cert.r)
-        worst = max(worst, abs(lifted.sigma.sum() - cert.gamma[n]) / scale)
-        worst = max(worst, abs(lifted.v.sum()) / scale)
+        worst = max(worst, abs(_sigma(cert).sum() - cert.gamma[n]) / scale)
+        worst = max(worst, abs(lifted.slack[1:, 0].sum()) / scale)
         row_target = np.zeros(n)
         row_target[-1] = -cert.r
         # mu's columns sum to minus the diagonal its rows drop, so this is the solve's row sums
         row_sums = lifted.mu[:n].sum(axis=1) - lifted.mu.sum(axis=0)
         worst = max(worst, float(np.max(np.abs(row_sums - row_target))) / scale)
         worst = max(worst, abs(lifted.mu[n].sum() - cert.r) / scale)
-        lap_scale = max(1.0, float(np.max(np.abs(lifted.laplacian))))
-        worst = max(worst, max(laplacian_violations_plain(lifted.laplacian)) / lap_scale)
+        laplacian = lifted.slack[1:, 1:]
+        lap_scale = max(1.0, float(np.max(np.abs(laplacian))))
+        worst = max(worst, max(laplacian_violations_plain(laplacian)) / lap_scale)
     for algo, size in GRAD_GRID:
         H = FAMILIES[algo].schedule(size)
         cert = FAMILIES[algo].certificate(size)
@@ -308,7 +310,7 @@ def test_criterion_6_negative_controls():
 
     # incompatible slack constant: far too small for the Schur route
     tiny = lift_func(H, cert, xi=1e-6)
-    schur_fails = not check_func_feasibility(tiny).schur_laplacian_ok
+    schur_fails = not check_func_feasibility(tiny).structural_ok
 
     ok = all_fail and schur_fails
     assert _report(6, "negative controls", ok, f"{counted} single-entry perturbations all detected")

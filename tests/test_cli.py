@@ -86,6 +86,15 @@ class TestLift:
         assert main(["lift", "--algo", algo, "--metric", metric, size_flag, size, "--json", str(out)]) == 0
         assert json.loads(out.read_text())["pass"] is True
 
+    def test_non_finite_report_value_is_null_and_exits_one(self, tmp_path):
+        out = tmp_path / "lift.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the slack's xi/2 doubles past float range
+            code = main(["lift", "--algo", "ogm", "--metric", "func", "--n", "2", "--xi", "1e308", "--json", str(out)])
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["residuals"]["quad"] is None
+        assert doc["pass"] is False
+
     def test_gsw_paper_rate(self, tmp_path):
         out = tmp_path / "lift.json"
         assert main(["lift", "--algo", "gsw", "--metric", "grad", "--k", "3", "--json", str(out)]) == 0
@@ -227,6 +236,23 @@ class TestSweep:
         assert json.loads((out / "silver_func_2.json").read_text())["xi"] == pytest.approx(1.0 / math.sqrt(2.0))
         assert json.loads((out / "silver_func_2_2.json").read_text())["xi"] == 0.5
         assert len((out / "rollup.csv").read_text().strip().splitlines()) == 3
+
+    def test_non_finite_cell_writes_every_report_and_exits_one(self, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": [
+            {"algo": "ogm", "n": 2}, {"algo": "ogm", "n": 3, "xi": 1e308}, {"algo": "gsw", "k": 2},
+        ]}))
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["gsw_grad_2.json", "ogm_func_2.json", "ogm_func_3.json", "rollup.csv"]
+        doc = json.loads((out / "ogm_func_3.json").read_text())
+        assert doc["residual_composite"] is None and doc["residuals"]["quad"] is None
+        assert doc["pass"] is False
+        rollup = (out / "rollup.csv").read_text().splitlines()
+        fields = dict(zip(rollup[0].split(","), rollup[2].split(",")))
+        assert fields["residual_composite"] == "" and fields["pass"] == "false"
+        assert [line.split(",")[-1] for line in rollup[1:]] == ["true", "false", "true"]
 
     def test_instances_are_built_once_per_sweep(self, tmp_path, monkeypatch):
         from peplift import problems

@@ -19,6 +19,7 @@ from peplift.certificates import (
 from peplift.cli import main
 from peplift.ledger import ix_dist, ix_g
 from peplift.lift import (
+    _sigma,
     certified_rate,
     check_func_feasibility,
     check_grad_feasibility,
@@ -81,16 +82,16 @@ def ogmg_lift(n):
 
 class TestFuncLiftStructure:
     def test_silver_k1_sigma(self):
-        _, cert, lifted = silver_lift(1)
-        np.testing.assert_allclose(lifted.sigma, [SQ2, 1.0], rtol=1e-15)
-        assert abs(lifted.sigma.sum() - cert.gamma[-1]) < 1e-14  # = rho
+        _, cert, _ = silver_lift(1)
+        np.testing.assert_allclose(_sigma(cert), [SQ2, 1.0], rtol=1e-15)
+        assert abs(_sigma(cert).sum() - cert.gamma[-1]) < 1e-14  # = rho
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 33])
     def test_ogm_sigma_closed_form(self, n):
-        _, _, lifted = ogm_lift(n)
+        _, cert, _ = ogm_lift(n)
         t = theta_sequence(n)
         expected = np.concatenate([np.zeros(n - 1), [t[n] - 1.0, 1.0]])
-        np.testing.assert_allclose(lifted.sigma, expected, atol=1e-12)
+        np.testing.assert_allclose(_sigma(cert), expected, atol=1e-12)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_silver_v_is_signed_pair(self, k):
@@ -99,12 +100,12 @@ class TestFuncLiftStructure:
         expected = np.zeros(n + 1)
         expected[0] = -1.0
         expected[n] = 1.0
-        np.testing.assert_allclose(lifted.v, expected, atol=1e-10)
+        np.testing.assert_allclose(lifted.slack[1:, 0], expected, atol=1e-10)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_sigma_sums_to_gamma_tail(self, k):
-        _, cert, lifted = silver_lift(k)
-        assert abs(lifted.sigma.sum() - cert.gamma[-1]) < 1e-10
+        _, cert, _ = silver_lift(k)
+        assert abs(_sigma(cert).sum() - cert.gamma[-1]) < 1e-10
 
     @pytest.mark.parametrize("algo,size", [("silver", 3), ("silver", 5), ("ogm", 2), ("ogm", 17)])
     def test_row_sum_identities(self, algo, size):
@@ -120,13 +121,14 @@ class TestFuncLiftStructure:
         np.testing.assert_allclose(row_sums, target, atol=1e-9 * max(1.0, cert.r))
         # total optimum-row mass and zero total for v
         assert abs(lifted.mu[n].sum() - cert.r) < 1e-9 * max(1.0, cert.r)
-        assert abs(lifted.v.sum()) < 1e-10 * max(1.0, cert.r)
+        assert abs(lifted.slack[1:, 0].sum()) < 1e-10 * max(1.0, cert.r)
 
     @pytest.mark.parametrize("algo,size", [("silver", 4), ("ogm", 8)])
     def test_laplacian_structure(self, algo, size):
         _, _, lifted = silver_lift(size) if algo == "silver" else ogm_lift(size)
-        off, row = laplacian_violations_plain(lifted.laplacian)
-        scale = max(1.0, float(np.max(np.abs(lifted.laplacian))))
+        laplacian = lifted.slack[1:, 1:]
+        off, row = laplacian_violations_plain(laplacian)
+        scale = max(1.0, float(np.max(np.abs(laplacian))))
         assert off <= config.LAPLACIAN_TOL * scale and row <= config.LAPLACIAN_TOL * scale
 
     def test_degenerate_gamma_rejected(self):
@@ -220,35 +222,46 @@ class TestFuncFeasibility:
     def test_silver_feasible_at_paper_xi(self, k):
         _, _, lifted = silver_lift(k)
         report = check_func_feasibility(lifted)
-        assert report.passed and report.schur_laplacian_ok
+        assert report.passed and report.structural_ok
         assert abs(report.xi - 1 / SQ2) < 1e-15
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_silver_schur_corner_is_tight(self, k):
         _, _, lifted = silver_lift(k)
         n = lifted.n
-        schur = lifted.laplacian - np.outer(lifted.v, lifted.v) / lifted.xi
+        v = lifted.slack[1:, 0]
+        schur = lifted.slack[1:, 1:] - np.outer(v, v) / lifted.xi
         assert abs(schur[0, n]) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 9, 33, 64])
     def test_ogm_feasible_and_v1_window(self, n):
         _, _, lifted = ogm_lift(n)
         report = check_func_feasibility(lifted)
-        assert report.passed and report.schur_laplacian_ok
-        assert -(SQ5 - 1) / 2 - 1e-12 <= lifted.v[0] < -0.5
+        assert report.passed and report.structural_ok
+        assert -(SQ5 - 1) / 2 - 1e-12 <= lifted.slack[1, 0] < -0.5
 
     def test_ogm_n1_footnote_values(self):
         _, _, lifted = ogm_lift(1)
-        np.testing.assert_allclose(lifted.laplacian, [[3.0, -3.0], [-3.0, 3.0]], atol=1e-12)
-        assert abs(lifted.v[0] + 1.0) < 1e-12
+        np.testing.assert_allclose(lifted.slack[1:, 1:], [[3.0, -3.0], [-3.0, 3.0]], atol=1e-12)
+        assert abs(lifted.slack[1, 0] + 1.0) < 1e-12
         assert lifted.xi == pytest.approx(1.0 / 3.0)
         report = check_func_feasibility(lifted)
-        assert report.passed and report.schur_laplacian_ok
+        assert report.passed and report.structural_ok
+
+    def test_structural_route_judges_the_slack_it_is_given(self):
+        # v and L are read from the slack, so a replaced slack is judged as it is
+        _, _, lifted = ogm_lift(3)
+        slack = np.array(lifted.slack)
+        slack[0, 1] += 5.0
+        slack[1, 0] += 5.0
+        report = check_func_feasibility(dataclasses.replace(lifted, slack=slack))
+        assert report.min_eig < -3.0 and not report.eig_ok
+        assert not report.structural_ok
 
     def test_tiny_xi_fails_schur_check(self):
         _, _, lifted = silver_lift(3, xi=1e-6)
         report = check_func_feasibility(lifted)
-        assert not report.schur_laplacian_ok
+        assert not report.structural_ok
         assert not report.eig_ok and not report.passed  # S genuinely loses PSD
 
     def test_nonpositive_xi_rejected_in_schur_route(self):
@@ -267,9 +280,10 @@ class TestFuncFeasibility:
 
     def test_pseudoinverse_matches_direct_eig_computation(self):
         _, _, lifted = silver_lift(3)
-        w, q = np.linalg.eigh(lifted.laplacian)
+        v, laplacian = lifted.slack[1:, 0], lifted.slack[1:, 1:]
+        w, q = np.linalg.eigh(laplacian)
         pinv = q @ np.diag([0.0 if x < 1e-10 * w[-1] else 1.0 / x for x in w]) @ q.T
-        assert abs(pseudoinverse_xi(lifted.v, lifted.laplacian) - lifted.v @ pinv @ lifted.v) < 1e-12
+        assert abs(pseudoinverse_xi(v, laplacian) - v @ pinv @ v) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 8, 32])
     def test_ogm_slack_constant_ordering(self, n):
@@ -277,12 +291,12 @@ class TestFuncFeasibility:
         # the Laplacian-route floor is the corner condition -v_1/2, which has
         # a closed form for n >= 3
         _, _, lifted = ogm_lift(n, xi="pseudo")
-        schur_floor = -lifted.v[0] / 2.0
+        schur_floor = -lifted.slack[1, 0] / 2.0
         closed = (15 * SQ5 - 17 - math.sqrt(1942 - 862 * SQ5)) / 44
         assert lifted.xi <= schur_floor <= FAMILIES["ogm"].xi(n) + 1e-12
         assert schur_floor == pytest.approx(closed, rel=1e-12)
         _, _, at_floor = ogm_lift(n, xi=schur_floor)
-        assert check_func_feasibility(at_floor).schur_laplacian_ok
+        assert check_func_feasibility(at_floor).structural_ok
 
 
 class TestCompositeFuncIdentity:
@@ -335,7 +349,7 @@ class TestGradLift:
     def test_gsw_feasible(self, k):
         _, _, lifted = gsw_lift(k, xi=None)
         report = check_grad_feasibility(lifted)
-        assert report.passed and report.dd_ok
+        assert report.passed and report.structural_ok
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_gsw_first_row_is_unit_vector(self, k):
@@ -349,7 +363,7 @@ class TestGradLift:
     def test_ogmg_feasible(self, n):
         _, _, lifted = ogmg_lift(n)
         report = check_grad_feasibility(lifted)
-        assert report.passed and report.dd_ok
+        assert report.passed and report.structural_ok
 
     @pytest.mark.parametrize("algo,size", [("gsw", 3), ("ogmg", 5)])
     def test_mu_row_sum(self, algo, size):
