@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RuntimeWarning as exc:  # raised under -W error::RuntimeWarning: a value left float range
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_FAIL
 
 
 if __name__ == "__main__":

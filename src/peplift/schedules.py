@@ -9,6 +9,11 @@ nonzero.  The cumulative form stores the partial sums
 ``walpha[i, j] = sum_{k=j+1}^{i} alpha[k, j]`` at the same positions, so
 column i-1 of it gives the coefficients of x_0 - x_i over past gradients.
 
+A stepsize matrix also carries factors whose product is H, so H and H^{-1}
+apply to a block of columns in O(n) work per column: diag(d); U(d), which is
+diag(d) plus ones strictly above the diagonal; U(d)^{-1}; or a dense
+triangular block, the fallback for a matrix given by its entries alone.
+
 All constructors are pure and return immutable values (arrays are marked
 read-only), so schedule objects are safe to share across threads.
 """
@@ -47,6 +52,76 @@ def unit_upper(n: int) -> np.ndarray:
     return np.triu(np.ones((n, n)))
 
 
+def _upper(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U(d) x in place: row i becomes d_i x_i plus the sum of the rows below
+    it, kept as a running sum.  A single column runs on Python floats, which
+    round as numpy does, without a numpy call per entry."""
+    if x.shape[1] == 1:
+        col, d, below = x[:, 0].tolist(), d.tolist(), 0.0
+        for i in range(len(col) - 1, -1, -1):
+            col[i], below = col[i] * d[i] + below, below + col[i]
+        x[:, 0] = col
+        return x
+    below, spare = np.zeros(x.shape[1:]), np.empty(x.shape[1:])
+    for row, di in zip(x[::-1], d[::-1].tolist()):
+        np.add(below, row, spare)
+        row *= di
+        row += below
+        below, spare = spare, below
+    return x
+
+
+def _upper_solve(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """U(d)^{-1} y in place, by back substitution with a running sum of the
+    rows already solved; a single column runs on Python floats."""
+    if y.shape[1] == 1:
+        col, d, below = y[:, 0].tolist(), d.tolist(), 0.0
+        for i in range(len(col) - 1, -1, -1):
+            col[i] = (col[i] - below) / d[i]
+            below += col[i]
+        y[:, 0] = col
+        return y
+    below = np.zeros(y.shape[1:])
+    for row, di in zip(y[::-1], d[::-1].tolist()):
+        row -= below
+        row /= di
+        below += row
+    return y
+
+
+class Factor(NamedTuple):
+    """One factor of a stepsize matrix: kind 'diag' is diag(data), 'upper'
+    is U(data), 'upper_inv' is U(data)^{-1} and 'dense' is the triangular
+    block data itself.  apply and solve take a block of columns (n rows),
+    which they may overwrite, and return F x and F^{-1} x."""
+
+    kind: str
+    data: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == "diag":
+            x *= self.data[:, None]
+            return x
+        if self.kind == "upper":
+            return _upper(self.data, x)
+        if self.kind == "upper_inv":
+            return _upper_solve(self.data, x)
+        return self.data @ x
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == "diag":
+            x /= self.data[:, None]
+            return x
+        if self.kind == "upper":
+            return _upper_solve(self.data, x)
+        if self.kind == "upper_inv":
+            return _upper(self.data, x)
+        return np.linalg.solve(self.data, x)
+
+
+_FACTOR_KINDS = ("diag", "upper", "upper_inv", "dense")
+
+
 @dataclass(frozen=True)
 class StepsizeMatrix:
     """Upper-triangular stepsize matrix of an n-step first-order method.
@@ -54,9 +129,16 @@ class StepsizeMatrix:
     Rejects matrices with a non-finite entry, with entries below the
     diagonal or with a zero on the diagonal (a zero fresh-gradient weight
     would make an iterate redundant and the matrix singular).
+
+    factors multiply to the entries, leftmost first; the builders of the
+    structured families pass them.  Without them a diagonal matrix is one
+    'diag' factor and any other one 'dense' factor.  The lift applies H and
+    H^{-1} through them and the identities read the entries, so factors that
+    do not match the entries make the lift fail its checks, not pass them.
     """
 
     entries: np.ndarray
+    factors: tuple[Factor, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         a = _frozen(self.entries)
@@ -68,11 +150,35 @@ class StepsizeMatrix:
             raise ValueError("stepsize matrix must be upper triangular (exact zeros below the diagonal)")
         if np.any(np.diag(a) == 0.0):
             raise ValueError("diagonal entries alpha[k, k-1] must be nonzero")
+        n = a.shape[0]
+        if not self.factors:
+            diagonal = np.count_nonzero(a) == n
+            factors = (Factor("diag", _frozen(np.diag(a))) if diagonal else Factor("dense", a),)
+        else:
+            factors = tuple(Factor(kind, _frozen(data)) for kind, data in self.factors)
+            for kind, data in factors:
+                if kind not in _FACTOR_KINDS or data.shape != ((n, n) if kind == "dense" else (n,)):
+                    raise ValueError(f"a {kind!r} factor of shape {data.shape} cannot be a factor of an {n}-step matrix")
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H x for a block of columns x (n rows, float), through the factors;
+        x is overwritten."""
+        for factor in reversed(self.factors):
+            x = factor.apply(x)
+        return x
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """H^{-1} x for a block of columns x (n rows, float), through the
+        factors; x is overwritten."""
+        for factor in self.factors:
+            x = factor.solve(x)
+        return x
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -189,13 +295,27 @@ def theta_sequence(n: int) -> np.ndarray:
     return _frozen(t)
 
 
+def phi_sequence(t: np.ndarray) -> np.ndarray:
+    """phi_1..phi_n: the diagonal of the triangular factor of the OGM matrix.
+
+    phi_i = 1 + theta_{i-1}/(2 theta_i) for i < n and 1 + theta_{n-1}/theta_n
+    at the end.
+    """
+    n = t.shape[0] - 1
+    phi = 1.0 + t[:-1] / (2.0 * t[1:])
+    phi[n - 1] = 1.0 + t[n - 1] / t[n]
+    return phi
+
+
 def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
     """Stepsize matrix of the optimized gradient method for n steps.
 
     Column k-1 (the weights of step k) is produced by the three-case
     recursion: the diagonal is 1 + (2 theta_{k-1} - 1)/theta_k, the entry just
     above comes from the previous diagonal minus one, and all older entries
-    are the previous column scaled by (theta_{k-1} - 1)/theta_k.
+    are the previous column scaled by (theta_{k-1} - 1)/theta_k.  Its factors
+    are diag(2 theta_0..2 theta_{n-1}) U(phi_1..phi_n) U(theta_1..theta_n)^{-1}
+    (Kim and Fessler 2016).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -207,7 +327,8 @@ def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
             scale = (t[i] - 1.0) / t[i + 1]
             a[i - 1, i] = scale * (a[i - 1, i - 1] - 1.0)
             a[: i - 1, i] = scale * a[: i - 1, i - 1]
-    return StepsizeMatrix(a)
+    factors = (Factor("diag", 2.0 * t[:-1]), Factor("upper", phi_sequence(t)), Factor("upper_inv", t[1:]))
+    return StepsizeMatrix(a, factors)
 
 
 def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
@@ -217,6 +338,8 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
     uses (diagonal - 1).  Every older entry a[j, i] (i >= j + 2) is the one
     below it scaled by c_j = (theta_{n-j-1} - 1)/theta_{n-j}, so row j is
     row j + 1 times c_j beyond the first superdiagonal, filled bottom up.
+    Its factors mirror OGM's: U(theta_n..theta_1)^{-1} U(phi_n..phi_1)
+    diag(2 theta_{n-1}..2 theta_0) (Kim and Fessler 2021).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -228,7 +351,8 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
             a[i - 1, i] = (t[n - i] - 1.0) / t[n - i + 1] * (a[i, i] - 1.0)
     for j in range(n - 3, -1, -1):
         a[j, j + 2 :] = (t[n - j - 1] - 1.0) / t[n - j] * a[j + 1, j + 2 :]
-    return StepsizeMatrix(a)
+    factors = (Factor("upper_inv", t[:0:-1]), Factor("upper", phi_sequence(t)[::-1]), Factor("diag", 2.0 * t[-2::-1]))
+    return StepsizeMatrix(a, factors)
 
 
 # ---------------------------------------------------------------------------

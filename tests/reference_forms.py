@@ -6,7 +6,11 @@ OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
 partial-sum kernel, and the plain forms of the OGM-G schedule loop, the
 runners, the lasso/box-QP oracles, the reference solve, the ledger assembly,
 the lifts and the feasibility checks, which the library's faster forms must
-reproduce bit for bit.  None of them is used by the library itself.
+reproduce bit for bit.  The plain lifts take their shifted multiplier rows
+from the library's kernel; the dense solve that formed those rows before
+(`dense_rows`) is compared with the kernel at a tolerance, and the exact
+oracle in exact_lift.py judges which of the two is closer.  None of them is
+used by the library itself.
 """
 
 import math
@@ -17,9 +21,9 @@ import numpy as np
 from peplift import config
 from peplift.certificates import FuncCertificate, GradCertificate, aggregates
 from peplift.ledger import GramLedger, ix_dist, ix_g, ix_s, ix_s_star
-from peplift.lift import CompositeLift, FeasibilityReport, pseudoinverse_xi
+from peplift.lift import CompositeLift, FeasibilityReport, _shifted_rows, _sigma, pseudoinverse_xi
 from peplift.methods import ProxProblem, RunTrace
-from peplift.schedules import SILVER_RATIO, StepsizeMatrix, cumulative, theta_sequence, unit_upper
+from peplift.schedules import SILVER_RATIO, StepsizeMatrix, cumulative, phi_sequence, theta_sequence, unit_upper
 
 
 def u_matrix(diag) -> np.ndarray:
@@ -64,18 +68,6 @@ def ogmg_stepsize_matrix_plain(n: int) -> np.ndarray:
         for j in range(i - 2, -1, -1):
             a[j, i] = (t[n - j - 1] - 1.0) / t[n - j] * a[j + 1, i]
     return a
-
-
-def phi_sequence(t: np.ndarray) -> np.ndarray:
-    """phi_1..phi_n: the diagonal of the triangular factor of the OGM matrix.
-
-    phi_i = 1 + theta_{i-1}/(2 theta_i) for i < n and 1 + theta_{n-1}/theta_n
-    at the end.
-    """
-    n = t.shape[0] - 1
-    phi = 1.0 + t[:-1] / (2.0 * t[1:])
-    phi[n - 1] = 1.0 + t[n - 1] / t[n]
-    return phi
 
 
 def ogm_factored(n: int) -> np.ndarray:
@@ -419,14 +411,42 @@ def coco_block_plain(
                 quad[rows, rows2] -= 0.5 * sign * sign2 * lap[pts, pts2]
 
 
-def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeLift:
+def rows_inputs(cert: FuncCertificate | GradCertificate) -> tuple:
+    """(tilde, left, right) as the library's lifts feed them to the rows
+    kernel: tilde from `aggregates`, and for the objective-gap metric
+    left = gamma and right = gamma + sigma over positions 1..n."""
+    _, tilde = aggregates(cert)
+    if isinstance(cert, GradCertificate):
+        return tilde, None, None
+    n, gamma = cert.n, cert.gamma
+    return tilde, gamma[:n], gamma[:n] + _sigma(cert)[:n]
+
+
+def library_rows(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate) -> np.ndarray:
+    """The shifted rows the library's lift of cert writes into mu."""
+    return _shifted_rows(H, *rows_inputs(cert))
+
+
+def dense_rows(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate) -> np.ndarray:
+    """The same rows by a dense product with Hc and one dense solve with it."""
+    tilde, left, right = rows_inputs(cert)
+    hc = cumulative(H)
+    rhs = (hc @ tilde).T
+    if left is not None:
+        rhs += np.outer(left, right)
+    return -np.linalg.solve(hc, rhs)
+
+
+def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str, rows: np.ndarray) -> CompositeLift:
     """Lift an objective-gap certificate to the composite setting.
 
     xi is either an explicit positive constant or the string 'pseudo',
-    which picks the pseudoinverse diagnostic value v^T L^+ v.  The shifted
-    nonsmooth multipliers are computed through both closed-form expressions
-    and cross-checked; a mismatch means the input certificate does not
-    satisfy the unconstrained identity.
+    which picks the pseudoinverse diagnostic value v^T L^+ v.  rows are the
+    shifted nonsmooth multipliers, -Hc^{-1} ((Hc tilde)^T + gamma (gamma +
+    sigma)^T), as the library's kernel forms them (see `library_rows`); they
+    are cross-checked against the second closed form through hat, and a
+    mismatch means the input certificate does not satisfy the unconstrained
+    identity.
     """
     if xi != "pseudo" and (isinstance(xi, str) or not 0.0 < xi < math.inf):
         raise ValueError(f"xi must be 'pseudo' or positive and finite for the func metric, got {xi!r}")
@@ -446,7 +466,7 @@ def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -
 
     hat, tilde = aggregates(cert)
     hc = cumulative(H)
-    via_quad = -np.linalg.solve(hc, (hc @ tilde).T + np.outer(gamma_head, gamma_head + sigma_head))
+    via_quad = np.array(rows)
     via_hat = np.linalg.solve(hc, hat - np.outer(gamma_head, sigma_head)) + tilde
     scale = max(np.max(np.abs(via_quad)), np.max(np.abs(via_hat)), 1.0)
     if np.max(np.abs(via_quad - via_hat)) > 1e-9 * scale:
@@ -480,11 +500,13 @@ def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -
     return CompositeLift("func", n, mu, xi_val, slack, r)
 
 
-def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None) -> CompositeLift:
+def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None, rows: np.ndarray) -> CompositeLift:
     """Lift a gradient-norm certificate to the composite setting.
 
     Defaults xi' to 1 - (lam[n-1, n] + lam[n, n-1]) / r, which zeroes the
     critical corner of the slack matrix and keeps it diagonally dominant.
+    rows are the shifted nonsmooth multipliers -Hc^{-1} (Hc tilde)^T as the
+    library's kernel forms them (see `library_rows`).
     """
     if xi is not None and (isinstance(xi, str) or not 0.0 <= xi < 1.0):
         raise ValueError(f"xi must lie in [0, 1) for the grad metric, got {xi!r}")
@@ -492,9 +514,8 @@ def lift_grad_plain(H: StepsizeMatrix, cert: GradCertificate, xi: float | None =
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
     lam, r = cert.lam, cert.r
-    hat, tilde = aggregates(cert)
-    hc = cumulative(H)
-    solved = -np.linalg.solve(hc, (hc @ tilde).T)
+    hat, _ = aggregates(cert)
+    solved = np.array(rows)
 
     mu = np.zeros((n + 1, n))
     mu[0] = -solved.sum(axis=0)

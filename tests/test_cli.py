@@ -329,6 +329,18 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
+    def test_overflow_under_warnings_as_errors_is_one_error_line(self):
+        # the slack's xi/2 doubles past float range in the composite identity;
+        # as an error it still exits 1, the cell's FAIL without -W
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "peplift", "lift", "--algo", "ogm",
+             "--metric", "func", "--n", "2", "--xi", "1e308"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+
     def test_usage_error_exit_code_from_argparse(self):
         proc = subprocess.run(
             [sys.executable, "-m", "peplift", "certify", "--algo", "bogus", "--metric", "func", "--n", "1"],

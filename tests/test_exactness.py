@@ -40,6 +40,7 @@ from reference_forms import (
     diag_dominance_margin_plain,
     fista_reference_plain,
     laplacian_violations_plain,
+    library_rows,
     lift_func_plain,
     lift_grad_plain,
     ogmg_stepsize_matrix_plain,
@@ -366,7 +367,7 @@ def test_cell_matches_plain_forms(algo, size, monkeypatch):
     lifts = []
     for xi in (family.xi(size), "pseudo") if func else (family.xi(size), None):
         lifted = lift_fn(H, cert, xi)
-        assert_same_fields(lifted, lift_plain(H, cert, xi))
+        assert_same_fields(lifted, lift_plain(H, cert, xi, library_rows(H, cert)))
         assert_same_fields(check(lifted), check_plain(lifted))
         lifts.append(lifted)
 

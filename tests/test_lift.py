@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from peplift.lift import (
 )
 from peplift.schedules import (
     SILVER_RATIO,
+    StepsizeMatrix,
     from_diagonal,
     gsw_schedule,
     gsw_taus,
@@ -519,3 +524,50 @@ class TestPartialSumKernel:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             partial_sum_kernel([1.0, 2.0], np.eye(3))
+
+
+class TestRowsThroughFactors:
+    """The lift applies H and H^{-1} through the stepsize matrix's factors."""
+
+    @pytest.mark.parametrize("algo, n", [("ogm", 6), ("ogmg", 6), ("ogm", 40), ("ogmg", 40)])
+    def test_entries_alone_take_the_dense_factor_with_the_same_verdict(self, algo, n):
+        family = FAMILIES[algo]
+        H = StepsizeMatrix(family.schedule(n).entries)
+        assert [factor.kind for factor in H.factors] == ["dense"]
+        cell, catalog_cell = verify_cell(H, family.certificate(n), family.xi(n)), family.cell(n)
+        assert cell.passed and catalog_cell.passed
+        assert cell.rate == catalog_cell.rate
+        np.testing.assert_allclose(cell.lifted.mu, catalog_cell.lifted.mu, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(catalog_cell.lifted.mu))))
+
+    def test_catalog_cells_never_solve_densely(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for algo, family in FAMILIES.items():
+            sizes = range(1, 7) if family.size_flag == "k" else (1, 2, 3, 5, 8, 64, 300)
+            for size in sizes:
+                assert family.cell(size).passed, (algo, size)
+
+    def test_lift_digits_do_not_depend_on_the_blas_thread_count(self):
+        # mu and the slack come from elementwise passes, so the same bits on
+        # any thread count; min_eig_S (eigvalsh) is left out, as it does depend
+        script = (
+            "import hashlib\n"
+            "from peplift.catalog import FAMILIES\n"
+            "from peplift.lift import lift_func\n"
+            "for algo, size in (('silver', 8), ('ogm', 257)):\n"
+            "    family = FAMILIES[algo]\n"
+            "    lifted = lift_func(family.schedule(size), family.certificate(size), family.xi(size))\n"
+            "    print(algo, hashlib.sha256(lifted.mu.tobytes() + lifted.slack.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]

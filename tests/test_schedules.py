@@ -18,6 +18,7 @@ from peplift.schedules import (
     load_schedule_json,
     ogm_stepsize_matrix,
     ogmg_stepsize_matrix,
+    phi_sequence,
     silver_schedule,
     theta_sequence,
     unit_upper,
@@ -25,7 +26,6 @@ from peplift.schedules import (
 from reference_forms import (
     ogm_factored,
     ogmg_factored,
-    phi_sequence,
     silver_schedule_recursive,
     theta_sequence_plain,
     u_matrix,
@@ -171,12 +171,17 @@ class TestOgmMatrices:
     def test_ogmg_against_independent_recursion(self, n):
         np.testing.assert_allclose(ogmg_stepsize_matrix(n).entries, _ogmg_matrix_oracle(n), rtol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 21, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 21, 64, 512])
     def test_factorizations(self, n):
         h = ogm_stepsize_matrix(n).entries
         assert np.max(np.abs(h - ogm_factored(n))) <= 1e-10 * max(1.0, np.max(np.abs(h)))
         hg = ogmg_stepsize_matrix(n).entries
         assert np.max(np.abs(hg - ogmg_factored(n))) <= 1e-10 * max(1.0, np.max(np.abs(hg)))
+        # the factors the library carries multiply to the entries and keep their zeros
+        for H in (ogm_stepsize_matrix(n), ogmg_stepsize_matrix(n)):
+            product = H.apply(np.eye(n))
+            assert np.max(np.abs(product - H.entries)) <= 1e-14 * np.max(np.abs(H.entries))
+            assert np.all(product[H.entries == 0.0] == 0.0)
 
     def test_phi_last_entry(self):
         t = theta_sequence(5)
@@ -256,6 +261,37 @@ class TestStepsizeMatrixInvariants:
         h = from_diagonal([1.0, 2.0])
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
+
+    def test_default_factors(self):
+        assert [f.kind for f in from_diagonal([1.0, 2.0]).factors] == ["diag"]
+        assert [f.kind for f in StepsizeMatrix(ogm_stepsize_matrix(3).entries).factors] == ["dense"]
+        assert [f.kind for f in ogm_stepsize_matrix(3).factors] == ["diag", "upper", "upper_inv"]
+        assert [f.kind for f in ogmg_stepsize_matrix(3).factors] == ["upper_inv", "upper", "diag"]
+
+    @pytest.mark.parametrize("factors", [
+        (("lower", np.ones(2)),),
+        (("diag", np.ones(3)),),
+        (("dense", np.eye(2)[:1]),),
+    ])
+    def test_rejects_malformed_factors(self, factors):
+        with pytest.raises(ValueError, match="factor"):
+            StepsizeMatrix(np.eye(2), factors)
+
+    @pytest.mark.parametrize("H", [
+        from_diagonal([1.5, -2.0, 0.25]),
+        ogm_stepsize_matrix(9),
+        ogmg_stepsize_matrix(9),
+        StepsizeMatrix(ogm_stepsize_matrix(9).entries),
+    ], ids=["diag", "ogm", "ogmg", "dense"])
+    @pytest.mark.parametrize("columns", [1, 4])
+    def test_apply_and_solve_are_inverse(self, H, columns):
+        x = np.random.default_rng(columns).standard_normal((H.n, columns))
+        np.testing.assert_allclose(H.apply(x.copy()), H.entries @ x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(H.solve(H.entries @ x), x, rtol=0, atol=1e-13)
+        if H.factors[0].kind != "dense":  # BLAS and LAPACK may round one column differently
+            # a single column (Python floats in the loops) rounds as a block of columns does
+            for op in (H.apply, H.solve):
+                np.testing.assert_array_equal(op(x[:, :1].copy())[:, 0], op(x.copy())[:, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
