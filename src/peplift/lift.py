@@ -131,20 +131,11 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _transposed(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x^T as a C-ordered array, copied 64 rows of x at a time so that the
-    strided side of the copy stays in cache (22 ms against 60 ms for one
-    strided copy at n = 2048, on an x86-64 core with numpy 2.4).  out may be
-    x itself when x is square: 64 x 64 tiles are then swapped across the
-    diagonal in place, so no new n^2 buffer is paged in."""
-    if out is x:
-        n = x.shape[0]
-        for i in range(0, n, 64):
-            x[i : i + 64, i : i + 64] = x[i : i + 64, i : i + 64].T.copy()
-            for j in range(i + 64, n, 64):
-                upper = x[i : i + 64, j : j + 64].T.copy()
-                x[i : i + 64, j : j + 64] = x[j : j + 64, i : i + 64].T
-                x[j : j + 64, i : i + 64] = upper
-        return x
+    """x^T as a C-ordered array (written into out when given), copied 64 rows
+    of x at a time.  One strided copy of the whole matrix is 2-4x slower when
+    a row is a power of two long (the strided side maps to few cache sets):
+    65-95 ms against 25-50 ms at n = 2048, while n = 2047 takes 20-30 ms
+    either way (x86-64, numpy 2.4)."""
     if out is None:
         out = np.empty(x.shape[::-1])
     for start in range(0, x.shape[0], 64):
@@ -175,10 +166,10 @@ def _shifted_rows(
     depend on BLAS's thread count.
     """
     n = tilde.shape[0]
-    rows = H.solve(_transposed(_suffix_sums(tilde), out=tilde))
+    rows = H.solve(_transposed(_suffix_sums(tilde)))
     rows[:-1] -= rows[1:]
-    rows = H.apply(_transposed(rows, out=rows))
-    out = _transposed(rows, out=out)
+    rows = H.apply(_transposed(rows))
+    out = _transposed(rows, out)
     del rows
     if left is not None:
         weights = H.solve(np.array(left, dtype=float)[:, None])[:, 0]

@@ -54,14 +54,7 @@ def unit_upper(n: int) -> np.ndarray:
 
 def _upper(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """U(d) x in place: row i becomes d_i x_i plus the sum of the rows below
-    it, kept as a running sum.  A single column runs on Python floats, which
-    round as numpy does, without a numpy call per entry."""
-    if x.shape[1] == 1:
-        col, d, below = x[:, 0].tolist(), d.tolist(), 0.0
-        for i in range(len(col) - 1, -1, -1):
-            col[i], below = col[i] * d[i] + below, below + col[i]
-        x[:, 0] = col
-        return x
+    it, kept as a running sum."""
     below, spare = np.zeros(x.shape[1:]), np.empty(x.shape[1:])
     for row, di in zip(x[::-1], d[::-1].tolist()):
         np.add(below, row, spare)
@@ -73,14 +66,7 @@ def _upper(d: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _upper_solve(d: np.ndarray, y: np.ndarray) -> np.ndarray:
     """U(d)^{-1} y in place, by back substitution with a running sum of the
-    rows already solved; a single column runs on Python floats."""
-    if y.shape[1] == 1:
-        col, d, below = y[:, 0].tolist(), d.tolist(), 0.0
-        for i in range(len(col) - 1, -1, -1):
-            col[i] = (col[i] - below) / d[i]
-            below += col[i]
-        y[:, 0] = col
-        return y
+    rows already solved."""
     below = np.zeros(y.shape[1:])
     for row, di in zip(y[::-1], d[::-1].tolist()):
         row -= below

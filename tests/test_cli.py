@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ class TestSweep:
         fields = dict(zip(rollup[0].split(","), rollup[2].split(",")))
         assert fields["residual_composite"] == "" and fields["pass"] == "false"
         assert [line.split(",")[-1] for line in rollup[1:]] == ["true", "false", "true"]
+
+    def test_overflow_under_warnings_as_errors_ends_the_sweep_with_no_report(self, tmp_path, capsys):
+        # as under python -W error::RuntimeWarning: the overflowing cell raises,
+        # so no cell's report is written and the sweep exits 1 with one error line
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": [
+            {"algo": "ogm", "n": 2}, {"algo": "ogm", "n": 3, "xi": 1e308}, {"algo": "gsw", "k": 2},
+        ]}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "overflow" in err[0]
+        assert list(out.iterdir()) == []
 
     def test_instances_are_built_once_per_sweep(self, tmp_path, monkeypatch):
         from peplift import problems

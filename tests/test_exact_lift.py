@@ -4,9 +4,10 @@ and against the exact rational lift of the same float inputs.
 The rows kernel applies H and H^{-1} through the stepsize matrix's factors;
 the dense route multiplies by the cumulative form Hc and solves with it.
 Both round, so neither reproduces the other bit for bit.  The exact oracle
-(exact_lift.py) says which is closer: the kernel may be at most 5 % farther
-than the dense solve from the exact rows at every checked size but one, and
-for the silver and gsw schedules it keeps every entry that is exactly zero.
+(exact_lift.py) says which is closer: at every checked size the kernel's
+distance from the exact rows is at most 5 % above the dense solve's or
+within one ulp of the largest entry, and for the silver and gsw schedules
+it keeps every entry that is exactly zero.
 """
 
 import functools
@@ -20,10 +21,6 @@ from reference_forms import dense_rows, library_rows, rows_inputs
 
 EXACT_CELLS = [(algo, k) for algo in ("silver", "gsw") for k in range(1, 6)]
 EXACT_CELLS += [(algo, n) for algo in ("ogm", "ogmg") for n in (8, 16, 32)]
-# silver k=2: both distances are below one ulp of the largest entry (14.7,
-# ulp 1.8e-15), 1.24e-15 against 1.02e-15.  The kernel's worst entry is 1.4
-# ulp off; the dense solve's worst is 4.6 ulp off, on an entry of 1.7.
-BAR = {("silver", 2): 1.25}
 DENSE_CELLS = [(algo, k) for algo in ("silver", "gsw") for k in range(1, 9)]
 DENSE_CELLS += [(algo, n) for algo in ("ogm", "ogmg") for n in (1, 2, 3, 5, 64, 300)]
 
@@ -53,9 +50,10 @@ def test_rows_are_no_farther_from_exact_than_the_dense_solve(algo, size):
     rows, dense, exact = rows_and_oracle(algo, size)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert distance(dense, exact) <= 1e-10 * scale  # the oracle lifts what the float routes lift
-    assert distance(rows, exact) <= BAR.get((algo, size), 1.05) * distance(dense, exact)
-    if (algo, size) in BAR:
-        assert distance(rows, exact) < np.spacing(np.max(np.abs(rows)))
+    # below one ulp of the largest entry a ratio of distances compares single
+    # roundings (silver k=2: 1.24e-15 against 1.02e-15, with ulp 1.8e-15)
+    ulp = float(np.spacing(np.max(np.abs(rows))))
+    assert distance(rows, exact) <= max(1.05 * distance(dense, exact), ulp)
 
 
 @pytest.mark.parametrize("algo, size", [cell for cell in EXACT_CELLS if cell[0] in ("silver", "gsw")])

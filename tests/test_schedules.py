@@ -288,10 +288,6 @@ class TestStepsizeMatrixInvariants:
         x = np.random.default_rng(columns).standard_normal((H.n, columns))
         np.testing.assert_allclose(H.apply(x.copy()), H.entries @ x, rtol=0, atol=1e-13)
         np.testing.assert_allclose(H.solve(H.entries @ x), x, rtol=0, atol=1e-13)
-        if H.factors[0].kind != "dense":  # BLAS and LAPACK may round one column differently
-            # a single column (Python floats in the loops) rounds as a block of columns does
-            for op in (H.apply, H.solve):
-                np.testing.assert_array_equal(op(x[:, :1].copy())[:, 0], op(x.copy())[:, 0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
