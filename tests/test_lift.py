@@ -563,11 +563,13 @@ class TestRowsThroughFactors:
             "    print(algo, hashlib.sha256(lifted.mu.tobytes() + lifted.slack.tobytes()).hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
+                 for threads in ("1", "2")]  # both run at once
         digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout)
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            digests.append(out)
         assert digests[0] == digests[1]
