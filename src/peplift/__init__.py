@@ -39,7 +39,6 @@ from .schedules import (
     SILVER_RATIO,
     ScheduleSpec,
     StepsizeMatrix,
-    cumulative,
     gsw_schedule,
     ogm_stepsize_matrix,
     ogmg_stepsize_matrix,

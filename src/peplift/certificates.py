@@ -28,7 +28,6 @@ from .schedules import (
     SILVER_RATIO,
     StepsizeMatrix,
     _frozen,
-    cumulative,
     gsw_taus,
     silver_schedule,
     theta_sequence,
@@ -282,7 +281,7 @@ def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, c
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
     led = GramLedger(n)
-    coco_block(led, cert.lam, cumulative(H), "composite_f" if composite else "unconstrained")
+    coco_block(led, cert.lam, H.entries, "composite_f" if composite else "unconstrained")
     return led
 
 

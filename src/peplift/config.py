@@ -1,5 +1,6 @@
 """Global numeric tolerances shared by the verifiers."""
 
+import math
 import os
 
 # Relative tolerance for identity residuals (coefficient matching).
@@ -16,11 +17,15 @@ LAPLACIAN_TOL = 1e-10
 
 
 def rel_tol() -> float:
-    """Relative residual tolerance; the PEPLIFT_TOL env var overrides it."""
+    """Relative residual tolerance; the PEPLIFT_TOL env var overrides it
+    with a positive finite number (inf would pass any residual, nan none)."""
     raw = os.environ.get("PEPLIFT_TOL")
     if raw is None:
         return DEFAULT_REL_TOL
-    value = float(raw)
-    if value <= 0.0:
-        raise ValueError(f"PEPLIFT_TOL must be positive, got {raw!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"PEPLIFT_TOL must be a positive finite number, got {raw!r}")
     return value

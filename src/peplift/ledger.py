@@ -40,22 +40,26 @@ along the plain method, zero gradient at the optimum), 'composite_f'
 'composite_h' (nonsmooth, along the composite extension).  They pass their
 multipliers as they hold them, with the position of their block; the
 (n+2) x (n+2) weight matrix W lives only inside :func:`coco_block`, which
-drops it before the n^3 product.  Building a ledger allocates little beyond
-its own quadratic form: the assembly's scratch is a few n x n buffers (the
-step weights, the directions, whose row differences are taken in place, the
-product, and for smooth inequalities the Laplacian), and outer products,
-symmetrized blocks and differences are formed a block of rows or a slice at
-a time.  Each stage performs the floating-point operations of its
-one-expression form, in the same order, so the coefficients are bit for bit
-those of the plain forms in ``tests/reference_forms.py``.
+drops it before the n^3 product.
 
-The n^3 product of the step weights with the direction differences is a
-column scaling when the differences are diagonal, which they are for a
-diagonal stepsize matrix (plain gradient descent: the silver and gsw
-schedules): each entry of the product then has one nonzero term.  It is then
-formed elementwise, with +0 added so that a zero entry is the +0 the matrix
-product sums to.  Step weights holding an inf or a nan keep the matrix
-product, whose inf * 0 terms put nans where the scaling would not.
+The identities see the stepsize matrix H only through its entries: the
+offsets x_p - x_0 are minus running sums of H's rows (one np.cumsum, no
+product), and the steps x_k - x_{k-1} are minus H's columns, which the step
+weights multiply directly.  Building a ledger allocates little beyond its
+own quadratic form: the assembly's scratch is a few n x n buffers (the step
+weights, the directions, -H unless H is diagonal, the product, and for
+smooth inequalities the Laplacian), and outer products, symmetrized blocks
+and differences are formed a block of rows or a slice at a time.  Each stage performs the
+floating-point operations of its one-expression form, in the same order, so
+the coefficients are bit for bit those of the plain forms in
+``tests/reference_forms.py``.
+
+The n^3 product of the step weights with H's columns is a column scaling
+when H is diagonal (plain gradient descent: the silver and gsw schedules):
+each entry of the product then has one nonzero term.  It is then formed
+elementwise, with +0 added so that a zero entry is the +0 the matrix product
+sums to.  Step weights holding an inf or a nan keep the matrix product,
+whose inf * 0 terms put nans where the scaling would not.
 """
 
 from __future__ import annotations
@@ -192,15 +196,6 @@ def _add_sym(quad: np.ndarray, rows: slice, cols: slice, half: np.ndarray) -> No
     quad[cols, rows] += half.T
 
 
-def _past_directions(hcum: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows `rows` of -[0; triu(hcum)^T]: row p holds the coefficients of the
-    past directions in x_p - x_0 (row 0 is zero)."""
-    first = max(rows.start, 1)
-    out = np.zeros((rows.stop - rows.start, hcum.shape[0]))
-    np.negative(np.triu(hcum[:, first - 1 : rows.stop - 1], 1 - first).T, out=out[first - rows.start :])
-    return out
-
-
 def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
     """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and
     -sum_{i<k} W[i, p] at p >= k, over the points p = 0..n.
@@ -237,7 +232,7 @@ _MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
 def coco_block(
     led: GramLedger,
     weights: np.ndarray,
-    hcum: np.ndarray,
+    h: np.ndarray,
     mode: str,
     origin: tuple[int, int] = (0, 0),
 ) -> None:
@@ -245,17 +240,19 @@ def coco_block(
 
     W is (n+2, n+2) over the points 0..n with STAR last: the block `weights`
     placed with its first entry at `origin`, zero elsewhere, and its diagonal
-    ignored; `weights` itself is only read.  Column i-1 of hcum holds, on and
-    above the diagonal, the coefficients of the past directions in x_0 - x_i;
-    direction l is g_l + s_{l+1} in the composite modes and g_l otherwise.
-    A mode not in _MODES raises.  Nonsmooth inequalities ('composite_h') take
-    the subgradient at j, which point 0 lacks, so their column 0 must be zero.
+    ignored; `weights` itself is only read.  h is the upper-triangular
+    stepsize matrix: column k-1 holds the coefficients of the past directions
+    in the step x_{k-1} - x_k, so the sums of row l over its first i columns
+    are those in x_0 - x_i; direction l is g_l + s_{l+1} in the composite
+    modes and g_l otherwise.  A mode not in _MODES raises.  Nonsmooth
+    inequalities ('composite_h') take the subgradient at j, which point 0
+    lacks, so their column 0 must be zero.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; valid: {tuple(_MODES)}")
     smooth, composite = _MODES[mode]
-    hcum = np.asarray(hcum, dtype=float)
-    n = hcum.shape[0]
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
     star = n + 1
     weights = np.asarray(weights, dtype=float)
     top, left = origin
@@ -273,13 +270,15 @@ def coco_block(
     lin += r - c
 
     # Row p of W^T X - diag(c) X is sum_i W[i, p] (x_i - x_p).  X is nonzero
-    # on the past directions, where rows 1..n hold -hcum^T, and at x0 - x*,
-    # where STAR's row holds -1.  Along the directions, x_i - x_p is summed
-    # from the steps x_k - x_{k-1} with prefix and suffix sums of W's columns,
-    # so c[p] x_p never cancels against sum_i W[i, p] x_i.
+    # on the past directions, where row p holds x_p - x_0, minus the running
+    # sums of h's rows up to column p-1, and at x0 - x*, where STAR's row
+    # holds -1.  Along the directions, x_i - x_p is summed from the steps
+    # x_k - x_{k-1}, minus column k-1 of h, with prefix and suffix sums of W's
+    # columns, so c[p] x_p never cancels against sum_i W[i, p] x_i.
     x_dir = np.empty((star, n))
-    for rows in _row_blocks(star):
-        x_dir[rows] = _past_directions(hcum, rows)
+    x_dir[0] = 0.0
+    np.cumsum(h, axis=1, out=x_dir[1:].T)
+    np.negative(x_dir[1:], out=x_dir[1:])
     steps = _step_weights(W, n)  # step k counts for p < k, against for p >= k
     m_star = W[:star, star] @ x_dir
     w_star = W[star, :star].copy()
@@ -292,24 +291,19 @@ def coco_block(
         lap -= W.T
     del W
 
-    # steps^T diff(x_dir) - diag(w_star) x_dir, with the row differences
-    # taken in place and x_dir's rows formed again afterwards, a block at a time
-    for rows in _row_blocks(n):
-        np.subtract(x_dir[rows.start + 1 : rows.stop + 1], x_dir[rows], out=x_dir[rows])
+    # steps^T (-h^T) - diag(w_star) x_dir, the second term a block of rows at a time
     m_dir = np.empty((n + 2, n))
-    scales = np.diagonal(x_dir[:n]).copy()  # a copy: a view would keep x_dir alive
-    if np.count_nonzero(x_dir[:n]) == np.count_nonzero(scales) and np.isfinite(steps.sum()):
+    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)) and np.isfinite(steps.sum()):
         # one term per entry; the gemm sums it onto +0, so a zero product is +0
-        np.multiply(steps.T, scales, out=m_dir[:star])
+        np.multiply(steps.T, -np.diagonal(h), out=m_dir[:star])
         m_dir[:star] += 0.0
     else:
-        np.matmul(steps.T, x_dir[:n], out=m_dir[:star])
-    del steps, x_dir
+        np.matmul(steps.T, -h.T, out=m_dir[:star])
+    del steps
     m_dir[star] = m_star
     for rows in _row_blocks(star):
-        past = _past_directions(hcum, rows)
-        past *= w_star[rows, None]
-        m_dir[rows] -= past
+        m_dir[rows] -= w_star[rows, None] * x_dir[rows]
+    del x_dir
     dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
     if composite:
         dir_cols.append(slice(ix_s(n, 1), ix_s(n, n) + 1))

@@ -51,7 +51,7 @@ from .ledger import (
     ix_s,
     ix_s_star,
 )
-from .schedules import StepsizeMatrix, _frozen, cumulative
+from .schedules import StepsizeMatrix, _frozen
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,9 @@ def _shifted_rows(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The shifted nonsmooth multiplier rows
-    -Hc^{-1} ((Hc tilde)^T + left right^T), with Hc = H U the cumulative form
-    of H (U the all-ones upper triangle), in O(n^2) work per factor of H;
-    written into out when given.  tilde is overwritten.
+    -Hc^{-1} ((Hc tilde)^T + left right^T), with Hc = H U the partial sums
+    of H's rows (U the all-ones upper triangle), never formed: O(n^2) work
+    per factor of H, written into out when given.  tilde is overwritten.
 
     Hc tilde is H T with T the suffix sums of tilde's rows, and Hc^{-1} is
     U^{-1} H^{-1}: H^{-1}, then one row difference.  The tilde term is formed
@@ -395,7 +395,7 @@ def composite_func_ledgers(
     n = cert.n
     lhs = _smooth_ledger(H, cert, composite=True)
     # sources 1..n and STAR, subgradients 1..n
-    coco_block(lhs, lift.mu, cumulative(H), "composite_h", origin=(1, 1))
+    coco_block(lhs, lift.mu, H.entries, "composite_h", origin=(1, 1))
 
     # the single square's linear combination over the global symbol basis
     sigma = _sigma(cert)
@@ -441,7 +441,7 @@ def composite_grad_ledgers(
     n = cert.n
     lhs = _smooth_ledger(H, cert, composite=True)
     # sources 0..n, subgradients 1..n
-    coco_block(lhs, lift.mu, cumulative(H), "composite_h", origin=(0, 1))
+    coco_block(lhs, lift.mu, H.entries, "composite_h", origin=(0, 1))
 
     indices = np.array([ix_g(n, n)] + [ix_s(n, j) for j in range(1, n + 1)])
     lhs.add_block(indices, lift.slack, 0.5)

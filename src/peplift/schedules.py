@@ -5,9 +5,9 @@ weight ``alpha[k, j]`` on gradient j at step k (1 <= k <= n, 0 <= j <= k-1).
 We store these in a dense upper-triangular array where ``entries[j, k-1]``
 holds alpha[k, j], so column k-1 lists the weights used by step k and the
 diagonal holds the "fresh gradient" weights alpha[k, k-1], which must be
-nonzero.  The cumulative form stores the partial sums
-``walpha[i, j] = sum_{k=j+1}^{i} alpha[k, j]`` at the same positions, so
-column i-1 of it gives the coefficients of x_0 - x_i over past gradients.
+nonzero.  The identities read these entries and nothing derived from them:
+column k-1 holds the coefficients of x_{k-1} - x_k over past gradients, and
+the sums of row j over the first i columns those of x_0 - x_i.
 
 A stepsize matrix also carries factors whose product is H, so H and H^{-1}
 apply to a block of columns in O(n) work per column: diag(d); U(d), which is
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,11 +44,6 @@ def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def unit_upper(n: int) -> np.ndarray:
-    """All-ones upper-triangular matrix (diagonal included)."""
-    return np.triu(np.ones((n, n)))
 
 
 def _upper(d: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,39 +160,10 @@ class StepsizeMatrix:
             x = factor.solve(x)
         return x
 
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        a, n = self.entries, self.n
-        if np.count_nonzero(a) == n:
-            # Diagonal H: each partial sum has one nonzero term, h_l from
-            # column l on, so the product's value is h_l there and +0
-            # elsewhere.
-            out = np.zeros((n, n))
-            for l in range(n):
-                out[l, l:] = a[l, l]
-        else:
-            out = a @ unit_upper(n)
-        out.setflags(write=False)
-        return out
-
 
 def from_diagonal(steps) -> StepsizeMatrix:
     """Stepsize matrix of plain gradient descent with the given steps."""
     return StepsizeMatrix(np.diag(np.asarray(steps, dtype=float)))
-
-
-def cumulative(H: StepsizeMatrix) -> np.ndarray:
-    """Partial-sum form of a stepsize matrix, read-only: its product with the
-    all-ones upper triangle, whose column i-1 expands x_0 - x_i.
-
-    The value is the one BLAS's dense product rounds to.  A diagonal H (plain
-    gradient descent) has one term per sum, so its rows are written directly
-    and the result is exact; any other H pays for the product.  Running sums
-    (np.cumsum) would be cheaper but differ from the product by up to 1.3e-12
-    at ogm n=1024, which moves report digits.  The work runs once per matrix;
-    later calls return the stored array, so every stage of a cell shares one
-    copy."""
-    return H._cumulative
 
 
 # ---------------------------------------------------------------------------

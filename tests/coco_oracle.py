@@ -22,11 +22,12 @@ def evaluate(led: GramLedger, vectors: np.ndarray, f_vals: np.ndarray, h_vals: n
     return float(np.sum(led.quad * gram) + led.lin_f @ f_vals + led.lin_h @ h_vals)
 
 
-def single_inequality(hcum: np.ndarray, i: Index, j: Index, mode: str) -> GramLedger:
-    """The co-coercivity inequality (i, j) of a mode as a standalone ledger."""
-    n = np.shape(hcum)[0]
+def single_inequality(h: np.ndarray, i: Index, j: Index, mode: str) -> GramLedger:
+    """The co-coercivity inequality (i, j) of a mode as a standalone ledger,
+    along the method with stepsize entries h."""
+    n = np.shape(h)[0]
     led = GramLedger(n)
-    coco_block(led, [[1.0]], hcum, mode, origin=(ix_val(n, i), ix_val(n, j)))
+    coco_block(led, [[1.0]], h, mode, origin=(ix_val(n, i), ix_val(n, j)))
     return led
 
 
@@ -55,14 +56,15 @@ def _add_inner_sparse(led: GramLedger, a: list[tuple[int, float]], b: list[tuple
 class CocoExpander:
     """Expands co-coercivity inequalities of one method run over the basis.
 
-    hcum holds in column i-1 the coefficients of the past directions in
-    x_0 - x_i.  With composite, direction j is g_j + s_{j+1}, otherwise g_j.
-    With coupled_star the gradient at the optimum is -s_star, otherwise zero.
+    h is the upper-triangular stepsize matrix: h[l, k-1] is the weight of
+    direction l in the step x_{k-1} - x_k.  With composite, direction j is
+    g_j + s_{j+1}, otherwise g_j.  With coupled_star the gradient at the
+    optimum is -s_star, otherwise zero.
     """
 
-    def __init__(self, hcum: np.ndarray, composite: bool, coupled_star: bool):
-        self.hcum = np.asarray(hcum, dtype=float)
-        self.n = self.hcum.shape[0]
+    def __init__(self, h: np.ndarray, composite: bool, coupled_star: bool):
+        self.h = np.asarray(h, dtype=float)
+        self.n = self.h.shape[0]
         self.composite = composite
         self.coupled_star = coupled_star
 
@@ -77,7 +79,7 @@ class CocoExpander:
         if not 0 <= i <= n:
             raise IndexError(f"iterate index {i} out of range 0..{n}")
         for l in range(i):
-            w = self.hcum[l, i - 1]
+            w = sum(self.h[l, :i].tolist())  # x_0 - x_i sums the steps 1..i
             c[ix_g(n, l)] -= w
             if self.composite:
                 c[ix_s(n, l + 1)] -= w
@@ -125,14 +127,14 @@ class CocoExpander:
 def coco_block_reference(
     led: GramLedger,
     W: np.ndarray,
-    hcum: np.ndarray,
+    h: np.ndarray,
     smooth: bool,
     composite: bool,
     coupled_star: bool,
 ) -> None:
     """Drop-in for coco_block that adds the inequalities one at a time."""
     n = led.n
-    expand = CocoExpander(hcum, composite, coupled_star)
+    expand = CocoExpander(h, composite, coupled_star)
     add = expand.add_smooth_coco if smooth else expand.add_nonsmooth_coco
     for i, j, w in iter_nonzero(np.asarray(W, dtype=float)):
         if i != j:
@@ -152,11 +154,11 @@ def placed(block_form):
     origin, and a mode.  Lets a W-taking form stand in for coco_block in the
     library's callers."""
 
-    def place(led, weights, hcum, mode, origin=(0, 0)):
+    def place(led, weights, h, mode, origin=(0, 0)):
         weights = np.asarray(weights, dtype=float)
         top, left = origin
         W = np.zeros((led.n + 2, led.n + 2))
         W[top : top + weights.shape[0], left : left + weights.shape[1]] = weights
-        block_form(led, W, hcum, *MODES[mode])
+        block_form(led, W, h, *MODES[mode])
 
     return place

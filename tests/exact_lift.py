@@ -1,11 +1,11 @@
 """Exact rational lift of a float certificate, the oracle for the lift's rows.
 
 The lift's shifted multiplier rows are -Hc^{-1} ((Hc tilde)^T + left right^T)
-with Hc = H U the cumulative form (U the all-ones upper triangle).  Here they
-are formed exactly from the float H and the float arrays the library feeds
-its kernel (tilde from `aggregates`, and for the objective-gap metric gamma
-and gamma + sigma), by a dense product and a dense back substitution with
-Hc, so every digit of the result is the exact value of those inputs.
+with Hc = H U the partial sums of H's rows (U the all-ones upper
+triangle).  Here they are formed exactly from the float H and the float
+arrays the library feeds its kernel (tilde from `aggregates`, and for the
+objective-gap metric gamma and gamma + sigma), by a dense product and a
+dense back substitution with Hc, so every digit of the result is the exact value of those inputs.
 Stdlib only; O(n^3) operations on integers that grow with n, so meant for n
 up to about 64.
 """

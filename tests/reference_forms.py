@@ -23,7 +23,14 @@ from peplift.certificates import FuncCertificate, GradCertificate, aggregates
 from peplift.ledger import GramLedger, ix_dist, ix_g, ix_s, ix_s_star
 from peplift.lift import CompositeLift, FeasibilityReport, _shifted_rows, _sigma, pseudoinverse_xi
 from peplift.methods import ProxProblem, RunTrace
-from peplift.schedules import SILVER_RATIO, StepsizeMatrix, cumulative, phi_sequence, theta_sequence, unit_upper
+from peplift.schedules import SILVER_RATIO, StepsizeMatrix, phi_sequence, theta_sequence
+
+
+def hc_product(H: StepsizeMatrix) -> np.ndarray:
+    """Hc = H U, the partial sums of H's rows, by a dense product with the
+    all-ones upper triangle U; column i-1 expands x_0 - x_i."""
+    n = H.n
+    return H.entries @ np.triu(np.ones((n, n)))
 
 
 def u_matrix(diag) -> np.ndarray:
@@ -93,9 +100,9 @@ def ogmg_factored(n: int) -> np.ndarray:
 def aggregate_identity_residual(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate) -> float:
     """Residual of the quadratic-form consequence of a valid certificate:
     hat + Hc tilde + (Hc tilde)^T equals -gamma_head gamma_head^T for an
-    objective certificate and zero for a gradient one (Hc cumulative)."""
+    objective certificate and zero for a gradient one (Hc = H U)."""
     hat, tilde = aggregates(cert)
-    hc = cumulative(H)
+    hc = hc_product(H)
     m = hat + hc @ tilde + (hc @ tilde).T
     if isinstance(cert, FuncCertificate):
         m = m + np.outer(cert.gamma[:-1], cert.gamma[:-1])
@@ -137,7 +144,7 @@ def partial_sum_kernel(steps, a: np.ndarray) -> np.ndarray:
         out[r] = steps * (tails[:, r + 1] / steps[r + 1] - tails[:, r] / steps[r])
     out[n - 1] = -steps * tails[:, n - 1] / steps[n - 1]
 
-    hc = np.diag(steps) @ unit_upper(n)
+    hc = np.diag(steps) @ np.triu(np.ones((n, n)))
     direct = -np.linalg.solve(hc, a.T @ hc.T)
     scale = max(1.0, float(np.max(np.abs(direct))))
     if np.max(np.abs(out - direct)) > 1e-10 * scale:
@@ -342,7 +349,7 @@ def _add_sym_plain(quad: np.ndarray, rows: slice, cols: slice, block: np.ndarray
 def coco_block_plain(
     led: GramLedger,
     W: np.ndarray,
-    hcum: np.ndarray,
+    h: np.ndarray,
     smooth: bool,
     composite: bool,
     coupled_star: bool,
@@ -350,14 +357,15 @@ def coco_block_plain(
     """Add sum_{i != j} W[i, j] * coco(i, j) to led, in matrix form.
 
     W is (n+2, n+2) over the points 0..n with STAR last; its diagonal is
-    ignored.  Column i-1 of hcum holds, on and above the diagonal, the
-    coefficients of the past directions in x_0 - x_i; direction l is
+    ignored.  h is the upper-triangular stepsize matrix: column k-1 holds
+    the coefficients of the past directions in x_{k-1} - x_k, and the sums
+    of row l over the first i columns those in x_0 - x_i; direction l is
     g_l + s_{l+1} when composite and g_l otherwise.  The gradient at STAR is
     -s_star when coupled_star and zero otherwise.  Nonsmooth inequalities take
     the subgradient at j, which point 0 lacks, so their column 0 must be zero.
     """
-    hcum = np.asarray(hcum, dtype=float)
-    n = hcum.shape[0]
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
     star = n + 1
     W = np.array(W, dtype=float)
     if led.n != n or W.shape != (n + 2, n + 2):
@@ -371,17 +379,18 @@ def coco_block_plain(
     lin += r - c
 
     # Row p of W^T X - diag(c) X is sum_i W[i, p] (x_i - x_p).  X is nonzero
-    # on the past directions, where rows 1..n hold -hcum^T, and at x0 - x*,
-    # where STAR's row holds -1.  Along the directions, x_i - x_p is summed
-    # from the steps x_k - x_{k-1} with prefix and suffix sums of W's columns,
-    # so c[p] x_p never cancels against sum_i W[i, p] x_i.
+    # on the past directions, where rows 1..n hold minus the running sums of
+    # h's rows, transposed, and at x0 - x*, where STAR's row holds -1.  Along
+    # the directions, x_i - x_p is summed from the steps x_k - x_{k-1}, which
+    # are minus h's columns, with prefix and suffix sums of W's columns, so
+    # c[p] x_p never cancels against sum_i W[i, p] x_i.
     x_dir = np.zeros((star, n))
-    x_dir[1:] = -np.triu(hcum).T
+    x_dir[1:] = -np.cumsum(h, axis=1).T
     before = np.cumsum(W[:star, :star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
     after = np.cumsum(W[n::-1, :star], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
     steps = np.tril(after) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
     m_dir = np.empty((n + 2, n))
-    m_dir[:star] = steps.T @ np.diff(x_dir, axis=0) - W[star, :star, None] * x_dir
+    m_dir[:star] = steps.T @ -h.T - W[star, :star, None] * x_dir
     m_dir[star] = W[:star, star] @ x_dir
     m_dist = -W[star]
     m_dist[star] += c[star]
@@ -430,7 +439,7 @@ def library_rows(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate) -> 
 def dense_rows(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate) -> np.ndarray:
     """The same rows by a dense product with Hc and one dense solve with it."""
     tilde, left, right = rows_inputs(cert)
-    hc = cumulative(H)
+    hc = hc_product(H)
     rhs = (hc @ tilde).T
     if left is not None:
         rhs += np.outer(left, right)
@@ -465,7 +474,7 @@ def lift_func_plain(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str, r
     sigma_head = sigma[:n]
 
     hat, tilde = aggregates(cert)
-    hc = cumulative(H)
+    hc = hc_product(H)
     via_quad = np.array(rows)
     via_hat = np.linalg.solve(hc, hat - np.outer(gamma_head, sigma_head)) + tilde
     scale = max(np.max(np.abs(via_quad)), np.max(np.abs(via_hat)), 1.0)

@@ -41,6 +41,12 @@ class TestCertify:
         monkeypatch.setenv("PEPLIFT_TOL", "1e-6")
         assert main(["certify", "--algo", "silver", "--metric", "func", "--k", "4"]) == 0
 
+    @pytest.mark.parametrize("raw", ["inf", "nan", "0", "-1e-9", "abc"])
+    def test_tolerance_env_must_be_positive_and_finite(self, monkeypatch, raw):
+        # inf would pass any residual and nan fail every one
+        monkeypatch.setenv("PEPLIFT_TOL", raw)
+        assert main(["certify", "--algo", "ogm", "--metric", "func", "--n", "5"]) == 2
+
 
 class TestLift:
     def test_silver_paper_xi(self, tmp_path):

@@ -24,7 +24,6 @@ from peplift.lift import (
 )
 from peplift.methods import run_composite
 from peplift.problems import ProblemSpec, initial_point, make_problem
-from peplift.schedules import cumulative
 
 
 def _cells():
@@ -63,7 +62,6 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
     problem = make_problem(spec)
     H = FAMILIES[algo].schedule(size)
     cert = FAMILIES[algo].certificate(size)
-    hcum = cumulative(H)
     n = cert.n
     trace = run_composite(H, problem, initial_point(spec))
     vectors, f_vals, h_vals = basis_realization(trace, problem)
@@ -88,12 +86,12 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
         if i == j:
             continue
         ii = STAR if (FAMILIES[algo].metric == "func" and i == n + 1) else i
-        value = evaluate(single_inequality(hcum, ii, j, "composite_f"), vectors, f_vals, h_vals)
+        value = evaluate(single_inequality(H.entries, ii, j, "composite_f"), vectors, f_vals, h_vals)
         assert w >= 0 and value >= -1e-8
     for i, j, w in mu_pairs:
         if i == j:
             continue
-        value = evaluate(single_inequality(hcum, i, j, "composite_h"), vectors, f_vals, h_vals)
+        value = evaluate(single_inequality(H.entries, i, j, "composite_h"), vectors, f_vals, h_vals)
         assert w >= -1e-10 and value >= -1e-8
 
     assert np.linalg.eigvalsh(slack)[0] >= -1e-9 * max(1.0, abs(np.max(slack)))

@@ -2,7 +2,7 @@
 and against the exact rational lift of the same float inputs.
 
 The rows kernel applies H and H^{-1} through the stepsize matrix's factors;
-the dense route multiplies by the cumulative form Hc and solves with it.
+the dense route multiplies by Hc = H U and solves with it.
 Both round, so neither reproduces the other bit for bit.  The exact oracle
 (exact_lift.py) says which is closer: at every checked size the kernel's
 distance from the exact rows is at most 5 % above the dense solve's or

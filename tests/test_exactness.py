@@ -8,9 +8,9 @@ reports.  Both obvious one-call rewrites of the prox expressions flip one:
 np.clip(-0.0, 0, 1) is -0.0 where np.minimum(np.maximum(-0.0, 0), 1) is +0.0,
 and np.sign(-0.0) * 0.0 is +0.0 where np.copysign(0.0, -0.0) is -0.0.
 
-For a diagonal stepsize matrix (silver, gsw) the cumulative form and the
-direction product of a ledger skip their dense products: they keep the one
-nonzero term of each sum and give a zero the +0 the product would have.
+For a diagonal stepsize matrix (silver, gsw) the direction product of a
+ledger skips its dense product: it keeps the one nonzero term of each sum
+and gives a zero the +0 the product would have.
 """
 
 import dataclasses
@@ -25,12 +25,12 @@ from hypothesis.extra.numpy import arrays
 from coco_oracle import MODES, placed
 from peplift import certificates, ledger, lift, problems, schedules
 from peplift.catalog import FAMILIES
-from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate, ogmg_grad_certificate
+from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate
 from peplift.ledger import GramLedger, coco_block
 from peplift.lift import verify_cell
 from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg, run_unconstrained
 from peplift.problems import ProblemSpec, initial_point, make_problem
-from peplift.schedules import ScheduleSpec, cumulative, from_diagonal, ogm_stepsize_matrix, ogmg_stepsize_matrix
+from peplift.schedules import ScheduleSpec, from_diagonal, ogm_stepsize_matrix, ogmg_stepsize_matrix
 from reference_forms import (
     add_block_plain,
     add_square_plain,
@@ -232,63 +232,20 @@ def test_nan_coefficient_fails_the_report(side, group):
     assert not report.passed
 
 
-@pytest.mark.parametrize("H, cert, xi", [
-    (ogm_stepsize_matrix(6), ogm_func_certificate(6), "pseudo"),
-    (ogmg_stepsize_matrix(6), ogmg_grad_certificate(6), None),
-])
-def test_lift_cell_forms_the_cumulative_product_once(H, cert, xi, monkeypatch):
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return np.triu(np.ones((n, n)))
-
-    monkeypatch.setattr(schedules, "unit_upper", counted)
-    H = schedules.StepsizeMatrix(H.entries)  # a fresh matrix, nothing stored yet
-    cell = verify_cell(H, cert, xi)
-    assert cell.passed
-    assert calls == [6]
-
-
-def cumulative_product(H: schedules.StepsizeMatrix) -> np.ndarray:
-    n = H.n
-    return H.entries @ np.triu(np.ones((n, n)))
-
-
-@pytest.mark.parametrize("algo", ["silver", "gsw"])
-@pytest.mark.parametrize("k", range(1, 12))
-def test_gradient_descent_cumulative_is_the_product(algo, k):
-    H = FAMILIES[algo].schedule(k)
-    assert_bitwise_equal(cumulative(H), cumulative_product(H))
-
-
-@pytest.mark.parametrize("steps", [
-    [2.5], [-1.5], [1e-300], [1e300], [-1e-300],
-    [1.5, -2.0, 1e-300, 3.0, -1e300, 1e300, 0.5],
-    np.geomspace(1e-300, 1e300, 300),
-    -np.geomspace(1e300, 1e-300, 257),
-])
-def test_diagonal_cumulative_is_the_product(steps):
-    H = from_diagonal(steps)
-    assert_bitwise_equal(cumulative(H), cumulative_product(H))
-
-
 @pytest.mark.parametrize("steps", [[math.inf], [1.0, -math.inf, 2.0], [1.0, math.nan]])
 def test_non_finite_diagonal_is_rejected(steps):
     """from_diagonal and StepsizeMatrix reject the same inputs, so a diagonal
-    H reaching the direct cumulative rows has finite steps."""
+    H reaching the ledger's column scaling has finite steps."""
     for build in (from_diagonal, lambda s: schedules.StepsizeMatrix(np.diag(s))):
         with pytest.raises(ValueError, match="entries must be finite"):
             build(steps)
 
 
 class CountingNumpy:
-    """numpy as the ledger module sees it, with its np.matmul calls counted,
-    and a count of schedules.unit_upper calls beside them."""
+    """numpy as the ledger module sees it, with its np.matmul calls counted."""
 
     def __init__(self):
         self.matmul_calls = 0
-        self.unit_upper_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -300,16 +257,9 @@ class CountingNumpy:
 
 @pytest.fixture
 def counted_products(monkeypatch):
-    """Count the ledger's np.matmul calls and schedules.unit_upper calls."""
+    """Count the ledger's np.matmul calls."""
     counts = CountingNumpy()
-    unit_upper = schedules.unit_upper
-
-    def counted(n):
-        counts.unit_upper_calls += 1
-        return unit_upper(n)
-
     monkeypatch.setattr(ledger, "np", counts)
-    monkeypatch.setattr(schedules, "unit_upper", counted)
     return counts
 
 
@@ -321,7 +271,6 @@ def test_gradient_descent_cells_skip_the_dense_products(algo, size, dense, lift_
     family = FAMILIES[algo]
     H, cert = family.schedule(size), family.certificate(size)
     assert verify_cell(H, cert, family.xi(size), lift=lift_).passed
-    assert counted_products.unit_upper_calls == (1 if dense else 0)
     assert (counted_products.matmul_calls > 0) == dense
 
 
@@ -386,11 +335,11 @@ def signed_values(size: int) -> st.SearchStrategy:
         st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-8.0, 8.0, width=16)))
 
 
-def assert_coco_matches_plain(W, hcum, mode):
+def assert_coco_matches_plain(W, h, mode):
     """Both forms add the same bits to a fresh ledger and to one holding -0.0
     everywhere, where a -0.0 added stays -0.0."""
     smooth, composite, coupled_star = MODES[mode]
-    n = hcum.shape[0]
+    n = h.shape[0]
     if not smooth:
         W[:, 0] = 0.0
     given_W = W.copy()
@@ -398,8 +347,8 @@ def assert_coco_matches_plain(W, hcum, mode):
         led, ref = GramLedger(n), GramLedger(n)
         for name in ("quad", "lin_f", "lin_h"):
             getattr(led, name)[...] = getattr(ref, name)[...] = start
-        coco_block(led, W, hcum, mode)
-        coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
+        coco_block(led, W, h, mode)
+        coco_block_plain(ref, W, h, smooth, composite, coupled_star)
         assert_same_ledger(led, ref)
         assert_bitwise_equal(W, given_W)  # the caller's weights stay as they were
 
@@ -408,8 +357,8 @@ def assert_coco_matches_plain(W, hcum, mode):
 @given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(MODES)))
 def test_coco_block_matches_plain_form(data, n, mode):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
-    hcum = data.draw(signed_values((n, n)), label="hcum")
-    assert_coco_matches_plain(W, hcum, mode)
+    h = np.triu(data.draw(signed_values((n, n)), label="h"))
+    assert_coco_matches_plain(W, h, mode)
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,22 +374,16 @@ def test_placed_block_matches_the_embedded_weight_matrix(data, n, mode):
     left = data.draw(st.integers(first, n + 2 - cols), label="left")
     weights = data.draw(signed_values((rows, cols)), label="weights")
     weights.setflags(write=False)
-    hcum = data.draw(signed_values((n, n)), label="hcum")
+    h = np.triu(data.draw(signed_values((n, n)), label="h"))
     W = np.zeros((n + 2, n + 2))
     W[top : top + rows, left : left + cols] = weights
     for start in (0.0, -0.0):
         led, ref = GramLedger(n), GramLedger(n)
         for name in ("quad", "lin_f", "lin_h"):
             getattr(led, name)[...] = getattr(ref, name)[...] = start
-        coco_block(led, weights, hcum, mode, origin=(top, left))
-        coco_block_plain(ref, W, hcum, smooth, composite, coupled_star)
+        coco_block(led, weights, h, mode, origin=(top, left))
+        coco_block_plain(ref, W, h, smooth, composite, coupled_star)
         assert_same_ledger(led, ref)
-
-
-def diagonal_hcum(steps: np.ndarray) -> np.ndarray:
-    """The cumulative form of diag(steps): row l holds steps[l] from column l on."""
-    n = steps.shape[0]
-    return np.where(np.triu(np.ones((n, n), dtype=bool)), steps[:, None], 0.0)
 
 
 @settings(max_examples=150, deadline=None,
@@ -448,19 +391,33 @@ def diagonal_hcum(steps: np.ndarray) -> np.ndarray:
 @given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(MODES)))
 def test_coco_block_matches_plain_form_on_a_diagonal_schedule(data, n, mode, counted_products):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
-    hcum = diagonal_hcum(data.draw(signed_values(n), label="steps"))
+    h = np.diag(data.draw(signed_values(n), label="steps"))
     calls = counted_products.matmul_calls
-    assert_coco_matches_plain(W, hcum, mode)
+    assert_coco_matches_plain(W, h, mode)
     assert counted_products.matmul_calls == calls  # the column scaling ran
 
 
+def signed_normals(n: int) -> np.ndarray:
+    """n seeded standard normal steps, about a tenth of them -0.0."""
+    rng = np.random.default_rng(n)
+    return np.where(rng.random(n) < 0.1, -0.0, rng.standard_normal(n))
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
-def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(n, mode, counted_products):
+@pytest.mark.parametrize("steps", [
+    *(signed_normals(n) for n in (254, 255, 256, 257)),  # n and n+1 rows around the 256-row block
+    [2.5], [-1.5], [1e-300], [1e300], [-1e-300],
+    [1.5, -2.0, 1e-300, 3.0, -1e300, 1e300, 0.5],
+    np.geomspace(1e-300, 1e300, 300),
+    -np.geomspace(1e300, 1e-300, 257),
+])
+def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(steps, mode, counted_products):
+    steps = np.asarray(steps, dtype=float)
+    n = steps.shape[0]
     rng = np.random.default_rng(n)
     W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
-    steps = np.where(rng.random(n) < 0.1, -0.0, rng.standard_normal(n))
-    assert_coco_matches_plain(W, diagonal_hcum(steps), mode)
+    with np.errstate(over="ignore", invalid="ignore"):  # products of 1e300 steps overflow, then inf - inf
+        assert_coco_matches_plain(W, np.diag(steps), mode)
     assert counted_products.matmul_calls == 0
 
 
@@ -472,7 +429,7 @@ def test_non_finite_weights_keep_the_matrix_product(value, mode, counted_product
     W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
     W[4, 2] = value
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
-        assert_coco_matches_plain(W, diagonal_hcum(rng.standard_normal(n)), mode)
+        assert_coco_matches_plain(W, np.diag(rng.standard_normal(n)), mode)
     assert counted_products.matmul_calls > 0
 
 
@@ -481,8 +438,8 @@ def test_non_finite_weights_keep_the_matrix_product(value, mode, counted_product
 def test_coco_block_matches_plain_form_at_the_block_edge(n, mode):
     rng = np.random.default_rng(n)
     W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
-    hcum = np.where(rng.random((n, n)) < 0.3, -0.0, rng.standard_normal((n, n)))
-    assert_coco_matches_plain(W, hcum, mode)
+    h = np.triu(np.where(rng.random((n, n)) < 0.3, -0.0, rng.standard_normal((n, n))))
+    assert_coco_matches_plain(W, h, mode)
 
 
 def special_coefficients(size: int) -> dict[str, np.ndarray]:

@@ -20,19 +20,19 @@ from peplift.ledger import (
 )
 from peplift.methods import run_composite
 from peplift.problems import ProblemSpec, initial_point, make_problem
-from peplift.schedules import cumulative, ogm_stepsize_matrix
+from peplift.schedules import ogm_stepsize_matrix, theta_sequence
 
 
 @pytest.fixture(scope="module")
-def hcum3():
-    return cumulative(ogm_stepsize_matrix(3))
+def h3():
+    return ogm_stepsize_matrix(3).entries
 
 
 class TestSingleInequalities:
-    def test_unconstrained_final_vs_optimum(self, hcum3):
+    def test_unconstrained_final_vs_optimum(self, h3):
         # f_n - f_star - ||g_n||^2 / 2 once the optimal gradient is zeroed out
         n = 3
-        led = single_inequality(hcum3, n, STAR, "unconstrained")
+        led = single_inequality(h3, n, STAR, "unconstrained")
         expected_f = np.zeros(n + 2)
         expected_f[ix_val(n, n)] = 1.0
         expected_f[ix_val(n, STAR)] = -1.0
@@ -42,13 +42,13 @@ class TestSingleInequalities:
         quad[ix_g(n, n), ix_g(n, n)] = -0.5
         np.testing.assert_array_equal(led.quad, quad)
 
-    def test_composite_metric_identity(self, hcum3):
+    def test_composite_metric_identity(self, h3):
         # smooth + nonsmooth inequality at (n, star) collapses to
         # F_n - F_star - ||g_n + s_star||^2 / 2
         n = 3
         led = GramLedger(n)
         for mode in ("composite_f", "composite_h"):
-            coco_block(led, [[1.0]], hcum3, mode, origin=(ix_val(n, n), ix_val(n, STAR)))
+            coco_block(led, [[1.0]], h3, mode, origin=(ix_val(n, n), ix_val(n, STAR)))
         assert led.lin_f[ix_val(n, n)] == 1.0 and led.lin_f[ix_val(n, STAR)] == -1.0
         assert led.lin_h[ix_val(n, n)] == 1.0 and led.lin_h[ix_val(n, STAR)] == -1.0
         quad = np.zeros_like(led.quad)
@@ -58,6 +58,22 @@ class TestSingleInequalities:
         quad[gn, ss] = -0.5
         quad[ss, gn] = -0.5
         np.testing.assert_allclose(led.quad, quad, atol=1e-14)
+
+    def test_past_directions_of_ogm_n2_by_hand(self):
+        # h_i - h_star - <s_star, x_i - x_star> puts minus half of x_i - x_0's
+        # coefficients against s_star; x_0 - x_i sums the first i steps
+        n = 2
+        t = theta_sequence(n)
+        a10 = 1 + (2 * t[0] - 1) / t[1]
+        a21 = 1 + (2 * t[1] - 1) / t[2]
+        a20 = (t[1] - 1) / t[2] * (a10 - 1)
+        expected = np.array([[a10, a10 + a20], [0.0, a21]])  # column i-1: x_0 - x_i over g_0, g_1
+        h = ogm_stepsize_matrix(n).entries
+        for i in (1, 2):
+            led = single_inequality(h, i, STAR, "composite_h")
+            for l in range(n):
+                for col in (ix_g(n, l), ix_s(n, l + 1)):
+                    np.testing.assert_allclose(2.0 * led.quad[ix_s_star(n), col], expected[l, i - 1], rtol=1e-15)
 
 
 def _relative_gap(led: GramLedger, ref: GramLedger) -> float:
@@ -72,12 +88,12 @@ class TestCocoBlock:
     def test_matches_per_inequality_sum(self, data, n, mode):
         smooth, composite, coupled_star = MODES[mode]
         W = data.draw(arrays(float, (n + 2, n + 2), elements=st.floats(0.0, 10.0)), label="W")
-        hcum = data.draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)), label="hcum")
+        h = np.triu(data.draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)), label="h"))
         if not smooth:
             W[:, 0] = 0.0
         led, ref = GramLedger(n), GramLedger(n)
-        coco_block(led, W, hcum, mode)
-        coco_block_reference(ref, W, hcum, smooth, composite, coupled_star)
+        coco_block(led, W, h, mode)
+        coco_block_reference(ref, W, h, smooth, composite, coupled_star)
         assert _relative_gap(led, ref) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -106,18 +122,18 @@ class TestCocoBlock:
     def test_weights_are_read_and_their_diagonal_ignored(self):
         n = 4
         rng = np.random.default_rng(4)
-        hcum = np.triu(rng.standard_normal((n, n)))
+        h = np.triu(rng.standard_normal((n, n)))
         weights = rng.random((n + 1, n))
         weights.setflags(write=False)
         given_weights = weights.copy()
         led = GramLedger(n)
-        coco_block(led, weights, hcum, "composite_f", origin=(1, 1))
+        coco_block(led, weights, h, "composite_f", origin=(1, 1))
         np.testing.assert_array_equal(weights, given_weights)
         off_diagonal = np.zeros((n + 2, n + 2))
         off_diagonal[1:, 1 : n + 1] = weights
         np.fill_diagonal(off_diagonal, 0.0)
         ref = GramLedger(n)
-        coco_block(ref, off_diagonal, hcum, "composite_f")
+        coco_block(ref, off_diagonal, h, "composite_f")
         for name in ("quad", "lin_f", "lin_h"):
             np.testing.assert_array_equal(getattr(led, name), getattr(ref, name))
 
@@ -144,7 +160,6 @@ class TestNonnegativitySampling:
         # 100 seeded l1-regularized least-squares instances
         n = 3
         h = ogm_stepsize_matrix(n)
-        hcum = cumulative(h)
         pairs = [(i, j) for i in list(range(n + 1)) + [STAR] for j in range(n + 1) if i != j]
         pairs += [(i, j) for i in list(range(1, n + 1)) + [STAR] for j in range(1, n + 1) if i != j]
         worst = 0.0
@@ -155,7 +170,7 @@ class TestNonnegativitySampling:
             vectors, f_vals, h_vals = basis_realization(trace, problem)
             for idx, (i, j) in enumerate(pairs):
                 mode = "composite_f" if idx < (n + 2) * (n + 1) - (n + 1) else "composite_h"
-                led = single_inequality(hcum, i, j, mode)
+                led = single_inequality(h.entries, i, j, mode)
                 worst = min(worst, evaluate(led, vectors, f_vals, h_vals))
         assert worst >= -1e-9
 
@@ -163,7 +178,6 @@ class TestNonnegativitySampling:
         # same data, explicit mode split: Qf and Qh each nonnegative
         n = 2
         h = ogm_stepsize_matrix(n)
-        hcum = cumulative(h)
         spec = ProblemSpec(kind="lasso", dim=5, rows=8, seed=11, tau=0.3)
         problem = make_problem(spec)
         trace = run_composite(h, problem, initial_point(spec))
@@ -172,13 +186,13 @@ class TestNonnegativitySampling:
             for j in range(n + 1):
                 if i == j:
                     continue
-                val = evaluate(single_inequality(hcum, i, j, "composite_f"), vectors, f_vals, h_vals)
+                val = evaluate(single_inequality(h.entries, i, j, "composite_f"), vectors, f_vals, h_vals)
                 assert val >= -1e-9
         for i in list(range(1, n + 1)) + [STAR]:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                val = evaluate(single_inequality(hcum, i, j, "composite_h"), vectors, f_vals, h_vals)
+                val = evaluate(single_inequality(h.entries, i, j, "composite_h"), vectors, f_vals, h_vals)
                 assert val >= -1e-9
 
 
@@ -211,9 +225,9 @@ class TestLedgerArithmetic:
         with pytest.raises(IndexError):
             GramLedger(1).add_block(np.array([0, index]), np.ones((2, 2)), 1.0)
 
-    def test_residual_and_scale(self, hcum3):
-        a = single_inequality(hcum3, 0, 1, "unconstrained")
-        b = single_inequality(hcum3, 0, 1, "unconstrained")
+    def test_residual_and_scale(self, h3):
+        a = single_inequality(h3, 0, 1, "unconstrained")
+        b = single_inequality(h3, 0, 1, "unconstrained")
         b.lin_f[0] += 1e-3
         quad, lin_f, lin_h = a.residual_vs(b)
         assert quad == 0.0 and lin_h == 0.0

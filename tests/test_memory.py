@@ -4,20 +4,23 @@ numpy reports its array allocations to tracemalloc, so the traced peak above
 the starting point counts every temporary a cell allocates, whether or not
 its pages are ever touched.  One quad is the 8 (2n+3)^2 bytes of a ledger's
 quadratic form; a certify cell holds two of them (lhs and rhs), and the
-stages of a lift cell hold two plus the lift's n x n fields.  The bounds are
-the measured peaks plus a margin of 0.05 quads: 2.50 quads for a certify
-cell of any family and 3.25 for a lift cell of either metric.  A second
-(n+2) x (n+2) weight matrix held beside coco_block's own, as when each
-caller built its W and coco_block copied it, puts a certify cell at 2.56
-quads and the lift cells at 3.50 and 3.49.  A lift that keeps a second
-n x n copy of its multipliers, or the gradient lift's slack before its
-corner subtraction, peaks at 3.50 (ogm) and 3.75 (ogmg); full-size
-temporaries in the ledger assembly, the lift or the feasibility checks push
-the peak further past the bounds.
+stages of a lift cell hold two plus the lift's n x n fields.  A certify cell
+of any family peaks at 2.25 quads and a lift cell of either metric at 3.00.
+The bounds, 2.55 and 3.30, are 0.05 quads above the peaks of a design that
+also kept the partial sums of the stepsize matrix's rows, an n x n array of
+a quarter quad; they are kept as they were.  A second (n+2) x (n+2) weight
+matrix held beside coco_block's own, as when each caller built its W and
+coco_block copied it, now reads 2.50 quads for a certify cell and 3.25 for a
+lift cell, inside the bounds; a temporary the size of a quadratic form in
+the ledger assembly, the lift or the feasibility checks pushes the peak past
+them.
 
-A certify cell peaks while its two ledgers are compared: both quads, the
-cumulative form and one block of rows of their difference.  Its assembly
-stays at 2.31 quads, for the diagonal silver and gsw schedules as for ogm.
+A certify cell peaks twice at the same height: while its two ledgers are
+compared (both quads and one block of rows of their difference), and while
+the smooth inequalities are assembled into the lhs for ogm and ogmg (one
+quad and five n x n buffers: the directions, the step weights, -H, their
+product and the Laplacian).  The diagonal silver and gsw schedules scale
+columns instead of negating H, so their assembly stays at 2.06 quads.
 """
 
 import tracemalloc

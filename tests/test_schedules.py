@@ -11,7 +11,6 @@ from peplift.schedules import (
     SILVER_RATIO,
     ScheduleSpec,
     StepsizeMatrix,
-    cumulative,
     from_diagonal,
     gsw_schedule,
     gsw_taus,
@@ -21,7 +20,6 @@ from peplift.schedules import (
     phi_sequence,
     silver_schedule,
     theta_sequence,
-    unit_upper,
 )
 from reference_forms import (
     ogm_factored,
@@ -192,7 +190,7 @@ class TestOgmMatrices:
 
 class TestUMatrix:
     def test_all_ones(self):
-        np.testing.assert_array_equal(u_matrix([1, 1, 1]), unit_upper(3))
+        np.testing.assert_array_equal(u_matrix([1, 1, 1]), np.triu(np.ones((3, 3))))
 
     def test_shape_and_pattern(self):
         m = u_matrix([2.0, -3.0])
@@ -213,39 +211,6 @@ class TestUMatrix:
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         assert [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye
         assert [[sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye
-
-
-class TestCumulative:
-    def test_diagonal_rows_repeat(self):
-        steps = [0.5, 2.0, 1.5]
-        hc = cumulative(from_diagonal(steps))
-        for j, s in enumerate(steps):
-            np.testing.assert_allclose(hc[j, j:], s)
-            np.testing.assert_allclose(hc[j, :j], 0.0)
-
-    def test_constant_gd_entries(self):
-        hc = cumulative(ScheduleSpec.constant_gd(0.7, 4).build())
-        assert np.all(hc[np.triu_indices(4)] == 0.7)
-
-    def test_ogm_n2_by_hand(self):
-        t = theta_sequence(2)
-        a10 = 1 + (2 * t[0] - 1) / t[1]
-        a21 = 1 + (2 * t[1] - 1) / t[2]
-        a20 = (t[1] - 1) / t[2] * (a10 - 1)
-        expected = np.array([[a10, a10 + a20], [0.0, a21]])
-        np.testing.assert_allclose(cumulative(ogm_stepsize_matrix(2)), expected, rtol=1e-15)
-
-    def test_read_only(self):
-        hc = cumulative(ogm_stepsize_matrix(3))
-        with pytest.raises(ValueError):
-            hc[0, 0] = 1.0
-
-    @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_roundtrip(self, n):
-        h = ogm_stepsize_matrix(n)
-        hc = cumulative(h)
-        back = hc @ np.linalg.inv(unit_upper(n))
-        np.testing.assert_allclose(back, h.entries, atol=1e-13)
 
 
 class TestStepsizeMatrixInvariants:
