@@ -26,7 +26,7 @@ from coco_oracle import MODES, placed
 from peplift import certificates, ledger, lift, problems, schedules
 from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate
-from peplift.ledger import GramLedger, coco_block
+from peplift.ledger import GramLedger, coco_block, ix_g, ix_s
 from peplift.lift import verify_cell
 from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg, run_unconstrained
 from peplift.problems import ProblemSpec, initial_point, make_problem
@@ -232,6 +232,44 @@ def test_nan_coefficient_fails_the_report(side, group):
     assert not report.passed
 
 
+def cumulative_product(H: schedules.StepsizeMatrix) -> np.ndarray:
+    n = H.n
+    return H.entries @ np.triu(np.ones((n, n)))
+
+
+def ledger_cumulative(H: schedules.StepsizeMatrix) -> np.ndarray:
+    """The coefficients of x_0 - x_p on g_l as a ledger sums them from H's
+    rows, in row l and column p-1: coco(STAR, p) for every p puts
+    <s_p, x_p - x_0> in quad, with no step terms beside it."""
+    n = H.n
+    led = GramLedger(n)
+    coco_block(led, np.ones((1, n)), H.entries, "composite_h", origin=(n + 1, 1))
+    return -2.0 * led.quad[ix_s(n, 1) : ix_s(n, n) + 1, ix_g(n, 0) : ix_g(n, n)].T
+
+
+# A diagonal H has one nonzero term in each prefix sum, so the ledger's past
+# directions are the product's values exactly (its zeros may carry either sign).
+@pytest.mark.parametrize("algo", ["silver", "gsw"])
+@pytest.mark.parametrize("k", range(1, 12))
+def test_gradient_descent_cumulative_is_the_product(algo, k):
+    H = FAMILIES[algo].schedule(k)
+    np.testing.assert_array_equal(ledger_cumulative(H), cumulative_product(H))
+
+
+EXTREME_STEPS = [
+    [2.5], [-1.5], [1e-300], [1e300], [-1e-300],
+    [1.5, -2.0, 1e-300, 3.0, -1e300, 1e300, 0.5],
+    np.geomspace(1e-300, 1e300, 300),
+    -np.geomspace(1e300, 1e-300, 257),
+]
+
+
+@pytest.mark.parametrize("steps", EXTREME_STEPS)
+def test_diagonal_cumulative_is_the_product(steps):
+    H = from_diagonal(steps)
+    np.testing.assert_array_equal(ledger_cumulative(H), cumulative_product(H))
+
+
 @pytest.mark.parametrize("steps", [[math.inf], [1.0, -math.inf, 2.0], [1.0, math.nan]])
 def test_non_finite_diagonal_is_rejected(steps):
     """from_diagonal and StepsizeMatrix reject the same inputs, so a diagonal
@@ -403,15 +441,7 @@ def signed_normals(n: int) -> np.ndarray:
     return np.where(rng.random(n) < 0.1, -0.0, rng.standard_normal(n))
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize("steps", [
-    *(signed_normals(n) for n in (254, 255, 256, 257)),  # n and n+1 rows around the 256-row block
-    [2.5], [-1.5], [1e-300], [1e300], [-1e-300],
-    [1.5, -2.0, 1e-300, 3.0, -1e300, 1e300, 0.5],
-    np.geomspace(1e-300, 1e300, 300),
-    -np.geomspace(1e300, 1e-300, 257),
-])
-def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(steps, mode, counted_products):
+def assert_diagonal_coco_matches_plain(steps, mode, counted_products):
     steps = np.asarray(steps, dtype=float)
     n = steps.shape[0]
     rng = np.random.default_rng(n)
@@ -419,6 +449,18 @@ def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(
     with np.errstate(over="ignore", invalid="ignore"):  # products of 1e300 steps overflow, then inf - inf
         assert_coco_matches_plain(W, np.diag(steps), mode)
     assert counted_products.matmul_calls == 0
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
+def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(n, mode, counted_products):
+    assert_diagonal_coco_matches_plain(signed_normals(n), mode, counted_products)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("steps", EXTREME_STEPS)
+def test_coco_block_matches_plain_form_on_extreme_diagonal_steps(steps, mode, counted_products):
+    assert_diagonal_coco_matches_plain(steps, mode, counted_products)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
