@@ -281,7 +281,7 @@ def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, c
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
     led = GramLedger(n)
-    coco_block(led, cert.lam, H.entries, "composite_f" if composite else "unconstrained")
+    coco_block(led, cert.lam, H, "composite_f" if composite else "unconstrained")
     return led
 
 

@@ -40,31 +40,37 @@ along the plain method, zero gradient at the optimum), 'composite_f'
 'composite_h' (nonsmooth, along the composite extension).  They pass their
 multipliers as they hold them, with the position of their block; the
 (n+2) x (n+2) weight matrix W lives only inside :func:`coco_block`, which
-drops it before the n^3 product.
+drops it once the step weights are summed from it.
 
-The identities see the stepsize matrix H only through its entries: the
-offsets x_p - x_0 are minus running sums of H's rows (one np.cumsum, no
-product), and the steps x_k - x_{k-1} are minus H's columns, which the step
-weights multiply directly.  Building a ledger allocates little beyond its
-own quadratic form: the assembly's scratch is a few n x n buffers (the step
-weights, the directions, -H unless H is diagonal, the product, and for
-smooth inequalities the Laplacian), and outer products, symmetrized blocks
-and differences are formed a block of rows or a slice at a time.  Each stage performs the
-floating-point operations of its one-expression form, in the same order, so
-the coefficients are bit for bit those of the plain forms in
-``tests/reference_forms.py``.
+The identities see the stepsize matrix H through its entries and its
+factors.  The offsets x_p - x_0 are minus running sums of H's rows (one
+np.cumsum), and the steps x_k - x_{k-1} are minus H's columns, so the step
+term is -H times the step weights, which H applies through its factors in
+O(n^2) work (see schedules.py).  Unless H has a dense factor (no catalog
+family has one), no step of the assembly is a matrix product, so its bits
+do not depend on BLAS's thread count.  For a diagonal H (plain gradient
+descent: the silver and gsw schedules) the one 'diag' factor makes each
+entry of the step term one product.  The step term is subtracted from +0,
+so its zeros are +0; step weights holding an inf or a nan, or overflowing,
+carry it into the ledger, whose identity then fails.
 
-The n^3 product of the step weights with H's columns is a column scaling
-when H is diagonal (plain gradient descent: the silver and gsw schedules):
-each entry of the product then has one nonzero term.  It is then formed
-elementwise, with +0 added so that a zero entry is the +0 the matrix product
-sums to.  Step weights holding an inf or a nan keep the matrix product,
-whose inf * 0 terms put nans where the scaling would not.
+The offsets and the step term are kept directions x points, the layout the
+running sums and the factors produce, and are handed transposed to the
+quadratic form.  Building a ledger allocates little beyond its own
+quadratic form: the assembly's scratch is four n x n buffers (the weight
+matrix, the directions, the step weights, which become the step term in
+place, and for smooth inequalities the Laplacian), and outer products,
+symmetrized blocks and differences are formed a block of rows or a slice at
+a time.  Each stage performs the floating-point operations of its
+one-expression form, in the same order, so the coefficients are bit for bit
+those of the plain forms in ``tests/reference_forms.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .schedules import StepsizeMatrix
 
 STAR = "*"
 
@@ -197,28 +203,30 @@ def _add_sym(quad: np.ndarray, rows: slice, cols: slice, half: np.ndarray) -> No
 
 
 def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
-    """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and
-    -sum_{i<k} W[i, p] at p >= k, over the points p = 0..n.
+    """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and at STAR, and
+    -sum_{i<k} W[i, p] at k <= p <= n, over the points p = 0..n and STAR,
+    the sums over i = 0..n.
 
-    Both sums are np.cumsum's running sums over W's rows, taken a block of
+    The sums are np.cumsum's running sums over W's rows, taken a block of
     rows at a time with the previous block's last sum as the first row, so
     each addition is the one a full-length cumsum makes, in its order; each
     block sums only the columns its rows keep."""
     star = n + 1
-    steps = np.empty((n, star))
+    steps = np.empty((n, n + 2))
     carry = np.empty((0, n))  # sum_{i>=k} W[i, :k] for the k just below the block
     for rows in reversed(_row_blocks(n)):
         a, b = rows.start, rows.stop
         sums = np.cumsum(np.concatenate([carry[:, :b], W[b:a:-1, :b]]), axis=0)[len(carry) :]
         steps[rows, :b] = np.tril(sums[::-1], a)
-        steps[rows, b:] = 0.0
+        steps[rows, b:star] = 0.0
         carry = sums[-1:]
     carry = np.empty((0, n))  # sum_{i<k} W[i, k:] for the k just above the block
     for rows in _row_blocks(n):
         a, b = rows.start, rows.stop
         sums = np.cumsum(np.concatenate([carry, W[a:b, a + 1 : star]]), axis=0)[len(carry) :]
-        steps[rows, a + 1 :] -= np.triu(sums)
+        steps[rows, a + 1 : star] -= np.triu(sums)
         carry = sums[-1:, b - a :]
+    np.cumsum(W[n:0:-1, star], out=steps[::-1, star])
     return steps
 
 
@@ -232,7 +240,7 @@ _MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
 def coco_block(
     led: GramLedger,
     weights: np.ndarray,
-    h: np.ndarray,
+    H: StepsizeMatrix,
     mode: str,
     origin: tuple[int, int] = (0, 0),
 ) -> None:
@@ -240,18 +248,18 @@ def coco_block(
 
     W is (n+2, n+2) over the points 0..n with STAR last: the block `weights`
     placed with its first entry at `origin`, zero elsewhere, and its diagonal
-    ignored; `weights` itself is only read.  h is the upper-triangular
-    stepsize matrix: column k-1 holds the coefficients of the past directions
-    in the step x_{k-1} - x_k, so the sums of row l over its first i columns
-    are those in x_0 - x_i; direction l is g_l + s_{l+1} in the composite
-    modes and g_l otherwise.  A mode not in _MODES raises.  Nonsmooth
-    inequalities ('composite_h') take the subgradient at j, which point 0
-    lacks, so their column 0 must be zero.
+    ignored; `weights` itself is only read.  H is the stepsize matrix: column
+    k-1 of its entries holds the coefficients of the past directions in the
+    step x_{k-1} - x_k, so the sums of row l over its first i columns are
+    those in x_0 - x_i; direction l is g_l + s_{l+1} in the composite modes
+    and g_l otherwise.  A mode not in _MODES raises.  Nonsmooth inequalities
+    ('composite_h') take the subgradient at j, which point 0 lacks, so their
+    column 0 must be zero.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; valid: {tuple(_MODES)}")
     smooth, composite = _MODES[mode]
-    h = np.asarray(h, dtype=float)
+    h = H.entries
     n = h.shape[0]
     star = n + 1
     weights = np.asarray(weights, dtype=float)
@@ -269,21 +277,23 @@ def coco_block(
     lin = led.lin_f if smooth else led.lin_h
     lin += r - c
 
-    # Row p of W^T X - diag(c) X is sum_i W[i, p] (x_i - x_p).  X is nonzero
-    # on the past directions, where row p holds x_p - x_0, minus the running
-    # sums of h's rows up to column p-1, and at x0 - x*, where STAR's row
-    # holds -1.  Along the directions, x_i - x_p is summed from the steps
-    # x_k - x_{k-1}, minus column k-1 of h, with prefix and suffix sums of W's
-    # columns, so c[p] x_p never cancels against sum_i W[i, p] x_i.
-    x_dir = np.empty((star, n))
-    x_dir[0] = 0.0
-    np.cumsum(h, axis=1, out=x_dir[1:].T)
-    np.negative(x_dir[1:], out=x_dir[1:])
-    steps = _step_weights(W, n)  # step k counts for p < k, against for p >= k
-    m_star = W[:star, star] @ x_dir
+    # Column p of X^T W - X^T diag(c) is sum_i W[i, p] (x_i - x_p).  X is
+    # nonzero on the past directions, where column p holds x_p - x_0, minus
+    # the running sums of H's rows up to column p-1, and at x0 - x*, where
+    # STAR's column holds -1.  Along the directions, x_i - x_p is summed from
+    # the steps x_k - x_{k-1}, minus column k-1 of H, with prefix and suffix
+    # sums of W's columns, so c[p] x_p never cancels against
+    # sum_i W[i, p] x_i; the one exception is i = STAR, whose x_i - x_p is
+    # -x_p on the directions.
+    x_dir = np.empty((n, star))
+    x_dir[:, 0] = 0.0
+    np.cumsum(h, axis=1, out=x_dir[:, 1:])
+    np.negative(x_dir[:, 1:], out=x_dir[:, 1:])
     w_star = W[star, :star].copy()
     m_dist = -W[star]
     m_dist[star] += c[star]
+    # step k counts for p < k and for STAR, against for k <= p <= n
+    m_dir = _step_weights(W, n)
     if smooth:
         lap = np.zeros((n + 2, n + 2))
         np.fill_diagonal(lap, r + c)
@@ -291,18 +301,11 @@ def coco_block(
         lap -= W.T
     del W
 
-    # steps^T (-h^T) - diag(w_star) x_dir, the second term a block of rows at a time
-    m_dir = np.empty((n + 2, n))
-    if np.count_nonzero(h) == np.count_nonzero(np.diagonal(h)) and np.isfinite(steps.sum()):
-        # one term per entry; the gemm sums it onto +0, so a zero product is +0
-        np.multiply(steps.T, -np.diagonal(h), out=m_dir[:star])
-        m_dir[:star] += 0.0
-    else:
-        np.matmul(steps.T, -h.T, out=m_dir[:star])
-    del steps
-    m_dir[star] = m_star
-    for rows in _row_blocks(star):
-        m_dir[rows] -= w_star[rows, None] * x_dir[rows]
+    # -(H steps) - x_dir diag(w_star), the second term a block of rows at a
+    # time; H steps is subtracted from +0, so each of its zeros gives +0
+    m_dir = np.subtract(0.0, H.apply(m_dir), out=m_dir)
+    for rows in _row_blocks(n):
+        m_dir[rows, :star] -= x_dir[rows] * w_star
     del x_dir
     dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
     if composite:
@@ -322,15 +325,14 @@ def coco_block(
     # is scaled in place once, just before its only use.
     quad = led.quad
     for rows, pts, sign in groups:
-        for m in (m_dir[pts], m_dist[pts]):
+        for m in (m_dir[:, pts], m_dist[pts]):
             m *= -sign
             m *= 0.5
         for cols in dir_cols:
-            _add_sym(quad, rows, cols, m_dir[pts])
+            _add_sym(quad, rows, cols, m_dir[:, pts].T)
         _add_sym(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), m_dist[pts, None])
         if smooth:
             for rows2, pts2, sign2 in groups:
                 block = lap[pts, pts2]
                 block *= 0.5 * sign * sign2
                 quad[rows, rows2] -= block
-

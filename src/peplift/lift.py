@@ -395,7 +395,7 @@ def composite_func_ledgers(
     n = cert.n
     lhs = _smooth_ledger(H, cert, composite=True)
     # sources 1..n and STAR, subgradients 1..n
-    coco_block(lhs, lift.mu, H.entries, "composite_h", origin=(1, 1))
+    coco_block(lhs, lift.mu, H, "composite_h", origin=(1, 1))
 
     # the single square's linear combination over the global symbol basis
     sigma = _sigma(cert)
@@ -441,7 +441,7 @@ def composite_grad_ledgers(
     n = cert.n
     lhs = _smooth_ledger(H, cert, composite=True)
     # sources 0..n, subgradients 1..n
-    coco_block(lhs, lift.mu, H.entries, "composite_h", origin=(0, 1))
+    coco_block(lhs, lift.mu, H, "composite_h", origin=(0, 1))
 
     indices = np.array([ix_g(n, n)] + [ix_s(n, j) for j in range(1, n + 1)])
     lhs.add_block(indices, lift.slack, 0.5)

@@ -46,9 +46,26 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+_CUMSUM_SIZE = 1 << 15  # the most entries of a block U(d) takes with one np.cumsum
+
+
 def _upper(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """U(d) x in place: row i becomes d_i x_i plus the sum of the rows below
-    it, kept as a running sum."""
+    it, kept as a running sum.
+
+    A block of at most _CUMSUM_SIZE entries takes its running sums from one
+    np.cumsum of the reversed rows, which makes the loop's additions in the
+    loop's order; +0 then turns a -0 sum into the +0 the loop's sum, started
+    from +0, holds.  On a square block it is 3-5x faster than the loop up to
+    128 rows and slower from about 220 rows on (3x at 1024), and on a single
+    column it is faster at any length (x86-64, numpy 2.4)."""
+    if x.size <= _CUMSUM_SIZE:
+        below = np.zeros(x.shape)
+        np.cumsum(x[:0:-1], axis=0, out=below[-2::-1])
+        below += 0.0
+        x *= d[:, None]
+        x += below
+        return x
     below, spare = np.zeros(x.shape[1:]), np.empty(x.shape[1:])
     for row, di in zip(x[::-1], d[::-1].tolist()):
         np.add(below, row, spare)

@@ -3,7 +3,8 @@
 The tests compare the library against these: the recursive silver doubling,
 the theta recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
-partial-sum kernel, and the plain forms of the OGM-G schedule loop, the
+partial-sum kernel, and the plain forms of the OGM-G schedule loop, U(d)'s
+row loop, the
 runners, the lasso/box-QP oracles, the reference solve, the ledger assembly,
 the lifts and the feasibility checks, which the library's faster forms must
 reproduce bit for bit.  The plain lifts take their shifted multiplier rows
@@ -150,6 +151,18 @@ def partial_sum_kernel(steps, a: np.ndarray) -> np.ndarray:
     if np.max(np.abs(out - direct)) > 1e-10 * scale:
         raise AssertionError("partial-sum closed form disagrees with direct matrix algebra")
     return out
+
+
+def upper_plain(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U(d) x in place by the row loop: row i becomes d_i x_i plus the sum
+    of the rows below it, kept as a running sum that starts from +0."""
+    below, spare = np.zeros(x.shape[1:]), np.empty(x.shape[1:])
+    for row, di in zip(x[::-1], d[::-1].tolist()):
+        np.add(below, row, spare)
+        row *= di
+        row += below
+        below, spare = spare, below
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +362,7 @@ def _add_sym_plain(quad: np.ndarray, rows: slice, cols: slice, block: np.ndarray
 def coco_block_plain(
     led: GramLedger,
     W: np.ndarray,
-    h: np.ndarray,
+    H: StepsizeMatrix,
     smooth: bool,
     composite: bool,
     coupled_star: bool,
@@ -357,14 +370,14 @@ def coco_block_plain(
     """Add sum_{i != j} W[i, j] * coco(i, j) to led, in matrix form.
 
     W is (n+2, n+2) over the points 0..n with STAR last; its diagonal is
-    ignored.  h is the upper-triangular stepsize matrix: column k-1 holds
-    the coefficients of the past directions in x_{k-1} - x_k, and the sums
-    of row l over the first i columns those in x_0 - x_i; direction l is
+    ignored.  H is the stepsize matrix: column k-1 of its entries holds the
+    coefficients of the past directions in x_{k-1} - x_k, and the sums of
+    row l over the first i columns those in x_0 - x_i; direction l is
     g_l + s_{l+1} when composite and g_l otherwise.  The gradient at STAR is
     -s_star when coupled_star and zero otherwise.  Nonsmooth inequalities take
     the subgradient at j, which point 0 lacks, so their column 0 must be zero.
     """
-    h = np.asarray(h, dtype=float)
+    h = H.entries
     n = h.shape[0]
     star = n + 1
     W = np.array(W, dtype=float)
@@ -378,20 +391,21 @@ def coco_block_plain(
     lin = led.lin_f if smooth else led.lin_h
     lin += r - c
 
-    # Row p of W^T X - diag(c) X is sum_i W[i, p] (x_i - x_p).  X is nonzero
-    # on the past directions, where rows 1..n hold minus the running sums of
-    # h's rows, transposed, and at x0 - x*, where STAR's row holds -1.  Along
-    # the directions, x_i - x_p is summed from the steps x_k - x_{k-1}, which
-    # are minus h's columns, with prefix and suffix sums of W's columns, so
-    # c[p] x_p never cancels against sum_i W[i, p] x_i.
-    x_dir = np.zeros((star, n))
-    x_dir[1:] = -np.cumsum(h, axis=1).T
-    before = np.cumsum(W[:star, :star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
-    after = np.cumsum(W[n::-1, :star], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
+    # Column p of X^T W - X^T diag(c) is sum_i W[i, p] (x_i - x_p).  X is
+    # nonzero on the past directions, where columns 1..n hold minus the
+    # running sums of H's rows, and at x0 - x*, where STAR's column holds -1.
+    # Along the directions, x_i - x_p is summed from the steps x_k - x_{k-1},
+    # which are minus H's columns, with prefix and suffix sums of W's columns,
+    # so c[p] x_p never cancels against sum_i W[i, p] x_i; for i = STAR,
+    # x_i - x_p is -x_p on the directions.
+    x_dir = np.zeros((n, star))
+    x_dir[:, 1:] = -np.cumsum(h, axis=1)
+    before = np.cumsum(W[:star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
+    after = np.cumsum(W[n::-1], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
     steps = np.tril(after) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
-    m_dir = np.empty((n + 2, n))
-    m_dir[:star] = steps.T @ -h.T - W[star, :star, None] * x_dir
-    m_dir[star] = W[:star, star] @ x_dir
+    steps[:, star] = after[:, star]  # and for STAR
+    m_dir = 0.0 - H.apply(steps)  # directions x points
+    m_dir[:, :star] -= W[star, :star] * x_dir
     m_dist = -W[star]
     m_dist[star] += c[star]
     dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
@@ -413,7 +427,7 @@ def coco_block_plain(
     quad = led.quad
     for rows, pts, sign in groups:
         for cols in dir_cols:
-            _add_sym_plain(quad, rows, cols, -sign * m_dir[pts])
+            _add_sym_plain(quad, rows, cols, -sign * m_dir[:, pts].T)
         _add_sym_plain(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), -sign * m_dist[pts, None])
         if smooth:
             for rows2, pts2, sign2 in groups:

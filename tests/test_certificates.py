@@ -255,12 +255,12 @@ def ogm3_null_direction_lam(sign: float) -> np.ndarray:
     """The ogm n=3 multipliers moved one unit along the null direction of
     the identity's coefficient map over the 16 off-diagonal lam entries."""
     n = 3
-    h = ogm_stepsize_matrix(n).entries
+    H = ogm_stepsize_matrix(n)
     entries = [(i, j) for i in range(n + 2) for j in range(n + 1) if i != j]
     columns = []
     for i, j in entries:
         led = GramLedger(n)
-        coco_block(led, [[1.0]], h, "unconstrained", origin=(i, j))
+        coco_block(led, [[1.0]], H, "unconstrained", origin=(i, j))
         columns.append(np.concatenate([led.quad.ravel(), led.lin_f, led.lin_h]))
     _, singular, vt = np.linalg.svd(np.array(columns).T)
     assert singular[-1] < 1e-12 * singular[0] < singular[-2]  # one null direction

@@ -86,12 +86,12 @@ def test_bound_rederived_from_nonnegative_terms(algo, size, spec):
         if i == j:
             continue
         ii = STAR if (FAMILIES[algo].metric == "func" and i == n + 1) else i
-        value = evaluate(single_inequality(H.entries, ii, j, "composite_f"), vectors, f_vals, h_vals)
+        value = evaluate(single_inequality(H, ii, j, "composite_f"), vectors, f_vals, h_vals)
         assert w >= 0 and value >= -1e-8
     for i, j, w in mu_pairs:
         if i == j:
             continue
-        value = evaluate(single_inequality(H.entries, i, j, "composite_h"), vectors, f_vals, h_vals)
+        value = evaluate(single_inequality(H, i, j, "composite_h"), vectors, f_vals, h_vals)
         assert w >= -1e-10 and value >= -1e-8
 
     assert np.linalg.eigvalsh(slack)[0] >= -1e-9 * max(1.0, abs(np.max(slack)))

@@ -8,21 +8,23 @@ reports.  Both obvious one-call rewrites of the prox expressions flip one:
 np.clip(-0.0, 0, 1) is -0.0 where np.minimum(np.maximum(-0.0, 0), 1) is +0.0,
 and np.sign(-0.0) * 0.0 is +0.0 where np.copysign(0.0, -0.0) is -0.0.
 
-For a diagonal stepsize matrix (silver, gsw) the direction product of a
-ledger skips its dense product: it keeps the one nonzero term of each sum
-and gives a zero the +0 the product would have.
+The ledger applies the stepsize matrix through its factors, so for the
+catalog families it makes no matrix product, and for a diagonal stepsize
+matrix (silver, gsw) each entry of its step term is one product.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coco_oracle import MODES, placed
+from coco_oracle import MODES, placed, stepsizes
 from peplift import certificates, ledger, lift, problems, schedules
 from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate
@@ -50,6 +52,7 @@ from reference_forms import (
     run_pogm_plain,
     run_pogmg_plain,
     run_unconstrained_plain,
+    upper_plain,
 )
 
 SPECS = {
@@ -177,6 +180,32 @@ def test_ogmg_schedule(n):
     assert_bitwise_equal(ogmg_stepsize_matrix(n).entries, ogmg_stepsize_matrix_plain(n))
 
 
+# (rows, columns) of blocks on either side of the most entries U(d) takes
+# with one np.cumsum: square blocks, as the ledger's step term, and single
+# columns, as a solve
+_SQUARE = math.isqrt(schedules._CUMSUM_SIZE + 1) - 1  # the largest n with n (n + 2) <= that size
+UPPER_SHAPES = [(1, 1), (2, 4), (7, 9), (32, 34), (_SQUARE, _SQUARE + 2), (_SQUARE + 1, _SQUARE + 3),
+                (256, 258), (schedules._CUMSUM_SIZE, 1), (schedules._CUMSUM_SIZE + 1, 1)]
+
+
+@pytest.mark.parametrize("rows, cols", UPPER_SHAPES)
+def test_upper_matches_the_row_loop(rows, cols):
+    """U(d) x through one np.cumsum below the size crossover and the row loop
+    above it: both give the loop's bits, signed zeros, infs and nans
+    included, on either side of the crossover."""
+    rng = np.random.default_rng(rows)
+    d = np.where(rng.random(rows) < 0.5, -1.0, 1.0) * (0.5 + rng.random(rows))
+    values = np.where(rng.random((rows, cols)) < 0.5, -0.0, 0.0)
+    blocks = [values, np.where(rng.random((rows, cols)) < 0.3, values, rng.standard_normal((rows, cols)))]
+    special = blocks[1].copy()
+    special[rng.integers(rows), rng.integers(cols)] = math.inf
+    special[rng.integers(rows), rng.integers(cols)] = math.nan
+    blocks.append(special)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for x in blocks:
+            assert_bitwise_equal(schedules._upper(d, x.copy()), upper_plain(d, x.copy()))
+
+
 def special_arrays(rows: int) -> dict[str, np.ndarray]:
     """Square arrays holding random values, signed zeros only, and nan or
     +-inf in the first row, on either side of the first row block's edge and
@@ -243,7 +272,7 @@ def ledger_cumulative(H: schedules.StepsizeMatrix) -> np.ndarray:
     <s_p, x_p - x_0> in quad, with no step terms beside it."""
     n = H.n
     led = GramLedger(n)
-    coco_block(led, np.ones((1, n)), H.entries, "composite_h", origin=(n + 1, 1))
+    coco_block(led, np.ones((1, n)), H, "composite_h", origin=(n + 1, 1))
     return -2.0 * led.quad[ix_s(n, 1) : ix_s(n, n) + 1, ix_g(n, 0) : ix_g(n, n)].T
 
 
@@ -273,43 +302,57 @@ def test_diagonal_cumulative_is_the_product(steps):
 @pytest.mark.parametrize("steps", [[math.inf], [1.0, -math.inf, 2.0], [1.0, math.nan]])
 def test_non_finite_diagonal_is_rejected(steps):
     """from_diagonal and StepsizeMatrix reject the same inputs, so a diagonal
-    H reaching the ledger's column scaling has finite steps."""
+    H reaching the ledger's step term has finite steps."""
     for build in (from_diagonal, lambda s: schedules.StepsizeMatrix(np.diag(s))):
         with pytest.raises(ValueError, match="entries must be finite"):
             build(steps)
 
 
 class CountingNumpy:
-    """numpy as the ledger module sees it, with its np.matmul calls counted."""
+    """numpy as the ledger module sees it, with its matrix products counted."""
 
     def __init__(self):
-        self.matmul_calls = 0
+        self.products = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def matmul(self, *args, **kwargs):
-        self.matmul_calls += 1
+        self.products += 1
         return np.matmul(*args, **kwargs)
+
+    def dot(self, *args, **kwargs):
+        self.products += 1
+        return np.dot(*args, **kwargs)
 
 
 @pytest.fixture
 def counted_products(monkeypatch):
-    """Count the ledger's np.matmul calls."""
+    """Count the ledger's np.matmul and np.dot calls."""
     counts = CountingNumpy()
     monkeypatch.setattr(ledger, "np", counts)
     return counts
 
 
 @pytest.mark.parametrize("lift_", [False, True])
-@pytest.mark.parametrize("algo, size, dense", [
-    ("silver", 3, False), ("gsw", 3, False), ("ogm", 6, True), ("ogmg", 6, True),
-])
-def test_gradient_descent_cells_skip_the_dense_products(algo, size, dense, lift_, counted_products):
+@pytest.mark.parametrize("algo, size", [("silver", 3), ("gsw", 3), ("ogm", 6), ("ogmg", 6)])
+def test_catalog_cells_make_no_ledger_products(algo, size, lift_, counted_products):
+    """The ledger applies H through its factors, none of them dense for a
+    catalog family, so no step of its assembly is a matrix product."""
     family = FAMILIES[algo]
     H, cert = family.schedule(size), family.certificate(size)
+    assert "dense" not in [factor.kind for factor in H.factors]
     assert verify_cell(H, cert, family.xi(size), lift=lift_).passed
-    assert (counted_products.matmul_calls > 0) == dense
+    assert counted_products.products == 0
+
+
+def test_ledger_module_has_no_matrix_product():
+    """Nor does the ledger's source hold one: no @ and no product function."""
+    tree = ast.parse(inspect.getsource(ledger))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +418,11 @@ def signed_values(size: int) -> st.SearchStrategy:
 
 def assert_coco_matches_plain(W, h, mode):
     """Both forms add the same bits to a fresh ledger and to one holding -0.0
-    everywhere, where a -0.0 added stays -0.0."""
+    everywhere, where a -0.0 added stays -0.0.  h are the stepsize entries;
+    a zero on their diagonal takes the stand-in for a StepsizeMatrix."""
     smooth, composite, coupled_star = MODES[mode]
-    n = h.shape[0]
+    H = stepsizes(h)
+    n = H.n
     if not smooth:
         W[:, 0] = 0.0
     given_W = W.copy()
@@ -385,8 +430,8 @@ def assert_coco_matches_plain(W, h, mode):
         led, ref = GramLedger(n), GramLedger(n)
         for name in ("quad", "lin_f", "lin_h"):
             getattr(led, name)[...] = getattr(ref, name)[...] = start
-        coco_block(led, W, h, mode)
-        coco_block_plain(ref, W, h, smooth, composite, coupled_star)
+        coco_block(led, W, H, mode)
+        coco_block_plain(ref, W, H, smooth, composite, coupled_star)
         assert_same_ledger(led, ref)
         assert_bitwise_equal(W, given_W)  # the caller's weights stay as they were
 
@@ -412,27 +457,24 @@ def test_placed_block_matches_the_embedded_weight_matrix(data, n, mode):
     left = data.draw(st.integers(first, n + 2 - cols), label="left")
     weights = data.draw(signed_values((rows, cols)), label="weights")
     weights.setflags(write=False)
-    h = np.triu(data.draw(signed_values((n, n)), label="h"))
+    H = stepsizes(np.triu(data.draw(signed_values((n, n)), label="h")))
     W = np.zeros((n + 2, n + 2))
     W[top : top + rows, left : left + cols] = weights
     for start in (0.0, -0.0):
         led, ref = GramLedger(n), GramLedger(n)
         for name in ("quad", "lin_f", "lin_h"):
             getattr(led, name)[...] = getattr(ref, name)[...] = start
-        coco_block(led, weights, h, mode, origin=(top, left))
-        coco_block_plain(ref, W, h, smooth, composite, coupled_star)
+        coco_block(led, weights, H, mode, origin=(top, left))
+        coco_block_plain(ref, W, H, smooth, composite, coupled_star)
         assert_same_ledger(led, ref)
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])  # counts are compared per input
+@settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 9), mode=st.sampled_from(sorted(MODES)))
-def test_coco_block_matches_plain_form_on_a_diagonal_schedule(data, n, mode, counted_products):
+def test_coco_block_matches_plain_form_on_a_diagonal_schedule(data, n, mode):
     W = data.draw(signed_values((n + 2, n + 2)), label="W")
     h = np.diag(data.draw(signed_values(n), label="steps"))
-    calls = counted_products.matmul_calls
     assert_coco_matches_plain(W, h, mode)
-    assert counted_products.matmul_calls == calls  # the column scaling ran
 
 
 def signed_normals(n: int) -> np.ndarray:
@@ -441,38 +483,46 @@ def signed_normals(n: int) -> np.ndarray:
     return np.where(rng.random(n) < 0.1, -0.0, rng.standard_normal(n))
 
 
-def assert_diagonal_coco_matches_plain(steps, mode, counted_products):
+def assert_diagonal_coco_matches_plain(steps, mode):
     steps = np.asarray(steps, dtype=float)
     n = steps.shape[0]
     rng = np.random.default_rng(n)
     W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
     with np.errstate(over="ignore", invalid="ignore"):  # products of 1e300 steps overflow, then inf - inf
         assert_coco_matches_plain(W, np.diag(steps), mode)
-    assert counted_products.matmul_calls == 0
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("n", [254, 255, 256, 257])  # n and n+1 rows around the 256-row block
-def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(n, mode, counted_products):
-    assert_diagonal_coco_matches_plain(signed_normals(n), mode, counted_products)
+def test_coco_block_matches_plain_form_on_a_diagonal_schedule_at_the_block_edge(n, mode):
+    assert_diagonal_coco_matches_plain(signed_normals(n), mode)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("steps", EXTREME_STEPS)
-def test_coco_block_matches_plain_form_on_extreme_diagonal_steps(steps, mode, counted_products):
-    assert_diagonal_coco_matches_plain(steps, mode, counted_products)
+def test_coco_block_matches_plain_form_on_extreme_diagonal_steps(steps, mode):
+    assert_diagonal_coco_matches_plain(steps, mode)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_non_finite_weights_keep_the_matrix_product(value, mode, counted_products):
-    n = 9
+@pytest.mark.parametrize("algo", ["silver", "ogm"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308])
+def test_non_finite_step_weights_fail_the_identity(value, algo, mode):
+    """Step weights holding an inf or a nan, or overflowing from huge finite
+    weights, leave a non-finite quadratic form, and the identity fails."""
+    H = FAMILIES[algo].schedule(3 if algo == "silver" else 7)
+    n = H.n
     rng = np.random.default_rng(n)
-    W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.standard_normal((n + 2, n + 2)))
-    W[4, 2] = value
-    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
-        assert_coco_matches_plain(W, np.diag(rng.standard_normal(n)), mode)
-    assert counted_products.matmul_calls > 0
+    W = np.where(rng.random((n + 2, n + 2)) < 0.3, -0.0, rng.random((n + 2, n + 2)))
+    W[4:6, 2] = value  # two weights whose sum holds or makes the inf or nan
+    if not MODES[mode][0]:
+        W[:, 0] = 0.0
+    led = GramLedger(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 1e308, inf - inf and inf * 0
+        coco_block(led, W, H, mode)
+        report = _report(led, GramLedger(n))
+    assert not np.isfinite(led.quad).all()
+    assert report.passed is False
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from coco_oracle import MODES, coco_block_reference, evaluate, placed, single_inequality
+from coco_oracle import (
+    MODES,
+    coco_block_reference,
+    distance,
+    evaluate,
+    exact_coco_block,
+    placed,
+    single_inequality,
+    stepsizes,
+)
 from conftest import basis_realization
 from peplift import certificates, lift
 from peplift.catalog import FAMILIES
@@ -20,19 +29,19 @@ from peplift.ledger import (
 )
 from peplift.methods import run_composite
 from peplift.problems import ProblemSpec, initial_point, make_problem
-from peplift.schedules import ogm_stepsize_matrix, theta_sequence
+from peplift.schedules import StepsizeMatrix, ogm_stepsize_matrix, theta_sequence
 
 
 @pytest.fixture(scope="module")
-def h3():
-    return ogm_stepsize_matrix(3).entries
+def H3():
+    return ogm_stepsize_matrix(3)
 
 
 class TestSingleInequalities:
-    def test_unconstrained_final_vs_optimum(self, h3):
+    def test_unconstrained_final_vs_optimum(self, H3):
         # f_n - f_star - ||g_n||^2 / 2 once the optimal gradient is zeroed out
         n = 3
-        led = single_inequality(h3, n, STAR, "unconstrained")
+        led = single_inequality(H3, n, STAR, "unconstrained")
         expected_f = np.zeros(n + 2)
         expected_f[ix_val(n, n)] = 1.0
         expected_f[ix_val(n, STAR)] = -1.0
@@ -42,13 +51,13 @@ class TestSingleInequalities:
         quad[ix_g(n, n), ix_g(n, n)] = -0.5
         np.testing.assert_array_equal(led.quad, quad)
 
-    def test_composite_metric_identity(self, h3):
+    def test_composite_metric_identity(self, H3):
         # smooth + nonsmooth inequality at (n, star) collapses to
         # F_n - F_star - ||g_n + s_star||^2 / 2
         n = 3
         led = GramLedger(n)
         for mode in ("composite_f", "composite_h"):
-            coco_block(led, [[1.0]], h3, mode, origin=(ix_val(n, n), ix_val(n, STAR)))
+            coco_block(led, [[1.0]], H3, mode, origin=(ix_val(n, n), ix_val(n, STAR)))
         assert led.lin_f[ix_val(n, n)] == 1.0 and led.lin_f[ix_val(n, STAR)] == -1.0
         assert led.lin_h[ix_val(n, n)] == 1.0 and led.lin_h[ix_val(n, STAR)] == -1.0
         quad = np.zeros_like(led.quad)
@@ -68,9 +77,9 @@ class TestSingleInequalities:
         a21 = 1 + (2 * t[1] - 1) / t[2]
         a20 = (t[1] - 1) / t[2] * (a10 - 1)
         expected = np.array([[a10, a10 + a20], [0.0, a21]])  # column i-1: x_0 - x_i over g_0, g_1
-        h = ogm_stepsize_matrix(n).entries
+        H = ogm_stepsize_matrix(n)
         for i in (1, 2):
-            led = single_inequality(h, i, STAR, "composite_h")
+            led = single_inequality(H, i, STAR, "composite_h")
             for l in range(n):
                 for col in (ix_g(n, l), ix_s(n, l + 1)):
                     np.testing.assert_allclose(2.0 * led.quad[ix_s_star(n), col], expected[l, i - 1], rtol=1e-15)
@@ -88,12 +97,12 @@ class TestCocoBlock:
     def test_matches_per_inequality_sum(self, data, n, mode):
         smooth, composite, coupled_star = MODES[mode]
         W = data.draw(arrays(float, (n + 2, n + 2), elements=st.floats(0.0, 10.0)), label="W")
-        h = np.triu(data.draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)), label="h"))
+        H = stepsizes(np.triu(data.draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)), label="h")))
         if not smooth:
             W[:, 0] = 0.0
         led, ref = GramLedger(n), GramLedger(n)
-        coco_block(led, W, h, mode)
-        coco_block_reference(ref, W, h, smooth, composite, coupled_star)
+        coco_block(led, W, H, mode)
+        coco_block_reference(ref, W, H, smooth, composite, coupled_star)
         assert _relative_gap(led, ref) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -102,7 +111,7 @@ class TestCocoBlock:
         W = np.zeros((n + 2, n + 2))
         W[data.draw(st.integers(1, n + 1), label="row"), 0] = weight
         with pytest.raises(ValueError):
-            coco_block(GramLedger(n), W, np.triu(np.ones((n, n))), "composite_h")
+            coco_block(GramLedger(n), W, StepsizeMatrix(np.triu(np.ones((n, n)))), "composite_h")
 
     @pytest.mark.parametrize("origin, shape", [
         ((0, 0), (6, 5)), ((0, 0), (5, 6)), ((2, 1), (4, 3)), ((1, 5), (1, 1)), ((5, 0), (1, 1)),
@@ -111,29 +120,30 @@ class TestCocoBlock:
     def test_block_outside_the_weight_matrix_raises(self, origin, shape):
         n = 3  # the weight matrix is 5 x 5
         with pytest.raises(ValueError, match="weight block"):
-            coco_block(GramLedger(n), np.ones(shape), np.triu(np.ones((n, n))), "unconstrained", origin=origin)
+            coco_block(GramLedger(n), np.ones(shape), StepsizeMatrix(np.triu(np.ones((n, n)))), "unconstrained",
+                       origin=origin)
 
     @pytest.mark.parametrize("mode", ["bogus", "composite smooth", "composite_F"])
     def test_unknown_mode_raises(self, mode):
         n = 2
         with pytest.raises(ValueError, match="unknown mode"):
-            coco_block(GramLedger(n), np.ones((n + 2, n + 2)), np.triu(np.ones((n, n))), mode)
+            coco_block(GramLedger(n), np.ones((n + 2, n + 2)), StepsizeMatrix(np.triu(np.ones((n, n)))), mode)
 
     def test_weights_are_read_and_their_diagonal_ignored(self):
         n = 4
         rng = np.random.default_rng(4)
-        h = np.triu(rng.standard_normal((n, n)))
+        H = StepsizeMatrix(np.triu(rng.standard_normal((n, n))))
         weights = rng.random((n + 1, n))
         weights.setflags(write=False)
         given_weights = weights.copy()
         led = GramLedger(n)
-        coco_block(led, weights, h, "composite_f", origin=(1, 1))
+        coco_block(led, weights, H, "composite_f", origin=(1, 1))
         np.testing.assert_array_equal(weights, given_weights)
         off_diagonal = np.zeros((n + 2, n + 2))
         off_diagonal[1:, 1 : n + 1] = weights
         np.fill_diagonal(off_diagonal, 0.0)
         ref = GramLedger(n)
-        coco_block(ref, off_diagonal, h, "composite_f")
+        coco_block(ref, off_diagonal, H, "composite_f")
         for name in ("quad", "lin_f", "lin_h"):
             np.testing.assert_array_equal(getattr(led, name), getattr(ref, name))
 
@@ -155,6 +165,28 @@ class TestCocoBlock:
                 assert _relative_gap(led, ref) <= 1e-12
 
 
+    @pytest.mark.parametrize("algo, size", [(algo, n) for algo in ("ogm", "ogmg") for n in (2, 3, 5, 8, 16)])
+    def test_catalog_blocks_are_within_two_ulps_of_the_exact_sum(self, algo, size):
+        """Each block of a cell's identities (the certificate's smooth
+        inequalities along the plain method and its composite extension, and
+        the lift's nonsmooth ones) lies within two ulps of its largest
+        coefficient from the exact sum of the same float inputs.  The step
+        term goes through H's factors, whose exact product is up to 3.4 ulps
+        from H's float entries, so a single rounding is out of reach."""
+        family = FAMILIES[algo]
+        H, cert = family.schedule(size), family.certificate(size)
+        func = family.metric == "func"
+        mu = (lift.lift_func if func else lift.lift_grad)(H, cert, family.xi(size)).mu
+        n = cert.n
+        for mode, weights, (top, left) in (("unconstrained", cert.lam, (0, 0)), ("composite_f", cert.lam, (0, 0)),
+                                           ("composite_h", mu, (1, 1) if func else (0, 1))):
+            W = np.zeros((n + 2, n + 2))
+            W[top : top + weights.shape[0], left : left + weights.shape[1]] = weights
+            led = GramLedger(n)
+            coco_block(led, W, H, mode)
+            assert distance(led, exact_coco_block(W, H, mode)) <= 2.0 * np.spacing(led.max_abs()), mode
+
+
 class TestNonnegativitySampling:
     def test_composite_cocoercivities_nonnegative(self):
         # 100 seeded l1-regularized least-squares instances
@@ -170,7 +202,7 @@ class TestNonnegativitySampling:
             vectors, f_vals, h_vals = basis_realization(trace, problem)
             for idx, (i, j) in enumerate(pairs):
                 mode = "composite_f" if idx < (n + 2) * (n + 1) - (n + 1) else "composite_h"
-                led = single_inequality(h.entries, i, j, mode)
+                led = single_inequality(h, i, j, mode)
                 worst = min(worst, evaluate(led, vectors, f_vals, h_vals))
         assert worst >= -1e-9
 
@@ -186,13 +218,13 @@ class TestNonnegativitySampling:
             for j in range(n + 1):
                 if i == j:
                     continue
-                val = evaluate(single_inequality(h.entries, i, j, "composite_f"), vectors, f_vals, h_vals)
+                val = evaluate(single_inequality(h, i, j, "composite_f"), vectors, f_vals, h_vals)
                 assert val >= -1e-9
         for i in list(range(1, n + 1)) + [STAR]:
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                val = evaluate(single_inequality(h.entries, i, j, "composite_h"), vectors, f_vals, h_vals)
+                val = evaluate(single_inequality(h, i, j, "composite_h"), vectors, f_vals, h_vals)
                 assert val >= -1e-9
 
 
@@ -225,9 +257,9 @@ class TestLedgerArithmetic:
         with pytest.raises(IndexError):
             GramLedger(1).add_block(np.array([0, index]), np.ones((2, 2)), 1.0)
 
-    def test_residual_and_scale(self, h3):
-        a = single_inequality(h3, 0, 1, "unconstrained")
-        b = single_inequality(h3, 0, 1, "unconstrained")
+    def test_residual_and_scale(self, H3):
+        a = single_inequality(H3, 0, 1, "unconstrained")
+        b = single_inequality(H3, 0, 1, "unconstrained")
         b.lin_f[0] += 1e-3
         quad, lin_f, lin_h = a.residual_vs(b)
         assert quad == 0.0 and lin_h == 0.0

@@ -551,16 +551,25 @@ class TestRowsThroughFactors:
                 assert family.cell(size).passed, (algo, size)
 
     def test_lift_digits_do_not_depend_on_the_blas_thread_count(self):
-        # mu and the slack come from elementwise passes, so the same bits on
-        # any thread count; min_eig_S (eigvalsh) is left out, as it does depend
+        # mu, the slack and both identities' ledgers come from elementwise
+        # passes and the factors of H, so the same bits on any thread count;
+        # min_eig_S (eigvalsh) is left out, as it does depend
         script = (
             "import hashlib\n"
+            "from peplift import certificates, lift\n"
             "from peplift.catalog import FAMILIES\n"
-            "from peplift.lift import lift_func\n"
-            "for algo, size in (('silver', 8), ('ogm', 257)):\n"
+            "for algo, size in (('silver', 9), ('gsw', 9), ('ogm', 300), ('ogmg', 300)):\n"
             "    family = FAMILIES[algo]\n"
-            "    lifted = lift_func(family.schedule(size), family.certificate(size), family.xi(size))\n"
-            "    print(algo, hashlib.sha256(lifted.mu.tobytes() + lifted.slack.tobytes()).hexdigest())\n"
+            "    H, cert = family.schedule(size), family.certificate(size)\n"
+            "    metric = family.metric\n"
+            "    lifted = getattr(lift, f'lift_{metric}')(H, cert, family.xi(size))\n"
+            "    ledgers = (getattr(certificates, f'{metric}_identity_ledgers')(H, cert)\n"
+            "               + getattr(lift, f'composite_{metric}_ledgers')(H, cert, lifted))\n"
+            "    digest = hashlib.sha256(lifted.mu.tobytes() + lifted.slack.tobytes())\n"
+            "    for led in ledgers:\n"
+            "        for part in (led.quad, led.lin_f, led.lin_h):\n"
+            "            digest.update(part.tobytes())\n"
+            "    print(algo, digest.hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -572,4 +581,5 @@ class TestRowsThroughFactors:
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             digests.append(out)
+        assert len(digests[0].splitlines()) == 4
         assert digests[0] == digests[1]

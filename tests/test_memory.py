@@ -6,21 +6,17 @@ its pages are ever touched.  One quad is the 8 (2n+3)^2 bytes of a ledger's
 quadratic form; a certify cell holds two of them (lhs and rhs), and the
 stages of a lift cell hold two plus the lift's n x n fields.  A certify cell
 of any family peaks at 2.25 quads and a lift cell of either metric at 3.00.
-The bounds, 2.55 and 3.30, are 0.05 quads above the peaks of a design that
-also kept the partial sums of the stepsize matrix's rows, an n x n array of
-a quarter quad; they are kept as they were.  A second (n+2) x (n+2) weight
-matrix held beside coco_block's own, as when each caller built its W and
-coco_block copied it, now reads 2.50 quads for a certify cell and 3.25 for a
-lift cell, inside the bounds; a temporary the size of a quadratic form in
-the ledger assembly, the lift or the feasibility checks pushes the peak past
-them.
+The bounds, 2.30 and 3.05, sit 0.05 quads above those peaks, so a second
+(n+2) x (n+2) weight matrix held beside coco_block's own, as when each
+caller built its W and coco_block copied it, pushes a cell past them, as
+does a temporary the size of a quadratic form in the ledger assembly, the
+lift or the feasibility checks.
 
-A certify cell peaks twice at the same height: while its two ledgers are
-compared (both quads and one block of rows of their difference), and while
-the smooth inequalities are assembled into the lhs for ogm and ogmg (one
-quad and five n x n buffers: the directions, the step weights, -H, their
-product and the Laplacian).  The diagonal silver and gsw schedules scale
-columns instead of negating H, so their assembly stays at 2.06 quads.
+A certify cell peaks while its two ledgers are compared (both quads and one
+block of rows of their difference).  Assembling the smooth inequalities into
+the lhs stays lower, at 2.06 quads for every family: one quad and four n x n
+buffers, the weight matrix, the directions, the step weights (which H's
+factors turn into the step term in place) and the Laplacian.
 """
 
 import tracemalloc
@@ -46,14 +42,14 @@ def peak_in_quads(algo: str, size: int, lift: bool) -> float:
 
 
 def test_certify_cell_peak():
-    assert peak_in_quads("ogm", 512, lift=False) < 2.55
+    assert peak_in_quads("ogm", 512, lift=False) < 2.30
 
 
 @pytest.mark.parametrize("algo", ["silver", "gsw"])
 def test_gradient_descent_certify_cell_peak(algo):
-    assert peak_in_quads(algo, 9, lift=False) < 2.55
+    assert peak_in_quads(algo, 9, lift=False) < 2.30
 
 
 @pytest.mark.parametrize("algo", ["ogm", "ogmg"])
 def test_lift_cell_peak(algo):
-    assert peak_in_quads(algo, 256, lift=True) < 3.30
+    assert peak_in_quads(algo, 256, lift=True) < 3.05
