@@ -45,17 +45,28 @@ drops it once the step weights are summed from it.
 The identities see the stepsize matrix H through its entries and its
 factors.  The offsets x_p - x_0 are minus running sums of H's rows (one
 np.cumsum), and the steps x_k - x_{k-1} are minus H's columns, so the step
-term is -H times the step weights, which H applies through its factors in
-O(n^2) work (see schedules.py).  Unless H has a dense factor (no catalog
-family has one), no step of the assembly is a matrix product, so its bits
-do not depend on BLAS's thread count.  For a diagonal H (plain gradient
+term is -H times the step weights.  H applies itself to them through its
+factors in O(n^2) work (see schedules.py), one column for the STAR point
+and a block for the others; unless H has a dense factor (no catalog family
+has one) no step of the assembly is then a matrix product, so its bits do
+not depend on BLAS's thread count.  For a diagonal H (plain gradient
 descent: the silver and gsw schedules) the one 'diag' factor makes each
 entry of the step term one product.  The step term is subtracted from +0,
 so its zeros are +0; step weights holding an inf or a nan, or overflowing,
 carry it into the ledger, whose identity then fails.
 
+Up to _DENSE_STEPS steps, an H with entries off its diagonal (ogm, ogmg)
+multiplies the step weights by its entries instead, in one matrix product,
+and STAR's term is the offsets weighted by W's STAR column.  At those sizes
+the product is several times faster than the factors' row loops and small
+enough for OpenBLAS to run on one thread, and its coefficients lie nearer
+the exact sum of H's float entries: the exact product of the float factors
+is a few ulps away from those entries, so through the factors, even with a
+step term rounded once from their exact product, some blocks land farther.
+
 The offsets and the step term are kept directions x points, the layout the
-running sums and the factors produce, and are handed transposed to the
+running sums and the factors produce (the entries' product is formed points
+x directions and read transposed), and are handed transposed to the
 quadratic form.  Building a ledger allocates little beyond its own
 quadratic form: the assembly's scratch is four n x n buffers (the weight
 matrix, the directions, the step weights, which become the step term in
@@ -203,31 +214,32 @@ def _add_sym(quad: np.ndarray, rows: slice, cols: slice, half: np.ndarray) -> No
 
 
 def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
-    """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and at STAR, and
-    -sum_{i<k} W[i, p] at k <= p <= n, over the points p = 0..n and STAR,
-    the sums over i = 0..n.
+    """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and
+    -sum_{i<k} W[i, p] at p >= k, over the points p = 0..n.
 
-    The sums are np.cumsum's running sums over W's rows, taken a block of
+    Both sums are np.cumsum's running sums over W's rows, taken a block of
     rows at a time with the previous block's last sum as the first row, so
     each addition is the one a full-length cumsum makes, in its order; each
     block sums only the columns its rows keep."""
     star = n + 1
-    steps = np.empty((n, n + 2))
+    steps = np.empty((n, star))
     carry = np.empty((0, n))  # sum_{i>=k} W[i, :k] for the k just below the block
     for rows in reversed(_row_blocks(n)):
         a, b = rows.start, rows.stop
         sums = np.cumsum(np.concatenate([carry[:, :b], W[b:a:-1, :b]]), axis=0)[len(carry) :]
         steps[rows, :b] = np.tril(sums[::-1], a)
-        steps[rows, b:star] = 0.0
+        steps[rows, b:] = 0.0
         carry = sums[-1:]
     carry = np.empty((0, n))  # sum_{i<k} W[i, k:] for the k just above the block
     for rows in _row_blocks(n):
         a, b = rows.start, rows.stop
         sums = np.cumsum(np.concatenate([carry, W[a:b, a + 1 : star]]), axis=0)[len(carry) :]
-        steps[rows, a + 1 : star] -= np.triu(sums)
+        steps[rows, a + 1 :] -= np.triu(sums)
         carry = sums[-1:, b - a :]
-    np.cumsum(W[n:0:-1, star], out=steps[::-1, star])
     return steps
+
+
+_DENSE_STEPS = 63  # the most steps an H off its diagonal multiplies by its entries
 
 
 _MODES = {  # mode -> (smooth, composite); composite runs couple the optimum
@@ -283,8 +295,7 @@ def coco_block(
     # STAR's column holds -1.  Along the directions, x_i - x_p is summed from
     # the steps x_k - x_{k-1}, minus column k-1 of H, with prefix and suffix
     # sums of W's columns, so c[p] x_p never cancels against
-    # sum_i W[i, p] x_i; the one exception is i = STAR, whose x_i - x_p is
-    # -x_p on the directions.
+    # sum_i W[i, p] x_i; for p = STAR, x_i - x_p is x_i on the directions.
     x_dir = np.empty((n, star))
     x_dir[:, 0] = 0.0
     np.cumsum(h, axis=1, out=x_dir[:, 1:])
@@ -292,8 +303,20 @@ def coco_block(
     w_star = W[star, :star].copy()
     m_dist = -W[star]
     m_dist[star] += c[star]
-    # step k counts for p < k and for STAR, against for k <= p <= n
-    m_dir = _step_weights(W, n)
+
+    # -(H steps) over the points 0..n and sum_i W[i, STAR] x_i for STAR
+    m_dir = _step_weights(W, n)  # step k counts for p < k, against for p >= k
+    if n <= _DENSE_STEPS and np.count_nonzero(h) > np.count_nonzero(np.diagonal(h)):
+        # a small H off its diagonal multiplies by its entries, points x directions
+        m_star = np.matmul(W[:star, star], np.ascontiguousarray(x_dir.T))
+        m_dir = np.matmul(m_dir.T, -h.T).T
+    else:
+        # step k counts for STAR; H steps is subtracted from +0, so each of
+        # its zeros gives +0
+        m_star = np.empty((n, 1))
+        np.cumsum(W[n:0:-1, star], out=m_star[::-1, 0])
+        m_star = np.subtract(0.0, H.apply(m_star), out=m_star)[:, 0]
+        m_dir = np.subtract(0.0, H.apply(m_dir), out=m_dir)
     if smooth:
         lap = np.zeros((n + 2, n + 2))
         np.fill_diagonal(lap, r + c)
@@ -301,38 +324,37 @@ def coco_block(
         lap -= W.T
     del W
 
-    # -(H steps) - x_dir diag(w_star), the second term a block of rows at a
-    # time; H steps is subtracted from +0, so each of its zeros gives +0
-    m_dir = np.subtract(0.0, H.apply(m_dir), out=m_dir)
+    # minus x_dir diag(w_star), a block of rows at a time
     for rows in _row_blocks(n):
-        m_dir[rows, :star] -= x_dir[rows] * w_star
+        m_dir[rows] -= x_dir[rows] * w_star
     del x_dir
     dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
     if composite:
         dir_cols.append(slice(ix_s(n, 1), ix_s(n, n) + 1))
 
-    # G as (basis rows, points, sign) groups: g_0..g_n or s_1..s_n, then STAR
+    # G as (basis rows, points, their columns of the step term, sign)
+    # groups: g_0..g_n or s_1..s_n, then STAR
     if smooth:
-        groups = [(slice(ix_g(n, 0), ix_g(n, n) + 1), slice(0, star), 1.0)]
+        groups = [(slice(ix_g(n, 0), ix_g(n, n) + 1), slice(0, star), m_dir, 1.0)]
         star_sign = -1.0 if composite else 0.0
     else:
-        groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), 1.0)]
+        groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), m_dir[:, 1:], 1.0)]
         star_sign = 1.0
     if star_sign:
-        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), star_sign))
+        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), m_star[:, None], star_sign))
 
-    # The groups' points are disjoint, so each block of m_dir, m_dist and lap
-    # is scaled in place once, just before its only use.
+    # The groups' points are disjoint, so each block of m_dir, m_star, m_dist
+    # and lap is scaled in place once, just before its only use.
     quad = led.quad
-    for rows, pts, sign in groups:
-        for m in (m_dir[:, pts], m_dist[pts]):
+    for rows, pts, dirs, sign in groups:
+        for m in (dirs, m_dist[pts]):
             m *= -sign
             m *= 0.5
         for cols in dir_cols:
-            _add_sym(quad, rows, cols, m_dir[:, pts].T)
+            _add_sym(quad, rows, cols, dirs.T)
         _add_sym(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), m_dist[pts, None])
         if smooth:
-            for rows2, pts2, sign2 in groups:
+            for rows2, pts2, _, sign2 in groups:
                 block = lap[pts, pts2]
                 block *= 0.5 * sign * sign2
                 quad[rows, rows2] -= block

@@ -5,14 +5,16 @@ weight ``alpha[k, j]`` on gradient j at step k (1 <= k <= n, 0 <= j <= k-1).
 We store these in a dense upper-triangular array where ``entries[j, k-1]``
 holds alpha[k, j], so column k-1 lists the weights used by step k and the
 diagonal holds the "fresh gradient" weights alpha[k, k-1], which must be
-nonzero.  The identities read these entries and nothing derived from them:
-column k-1 holds the coefficients of x_{k-1} - x_k over past gradients, and
-the sums of row j over the first i columns those of x_0 - x_i.
+nonzero.  Column k-1 holds the coefficients of x_{k-1} - x_k over past
+gradients, and the sums of row j over the first i columns those of
+x_0 - x_i; the identities take those offsets from the entries.
 
 A stepsize matrix also carries factors whose product is H, so H and H^{-1}
 apply to a block of columns in O(n) work per column: diag(d); U(d), which is
 diag(d) plus ones strictly above the diagonal; U(d)^{-1}; or a dense
-triangular block, the fallback for a matrix given by its entries alone.
+triangular block, the fallback for a matrix given by its entries alone.  The
+lift and the identities' step term apply H through them (see ledger.py for
+the small matrices whose step term multiplies by the entries).
 
 All constructors are pure and return immutable values (arrays are marked
 read-only), so schedule objects are safe to share across threads.
@@ -46,26 +48,9 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
-_CUMSUM_SIZE = 1 << 15  # the most entries of a block U(d) takes with one np.cumsum
-
-
 def _upper(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """U(d) x in place: row i becomes d_i x_i plus the sum of the rows below
-    it, kept as a running sum.
-
-    A block of at most _CUMSUM_SIZE entries takes its running sums from one
-    np.cumsum of the reversed rows, which makes the loop's additions in the
-    loop's order; +0 then turns a -0 sum into the +0 the loop's sum, started
-    from +0, holds.  On a square block it is 3-5x faster than the loop up to
-    128 rows and slower from about 220 rows on (3x at 1024), and on a single
-    column it is faster at any length (x86-64, numpy 2.4)."""
-    if x.size <= _CUMSUM_SIZE:
-        below = np.zeros(x.shape)
-        np.cumsum(x[:0:-1], axis=0, out=below[-2::-1])
-        below += 0.0
-        x *= d[:, None]
-        x += below
-        return x
+    it, kept as a running sum."""
     below, spare = np.zeros(x.shape[1:]), np.empty(x.shape[1:])
     for row, di in zip(x[::-1], d[::-1].tolist()):
         np.add(below, row, spare)
@@ -130,8 +115,12 @@ class StepsizeMatrix:
     factors multiply to the entries, leftmost first; the builders of the
     structured families pass them.  Without them a diagonal matrix is one
     'diag' factor and any other one 'dense' factor.  The lift applies H and
-    H^{-1} through them and the identities read the entries, so factors that
-    do not match the entries make the lift fail its checks, not pass them.
+    H^{-1} through them, and so do the identities for their step term, but
+    their offsets x_i - x_0 read the entries, and below ledger._DENSE_STEPS
+    steps a matrix off its diagonal multiplies its step term by the entries
+    too.  Factors that do not match the entries therefore make the lift fail
+    its checks at any size, and the identities fail theirs above that size,
+    unless the mismatch is too small for the tolerance to see.
     """
 
     entries: np.ndarray

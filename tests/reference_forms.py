@@ -21,7 +21,7 @@ import numpy as np
 
 from peplift import config
 from peplift.certificates import FuncCertificate, GradCertificate, aggregates
-from peplift.ledger import GramLedger, ix_dist, ix_g, ix_s, ix_s_star
+from peplift.ledger import _DENSE_STEPS, GramLedger, ix_dist, ix_g, ix_s, ix_s_star
 from peplift.lift import CompositeLift, FeasibilityReport, _shifted_rows, _sigma, pseudoinverse_xi
 from peplift.methods import ProxProblem, RunTrace
 from peplift.schedules import SILVER_RATIO, StepsizeMatrix, phi_sequence, theta_sequence
@@ -151,18 +151,6 @@ def partial_sum_kernel(steps, a: np.ndarray) -> np.ndarray:
     if np.max(np.abs(out - direct)) > 1e-10 * scale:
         raise AssertionError("partial-sum closed form disagrees with direct matrix algebra")
     return out
-
-
-def upper_plain(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """U(d) x in place by the row loop: row i becomes d_i x_i plus the sum
-    of the rows below it, kept as a running sum that starts from +0."""
-    below, spare = np.zeros(x.shape[1:]), np.empty(x.shape[1:])
-    for row, di in zip(x[::-1], d[::-1].tolist()):
-        np.add(below, row, spare)
-        row *= di
-        row += below
-        below, spare = spare, below
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +384,20 @@ def coco_block_plain(
     # running sums of H's rows, and at x0 - x*, where STAR's column holds -1.
     # Along the directions, x_i - x_p is summed from the steps x_k - x_{k-1},
     # which are minus H's columns, with prefix and suffix sums of W's columns,
-    # so c[p] x_p never cancels against sum_i W[i, p] x_i; for i = STAR,
-    # x_i - x_p is -x_p on the directions.
+    # so c[p] x_p never cancels against sum_i W[i, p] x_i; for p = STAR,
+    # x_i - x_p is x_i on the directions.
     x_dir = np.zeros((n, star))
     x_dir[:, 1:] = -np.cumsum(h, axis=1)
-    before = np.cumsum(W[:star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
+    before = np.cumsum(W[:star, :star], axis=0)[:-1]  # sum_{i<k} W[i, p], k = 1..n
     after = np.cumsum(W[n::-1], axis=0)[-2::-1]  # sum_{i>=k} W[i, p]
-    steps = np.tril(after) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
-    steps[:, star] = after[:, star]  # and for STAR
-    m_dir = 0.0 - H.apply(steps)  # directions x points
-    m_dir[:, :star] -= W[star, :star] * x_dir
+    steps = np.tril(after[:, :star]) - np.triu(before, 1)  # step k counts for p < k, against for p >= k
+    if n <= _DENSE_STEPS and np.count_nonzero(h) > np.count_nonzero(np.diagonal(h)):
+        m_dir = (steps.T @ -h.T).T  # directions x points
+        m_star = W[:star, star] @ x_dir.T.copy()
+    else:
+        m_dir = 0.0 - H.apply(steps)
+        m_star = 0.0 - H.apply(after[:, star:].copy())[:, 0]  # step k counts for STAR
+    m_dir -= W[star, :star] * x_dir
     m_dist = -W[star]
     m_dist[star] += c[star]
     dir_cols = [slice(ix_g(n, 0), ix_g(n, n))]
@@ -425,9 +417,10 @@ def coco_block_plain(
         lap = np.diag(r + c) - W - W.T
 
     quad = led.quad
+    dirs = np.column_stack([m_dir, m_star])  # directions x points, STAR last
     for rows, pts, sign in groups:
         for cols in dir_cols:
-            _add_sym_plain(quad, rows, cols, -sign * m_dir[:, pts].T)
+            _add_sym_plain(quad, rows, cols, -sign * dirs[:, pts].T)
         _add_sym_plain(quad, rows, slice(ix_dist(n), ix_dist(n) + 1), -sign * m_dist[pts, None])
         if smooth:
             for rows2, pts2, sign2 in groups:

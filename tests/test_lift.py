@@ -37,6 +37,7 @@ from peplift.lift import (
 )
 from peplift.schedules import (
     SILVER_RATIO,
+    Factor,
     StepsizeMatrix,
     from_diagonal,
     gsw_schedule,
@@ -540,6 +541,24 @@ class TestRowsThroughFactors:
         np.testing.assert_allclose(cell.lifted.mu, catalog_cell.lifted.mu, rtol=0,
                                    atol=1e-12 * max(1.0, np.max(np.abs(catalog_cell.lifted.mu))))
 
+    @pytest.mark.parametrize("algo", ["ogm", "ogmg"])
+    @pytest.mark.parametrize("n, certified", [(5, True), (64, False)])
+    def test_factors_that_miss_the_entries_fail_the_cell(self, algo, n, certified):
+        """One entry of U(phi) off by a relative 1e-6, the entries kept: the
+        lift, which applies H through the factors, fails its checks at any
+        size; the certificate's identity, whose offsets read the entries,
+        fails where its step term goes through the factors too (above
+        _DENSE_STEPS steps) and holds where it multiplies by the entries."""
+        family = FAMILIES[algo]
+        H, cert = family.schedule(n), family.certificate(n)
+        factors = [Factor(kind, data.copy()) for kind, data in H.factors]
+        for kind, data in factors:
+            if kind == "upper":
+                data[n // 2] *= 1.0 + 1e-6
+        faulty = StepsizeMatrix(H.entries, tuple(factors))
+        assert verify_cell(faulty, cert, family.xi(n), lift=False).passed is certified
+        assert verify_cell(faulty, cert, family.xi(n)).passed is False
+
     def test_catalog_cells_never_solve_densely(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.solve called")
@@ -553,12 +572,14 @@ class TestRowsThroughFactors:
     def test_lift_digits_do_not_depend_on_the_blas_thread_count(self):
         # mu, the slack and both identities' ledgers come from elementwise
         # passes and the factors of H, so the same bits on any thread count;
-        # min_eig_S (eigvalsh) is left out, as it does depend
+        # up to 63 steps the ledgers multiply ogm's and ogmg's entries, a
+        # product small enough for OpenBLAS to keep on one thread; min_eig_S
+        # (eigvalsh) is left out, as it does depend
         script = (
             "import hashlib\n"
             "from peplift import certificates, lift\n"
             "from peplift.catalog import FAMILIES\n"
-            "for algo, size in (('silver', 9), ('gsw', 9), ('ogm', 300), ('ogmg', 300)):\n"
+            "for algo, size in (('silver', 9), ('gsw', 9), ('ogm', 300), ('ogmg', 300), ('ogm', 63), ('ogmg', 63)):\n"
             "    family = FAMILIES[algo]\n"
             "    H, cert = family.schedule(size), family.certificate(size)\n"
             "    metric = family.metric\n"
@@ -581,5 +602,5 @@ class TestRowsThroughFactors:
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             digests.append(out)
-        assert len(digests[0].splitlines()) == 4
+        assert len(digests[0].splitlines()) == 6
         assert digests[0] == digests[1]
