@@ -128,7 +128,7 @@ class CocoExpander:
         j = int(j)
         if not 1 <= j <= n:
             raise IndexError(f"subgradient index {j} out of range 1..{n}")
-        return [(ix_s(n, j), 1.0)]
+        return [(ix_s(n, j), 1)]
 
     def add_smooth_coco(self, led: GramLedger, weight: float, i: Index, j: Index) -> None:
         """Accumulate weight * [f_i - f_j - <g_j, x_i - x_j> - ||g_i - g_j||^2 / 2]."""
