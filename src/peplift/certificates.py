@@ -280,13 +280,13 @@ def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, c
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
-    led = GramLedger(n)
+    led = GramLedger(n, composite)
     coco_block(led, cert.lam, H, "composite_f" if composite else "unconstrained")
     return led
 
 
 def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the objective-gap identity as ledgers."""
+    """Both sides of the objective-gap identity as unconstrained-basis ledgers."""
     n = cert.n
     lhs = _smooth_ledger(H, cert, composite=False)
     square = np.zeros(lhs.quad.shape[0])
@@ -295,7 +295,7 @@ def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[Gra
         square[ix_g(n, i)] -= cert.gamma[i]
     lhs.add_square(square, 0.5)
 
-    rhs = GramLedger(n)
+    rhs = GramLedger(n, composite=False)
     rhs.add_f(STAR, cert.r)
     rhs.add_f(n, -cert.r)
     rhs.quad[ix_dist(n), ix_dist(n)] += 0.5
@@ -312,11 +312,11 @@ def verify_func_identity(H: StepsizeMatrix, cert: FuncCertificate) -> IdentityRe
 
 
 def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the gradient-norm identity as ledgers."""
+    """Both sides of the gradient-norm identity as unconstrained-basis ledgers."""
     n = cert.n
     lhs = _smooth_ledger(H, cert, composite=False)
 
-    rhs = GramLedger(n)
+    rhs = GramLedger(n, composite=False)
     rhs.add_f(0, 1.0)
     rhs.add_f(n, -1.0)
     rhs.quad[ix_g(n, n), ix_g(n, n)] -= 0.5 * cert.r

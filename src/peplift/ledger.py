@@ -11,10 +11,12 @@ quadratic form plus the two linear forms, all as plain floats, so checking an
 identity reduces to exact linear algebra: build both sides, subtract, and
 look at the largest coefficient left over.
 
-The basis ordering above is fixed globally.  Unconstrained identities simply
-never touch the subgradient coordinates; the substitution at the optimum
-(the optimal gradient is zero, or minus s_star in the composite setting) is
-applied during construction, so it never appears as a basis element.
+The basis ordering above is fixed globally.  Unconstrained identities are
+forms in the leading n+2 symbols alone, so their ledgers hold only that
+block (``GramLedger(n, composite=False)``, a quarter of the composite form);
+the substitution at the optimum (the optimal gradient is zero, or minus
+s_star in the composite setting) is applied during construction, so it
+never appears as a basis element.
 
 Every identity is a weighted sum of co-coercivity inequalities over the
 points 0..n and STAR,
@@ -45,14 +47,15 @@ drops it once the step weights are summed from it.
 The identities see the stepsize matrix H through its entries and its
 factors.  The offsets x_p - x_0 are minus running sums of H's rows (one
 np.cumsum), and the steps x_k - x_{k-1} are minus H's columns, so the step
-term is -H times the step weights.  H applies itself to them through its
-factors in O(n^2) work (see schedules.py), one column for the STAR point
+term is -H times the step weights: running sums of W's rows, each row its
+neighbour plus (or minus) one row of W.  H applies itself to them through
+its factors in O(n^2) work (see schedules.py), one column for the STAR point
 and a block for the others; unless H has a dense factor (no catalog family
 has one) no step of the assembly is then a matrix product, so its bits do
 not depend on BLAS's thread count.  For a diagonal H (plain gradient
 descent: the silver and gsw schedules) the one 'diag' factor makes each
-entry of the step term one product.  The step term is subtracted from +0,
-so its zeros are +0; step weights holding an inf or a nan, or overflowing,
+entry of the step term one product.  The step term is subtracted from +0, so
+its zeros are +0; step weights holding an inf or a nan, or overflowing,
 carry it into the ledger, whose identity then fails.
 
 Up to _DENSE_STEPS steps, an H with entries off its diagonal (ogm, ogmg)
@@ -69,10 +72,10 @@ running sums and the factors produce (the entries' product is formed points
 x directions and read transposed), and are handed transposed to the
 quadratic form.  Building a ledger allocates little beyond its own
 quadratic form: the assembly's scratch is four n x n buffers (the weight
-matrix, the directions, the step weights, which become the step term in
-place, and for smooth inequalities the Laplacian), and outer products,
-symmetrized blocks and differences are formed a block of rows or a slice at
-a time.  Each stage performs the floating-point operations of its
+matrix, the directions, the step weights, which are summed and become the
+step term in place, and for smooth inequalities the Laplacian), and outer
+products, symmetrized blocks and differences are formed a block of rows or
+a slice at a time.  Each stage performs the floating-point operations of its
 one-expression form, in the same order, so the coefficients are bit for bit
 those of the plain forms in ``tests/reference_forms.py``.
 """
@@ -88,8 +91,8 @@ STAR = "*"
 Index = int | str  # an iterate index 0..n or STAR
 
 
-def basis_dim(n: int) -> int:
-    return 2 * n + 3
+def basis_dim(n: int, composite: bool = True) -> int:
+    return 2 * n + 3 if composite else n + 2
 
 
 def ix_dist(n: int) -> int:
@@ -119,16 +122,16 @@ def ix_val(n: int, i: Index) -> int:
 class GramLedger:
     """Quadratic + linear form of an identity side.
 
-    The quadratic form is z^T quad z over the symbol basis (quad symmetric);
-    lin_f and lin_h hold the coefficients of f_0..f_n, f_star and
-    h_0..h_n, h_star.
+    The quadratic form is z^T quad z over the symbol basis, or unless
+    composite its leading n+2 symbols (quad symmetric); lin_f and lin_h hold
+    the coefficients of f_0..f_n, f_star and h_0..h_n, h_star.
     """
 
     __slots__ = ("n", "quad", "lin_f", "lin_h")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, composite: bool = True):
         self.n = n
-        d = basis_dim(n)
+        d = basis_dim(n, composite)
         self.quad = np.zeros((d, d))
         self.lin_f = np.zeros(n + 2)
         self.lin_h = np.zeros(n + 2)
@@ -176,6 +179,8 @@ class GramLedger:
 
     def residual_vs(self, other: "GramLedger") -> tuple[float, float, float]:
         """Max absolute coefficient mismatch: (quadratic, f-linear, h-linear)."""
+        if (self.n, self.quad.shape) != (other.n, other.quad.shape):
+            raise ValueError(f"cannot compare ledgers of shapes {self.quad.shape} and {other.quad.shape}")
         return (
             _max_abs_diff(self.quad, other.quad),
             _max_abs(self.lin_f - other.lin_f),
@@ -183,7 +188,7 @@ class GramLedger:
         )
 
 
-_BLOCK_ROWS = 256  # rows of an outer product, difference or running sum formed at a time
+_BLOCK_ROWS = 256  # rows of an outer product or difference formed at a time
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -217,25 +222,18 @@ def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
     """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and
     -sum_{i<k} W[i, p] at p >= k, over the points p = 0..n.
 
-    Both sums are np.cumsum's running sums over W's rows, taken a block of
-    rows at a time with the previous block's last sum as the first row, so
-    each addition is the one a full-length cumsum makes, in its order; each
-    block sums only the columns its rows keep."""
-    star = n + 1
-    steps = np.empty((n, star))
-    carry = np.empty((0, n))  # sum_{i>=k} W[i, :k] for the k just below the block
-    for rows in reversed(_row_blocks(n)):
-        a, b = rows.start, rows.stop
-        sums = np.cumsum(np.concatenate([carry[:, :b], W[b:a:-1, :b]]), axis=0)[len(carry) :]
-        steps[rows, :b] = np.tril(sums[::-1], a)
-        steps[rows, b:] = 0.0
-        carry = sums[-1:]
-    carry = np.empty((0, n))  # sum_{i<k} W[i, k:] for the k just above the block
-    for rows in _row_blocks(n):
-        a, b = rows.start, rows.stop
-        sums = np.cumsum(np.concatenate([carry, W[a:b, a + 1 : star]]), axis=0)[len(carry) :]
-        steps[rows, a + 1 :] -= np.triu(sums)
-        carry = sums[-1:, b - a :]
+    Each row is its neighbour plus (or minus) one row of W: the suffix sums
+    walk up from W[n, :n], the prefix sums down from 0 - W[0, 1:], so each
+    sum makes np.cumsum's additions in its order (0 - (a + b) is (0 - a) - b
+    to the bit)."""
+    steps = np.empty((n, n + 1))
+    rows, w = list(steps), list(W)
+    rows[n - 1][:n] = w[n][:n]
+    for k in range(n - 1, 0, -1):
+        np.add(rows[k][:k], w[k][:k], rows[k - 1][:k])
+    np.subtract(0.0, w[0][1 : n + 1], rows[0][1:])
+    for k in range(2, n + 1):
+        np.subtract(rows[k - 2][k:], w[k - 1][k : n + 1], rows[k - 1][k:])
     return steps
 
 
@@ -266,7 +264,7 @@ def coco_block(
     those in x_0 - x_i; direction l is g_l + s_{l+1} in the composite modes
     and g_l otherwise.  A mode not in _MODES raises.  Nonsmooth inequalities
     ('composite_h') take the subgradient at j, which point 0 lacks, so their
-    column 0 must be zero.
+    column 0 must be zero; composite modes need the composite basis.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; valid: {tuple(_MODES)}")
@@ -280,6 +278,9 @@ def coco_block(
             or top + weights.shape[0] > n + 2 or left + weights.shape[1] > n + 2):
         raise ValueError(f"need an {n}-step ledger and a weight block inside {(n + 2, n + 2)} at a "
                          f"nonnegative origin, got {led.n} and {weights.shape} at {origin}")
+    if led.quad.shape[0] < basis_dim(n, composite):
+        raise ValueError(f"mode {mode!r} needs the {basis_dim(n)} symbols of the composite basis; "
+                         f"the ledger has {led.quad.shape[0]}")
     W = np.zeros((n + 2, n + 2))
     W[top : top + weights.shape[0], left : left + weights.shape[1]] = weights
     np.fill_diagonal(W, 0.0)

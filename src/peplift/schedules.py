@@ -270,20 +270,19 @@ def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
     Column k-1 (the weights of step k) is produced by the three-case
     recursion: the diagonal is 1 + (2 theta_{k-1} - 1)/theta_k, the entry just
     above comes from the previous diagonal minus one, and all older entries
-    are the previous column scaled by (theta_{k-1} - 1)/theta_k.  Its factors
-    are diag(2 theta_0..2 theta_{n-1}) U(phi_1..phi_n) U(theta_1..theta_n)^{-1}
-    (Kim and Fessler 2016).
+    are the previous column scaled by (theta_{k-1} - 1)/theta_k, so each row
+    is a running product.  Its factors are diag(2 theta_0..2 theta_{n-1})
+    U(phi_1..phi_n) U(theta_1..theta_n)^{-1} (Kim and Fessler 2016).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     t = theta_sequence(n)
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, i] = 1.0 + (2.0 * t[i] - 1.0) / t[i + 1]
-        if i >= 1:
-            scale = (t[i] - 1.0) / t[i + 1]
-            a[i - 1, i] = scale * (a[i - 1, i - 1] - 1.0)
-            a[: i - 1, i] = scale * a[: i - 1, i - 1]
+    scale = (t[1:n] - 1.0) / t[2:]  # scale[i] takes column i to column i+1
+    a = np.diag(1.0 + (2.0 * t[:n] - 1.0) / t[1:])
+    a[range(n - 1), range(1, n)] = scale * (np.diagonal(a)[:-1] - 1.0)
+    for j in range(n - 2):
+        a[j, j + 2 :] = scale[j + 1 :]
+        np.multiply.accumulate(a[j, j + 1 :], out=a[j, j + 1 :])
     factors = (Factor("diag", 2.0 * t[:-1]), Factor("upper", phi_sequence(t)), Factor("upper_inv", t[1:]))
     return StepsizeMatrix(a, factors)
 

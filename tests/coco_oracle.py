@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from peplift.ledger import STAR, GramLedger, Index, basis_dim, coco_block, ix_dist, ix_g, ix_s, ix_s_star, ix_val
+from peplift.ledger import STAR, GramLedger, Index, coco_block, ix_dist, ix_g, ix_s, ix_s_star, ix_val
 from peplift.schedules import Factor, StepsizeMatrix
 
 
@@ -47,15 +47,18 @@ def stepsizes(entries) -> StepsizeMatrix | DrawnSteps:
 
 def evaluate(led: GramLedger, vectors: np.ndarray, f_vals: np.ndarray, h_vals: np.ndarray) -> float:
     """Numeric value of the form on concrete data: vectors is a
-    (basis_dim, space_dim) stack of realizations of the symbols."""
+    (basis_dim, space_dim) stack of realizations of the composite basis's
+    symbols, of which a ledger on the unconstrained basis reads the leading
+    n+2."""
+    vectors = vectors[: led.quad.shape[0]]
     gram = vectors @ vectors.T
     return float(np.sum(led.quad * gram) + led.lin_f @ f_vals + led.lin_h @ h_vals)
 
 
 def single_inequality(H: StepsizeMatrix, i: Index, j: Index, mode: str) -> GramLedger:
-    """The co-coercivity inequality (i, j) of a mode as a standalone ledger,
-    along the method with stepsize matrix H."""
-    led = GramLedger(H.n)
+    """The co-coercivity inequality (i, j) of a mode as a standalone ledger
+    on the mode's basis, along the method with stepsize matrix H."""
+    led = GramLedger(H.n, composite=MODES[mode][1])
     coco_block(led, [[1.0]], H, mode, origin=(ix_val(H.n, i), ix_val(H.n, j)))
     return led
 
@@ -89,19 +92,21 @@ class CocoExpander:
     the step x_{k-1} - x_k.  With composite, direction j is g_j + s_{j+1},
     otherwise g_j.  With coupled_star the gradient at the optimum is
     -s_star, otherwise zero.  With exact, the entries and every coefficient
-    are Fractions, so the expansion makes no rounding.
+    are Fractions, so the expansion makes no rounding.  Coefficient vectors
+    have dim entries, the symbols of the ledger they are added to.
     """
 
-    def __init__(self, H: StepsizeMatrix, composite: bool, coupled_star: bool, exact: bool = False):
+    def __init__(self, H: StepsizeMatrix, composite: bool, coupled_star: bool, dim: int, exact: bool = False):
         self.h = _exact(H.entries) if exact else np.asarray(H.entries, dtype=float)
         self.n = self.h.shape[0]
+        self.dim = dim
         self.composite = composite
         self.coupled_star = coupled_star
 
     def x_rel(self, i: Index) -> np.ndarray:
         """Coefficients of x_i - x_0 over the basis."""
         n = self.n
-        c = np.zeros(basis_dim(n), dtype=self.h.dtype)
+        c = np.zeros(self.dim, dtype=self.h.dtype)
         if i == STAR:
             c[ix_dist(n)] = -1
             return c
@@ -163,10 +168,11 @@ def coco_block_reference(
     coupled_star: bool,
     exact: bool = False,
 ) -> None:
-    """Drop-in for coco_block that adds the inequalities one at a time; with
-    exact, on Fractions into a ledger that holds Fractions."""
+    """Drop-in for coco_block that adds the inequalities one at a time, over
+    the ledger's basis; with exact, on Fractions into a ledger that holds
+    Fractions."""
     n = led.n
-    expand = CocoExpander(H, composite, coupled_star, exact)
+    expand = CocoExpander(H, composite, coupled_star, led.quad.shape[0], exact)
     add = expand.add_smooth_coco if smooth else expand.add_nonsmooth_coco
     W = _exact(W) if exact else np.asarray(W, dtype=float)
     for i, j, w in iter_nonzero(W):
@@ -181,9 +187,10 @@ def _exact(a) -> np.ndarray:
 
 
 def exact_coco_block(W: np.ndarray, H: StepsizeMatrix, mode: str) -> GramLedger:
-    """A fresh ledger holding coco_block(W, H, mode) in exact arithmetic on
-    the float values of W and H's entries: its arrays hold Fractions."""
-    led = GramLedger(H.n)
+    """A fresh ledger on the mode's basis holding coco_block(W, H, mode) in
+    exact arithmetic on the float values of W and H's entries: its arrays
+    hold Fractions."""
+    led = GramLedger(H.n, composite=MODES[mode][1])
     for name in ("quad", "lin_f", "lin_h"):
         setattr(led, name, _exact(getattr(led, name)))
     coco_block_reference(led, W, H, *MODES[mode], exact=True)
@@ -192,7 +199,8 @@ def exact_coco_block(W: np.ndarray, H: StepsizeMatrix, mode: str) -> GramLedger:
 
 def distance(led: GramLedger, exact: GramLedger) -> float:
     """The largest distance of a float ledger's coefficients from an exact
-    ledger's, rounded once."""
+    ledger's of the same shapes, rounded once."""
+    assert all(getattr(led, name).shape == getattr(exact, name).shape for name in ("quad", "lin_f", "lin_h"))
     gaps = [abs(Fraction(x) - y) for name in ("quad", "lin_f", "lin_h")
             for x, y in zip(getattr(led, name).ravel().tolist(), getattr(exact, name).ravel().tolist())]
     return float(max(gaps))

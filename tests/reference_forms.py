@@ -3,11 +3,10 @@
 The tests compare the library against these: the recursive silver doubling,
 the theta recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
-partial-sum kernel, and the plain forms of the OGM-G schedule loop, U(d)'s
-row loop, the
-runners, the lasso/box-QP oracles, the reference solve, the ledger assembly,
-the lifts and the feasibility checks, which the library's faster forms must
-reproduce bit for bit.  The plain lifts take their shifted multiplier rows
+partial-sum kernel, and the plain forms of the OGM and OGM-G schedule
+loops, U(d)'s row loop, the runners, the lasso/box-QP oracles, the
+reference solve, the ledger assembly, the lifts and the feasibility checks,
+which the library's faster forms must reproduce bit for bit.  The plain lifts take their shifted multiplier rows
 from the library's kernel; the dense solve that formed those rows before
 (`dense_rows`) is compared with the kernel at a tolerance, and the exact
 oracle in exact_lift.py judges which of the two is closer.  None of them is
@@ -61,6 +60,20 @@ def theta_sequence_plain(n: int) -> np.ndarray:
         t[i] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[i - 1] ** 2))
     t[n] = 0.5 * (1.0 + math.sqrt(1.0 + 8.0 * t[n - 1] ** 2))
     return t
+
+
+def ogm_stepsize_matrix_plain(n: int) -> np.ndarray:
+    """OGM stepsize entries a column at a time: each column's older entries
+    are the previous column's scaled by (theta_{i} - 1)/theta_{i+1}."""
+    t = theta_sequence(n)
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i] = 1.0 + (2.0 * t[i] - 1.0) / t[i + 1]
+        if i >= 1:
+            scale = (t[i] - 1.0) / t[i + 1]
+            a[i - 1, i] = scale * (a[i - 1, i - 1] - 1.0)
+            a[: i - 1, i] = scale * a[: i - 1, i - 1]
+    return a
 
 
 def ogmg_stepsize_matrix_plain(n: int) -> np.ndarray:

@@ -45,6 +45,7 @@ from reference_forms import (
     library_rows,
     lift_func_plain,
     lift_grad_plain,
+    ogm_stepsize_matrix_plain,
     ogmg_stepsize_matrix_plain,
     plain_oracles,
     run_composite_plain,
@@ -172,6 +173,11 @@ def test_oracles_on_signed_zeros_and_non_finite_points(name):
                 assert_bitwise_equal(library.h_value(x), plain[2](x))
                 for t in steps:
                     assert_bitwise_equal(library.prox(t, x), plain[3](t, x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32, 64, 512, 1024, 2048])
+def test_ogm_schedule(n):
+    assert_bitwise_equal(ogm_stepsize_matrix(n).entries, ogm_stepsize_matrix_plain(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 1024])

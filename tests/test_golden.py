@@ -28,6 +28,11 @@ REPORTS = {
     **{f"{cmd}_{algo}_{size}.json": [cmd, "--algo", algo, "--metric", metric, flag, str(size)]
        for cmd in ("certify", "lift") for algo, metric, flag, size in FAMILY_SIZES},
     "lift_ogm_6_pseudo.json": ["lift", "--algo", "ogm", "--metric", "func", "--n", "6", "--xi", "pseudo"],
+    # the largest certify cells the benchmark runs: above 63 steps no ledger
+    # step is a BLAS product, so these digits are those of every thread count
+    **{f"certify_{algo}_{size}.json": ["certify", "--algo", algo, "--metric", metric, flag, str(size)]
+       for algo, metric, flag, size in (("silver", "func", "--k", 10), ("gsw", "grad", "--k", 10),
+                                        ("ogm", "func", "--n", 1024), ("ogmg", "grad", "--n", 1024))},
 }
 
 SWEEP_CELLS = [

@@ -185,9 +185,63 @@ class TestCocoBlock:
                                            ("composite_h", mu, (1, 1) if func else (0, 1))):
             W = np.zeros((n + 2, n + 2))
             W[top : top + weights.shape[0], left : left + weights.shape[1]] = weights
-            led = GramLedger(n)
+            led = GramLedger(n, composite=MODES[mode][1])
             coco_block(led, W, H, mode)
             assert distance(led, exact_coco_block(W, H, mode)) <= np.spacing(led.max_abs()), mode
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestUnconstrainedBasis:
+    """An unconstrained identity lives on the leading n+2 symbols."""
+
+    @pytest.mark.parametrize("algo,size", [("silver", 3), ("ogm", 9), ("gsw", 3), ("ogmg", 9), ("ogm", 70)])
+    def test_identity_ledgers_are_the_leading_block_of_the_full_basis(self, monkeypatch, algo, size):
+        family = FAMILIES[algo]
+        H, cert = family.schedule(size), family.certificate(size)
+        n = cert.n
+        identity = certificates.func_identity_ledgers if family.metric == "func" else certificates.grad_identity_ledgers
+        sides = identity(H, cert)
+        for led in sides:
+            assert led.quad.shape == (n + 2, n + 2)
+        monkeypatch.setattr(certificates, "GramLedger", lambda n, composite=True: GramLedger(n))
+        for led, full in zip(sides, identity(H, cert)):
+            assert full.quad.shape == (2 * n + 3, 2 * n + 3)
+            assert _bits(full.quad[: n + 2, : n + 2]) == _bits(led.quad)
+            outside = full.quad.copy()
+            outside[: n + 2, : n + 2] = 0.0
+            assert _bits(outside) == _bits(np.zeros_like(outside))  # +0.0, never written
+            assert _bits(full.lin_f) == _bits(led.lin_f) and _bits(full.lin_h) == _bits(led.lin_h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9))
+    def test_unconstrained_block_is_the_leading_block(self, data, n):
+        W = data.draw(arrays(float, (n + 2, n + 2), elements=st.floats(-4.0, 4.0)), label="W")
+        H = stepsizes(np.triu(data.draw(arrays(float, (n, n), elements=st.floats(-3.0, 3.0)), label="h")))
+        led, full = GramLedger(n, composite=False), GramLedger(n)
+        coco_block(led, W, H, "unconstrained")
+        coco_block(full, W, H, "unconstrained")
+        assert _bits(full.quad[: n + 2, : n + 2]) == _bits(led.quad)
+        assert not full.quad[n + 2 :].any() and not full.quad[:, n + 2 :].any()
+        assert _bits(full.lin_f) == _bits(led.lin_f)
+
+    @pytest.mark.parametrize("mode", ["composite_f", "composite_h"])
+    def test_composite_mode_on_an_unconstrained_ledger_raises(self, mode):
+        n = 3
+        led = GramLedger(n, composite=False)
+        with pytest.raises(ValueError, match="composite basis"):
+            coco_block(led, np.ones((1, 1)), StepsizeMatrix(np.triu(np.ones((n, n)))), mode, origin=(1, 2))
+        assert not led.quad.any() and not led.lin_f.any() and not led.lin_h.any()
+
+    @pytest.mark.parametrize("other", [GramLedger(3), GramLedger(4, composite=False), GramLedger(2)])
+    def test_residual_vs_a_ledger_of_another_shape_raises(self, other):
+        led = GramLedger(3, composite=False)
+        with pytest.raises(ValueError, match="shapes"):
+            led.residual_vs(other)
+        with pytest.raises(ValueError, match="shapes"):
+            other.residual_vs(led)
 
 
 class TestNonnegativitySampling:

@@ -2,21 +2,22 @@
 
 numpy reports its array allocations to tracemalloc, so the traced peak above
 the starting point counts every temporary a cell allocates, whether or not
-its pages are ever touched.  One quad is the 8 (2n+3)^2 bytes of a ledger's
-quadratic form; a certify cell holds two of them (lhs and rhs), and the
-stages of a lift cell hold two plus the lift's n x n fields.  A certify cell
-of any family peaks at 2.25 quads and a lift cell of either metric at 3.00.
-The bounds, 2.30 and 3.05, sit 0.05 quads above those peaks, so a second
-(n+2) x (n+2) weight matrix held beside coco_block's own, as when each
-caller built its W and coco_block copied it, pushes a cell past them, as
-does a temporary the size of a quadratic form in the ledger assembly, the
-lift or the feasibility checks.
+its pages are ever touched.  One quad is the 8 (2n+3)^2 bytes of a composite
+ledger's quadratic form.  A certify cell holds two (n+2) x (n+2) forms, the
+unconstrained identity's lhs and rhs, about a quarter of a quad each, and
+the stages of a lift cell hold two quads plus the lift's n x n fields.  A
+certify cell of any family peaks at 1.26 quads and a lift cell of either
+metric at 3.00.  The bounds, 1.31 and 3.05, sit 0.05 quads above those
+peaks, so an unconstrained identity assembled on the full composite basis
+(2.25 quads), a second (n+2) x (n+2) weight matrix held beside coco_block's
+own, as when each caller built its W and coco_block copied it, or a
+temporary the size of a quadratic form in the ledger assembly, the lift or
+the feasibility checks pushes a cell past them.
 
-A certify cell peaks while its two ledgers are compared (both quads and one
-block of rows of their difference).  Assembling the smooth inequalities into
-the lhs stays lower, at 2.06 quads for every family: one quad and four n x n
-buffers, the weight matrix, the directions, the step weights (which H's
-factors turn into the step term in place) and the Laplacian.
+A certify cell peaks while the smooth inequalities are assembled into its
+lhs: one (n+2) x (n+2) form and four n x n buffers, the weight matrix, the
+directions, the step weights (which H's factors turn into the step term in
+place) and the Laplacian.  Comparing the two sides afterwards stays lower.
 """
 
 import tracemalloc
@@ -42,12 +43,12 @@ def peak_in_quads(algo: str, size: int, lift: bool) -> float:
 
 
 def test_certify_cell_peak():
-    assert peak_in_quads("ogm", 512, lift=False) < 2.30
+    assert peak_in_quads("ogm", 512, lift=False) < 1.31
 
 
 @pytest.mark.parametrize("algo", ["silver", "gsw"])
 def test_gradient_descent_certify_cell_peak(algo):
-    assert peak_in_quads(algo, 9, lift=False) < 2.30
+    assert peak_in_quads(algo, 9, lift=False) < 1.31
 
 
 @pytest.mark.parametrize("algo", ["ogm", "ogmg"])
