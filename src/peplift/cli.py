@@ -101,6 +101,7 @@ def cmd_lift(args) -> int:
         "identity_residual": cell.identity.max_residual,
         "min_mu": cell.feasibility.min_mu,
         "min_eig_S": cell.feasibility.min_eig,
+        "psd_route": cell.feasibility.psd_route,
         "laplacian_ok": cell.feasibility.structural_ok,
         "rate": cell.rate,
         "paper_rate": paper_rate,

@@ -40,6 +40,7 @@ from .certificates import (
     verify_grad_identity,
 )
 from .ledger import (
+    _BLOCK_ROWS,
     STAR,
     GramLedger,
     _max_abs,
@@ -289,22 +290,61 @@ def _laplacian_violations(m: np.ndarray) -> tuple[float, float]:
     return float(m.max(initial=0.0)), row_max
 
 
-def _diag_dominance_margin(m: np.ndarray) -> float:
-    """min over rows of diag - sum |offdiag|; nonnegative means dominant."""
-    off = np.abs(m)
-    diag = np.diagonal(off).copy()
-    np.fill_diagonal(off, diag - diag)  # zero where finite, as |m| - diag(|diag(m)|) has it
-    return float(np.min(np.diag(m) - off.sum(axis=1)))
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): a sum of k terms, in any order,
+    is within gamma_{k-1} sum |x| of its exact value, and m roundings in a
+    row make a relative error of at most gamma_m (Accuracy and Stability of
+    Numerical Algorithms, 2002, Lemma 3.1 and eq. 4.4)."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _row_sums(m: np.ndarray, op) -> np.ndarray:
+    """op(m).sum(axis=1), with op(m) formed a block of rows at a time in one
+    reused buffer; each row's sum has the bits of the whole-matrix form."""
+    buf = np.empty((min(_BLOCK_ROWS, m.shape[0]), m.shape[1]))
+    out = np.empty(m.shape[0])
+    for rows in _row_blocks(m.shape[0]):
+        op(m[rows], out=buf[: rows.stop - rows.start]).sum(axis=1, out=out[rows])
+    return out
+
+
+def _gershgorin_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m_ii - sum_{j != i} |m_ij|, sum_j |m_ij|) for each row of the square
+    matrix m, the first as (m_ii + |m_ii|) - sum_j |m_ij|, whose first term
+    is exact: gamma_{size-1} sum_j |m_ij| for the sum and under 3u sum_j |m_ij|
+    for the subtraction put it within gamma_{size+2} sum_j |m_ij| of its
+    exact value."""
+    abs_sums = _row_sums(m, np.abs)
+    diag = np.diagonal(m)
+    return (diag + np.abs(diag)) - abs_sums, abs_sums
+
+
+def _norm_floor(s: np.ndarray) -> float:
+    """max_i ||s_i,:||_2 (1 - gamma_{m+3}) for m columns: a lower bound on
+    ||s||_2 for a symmetric s, which is at least ||s e_i||_2.  A computed row
+    norm exceeds its exact value by at most a factor 1 + gamma_{m+1}, and the
+    factor, rounded and applied in floats, brings it back below."""
+    return float(np.sqrt(np.max(_row_sums(s, np.square))) * (1.0 - _gamma(s.shape[1] + 3)))
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Feasibility evidence: `passed` covers the two required items
-    (nonnegative multipliers, S positive semidefinite by its eigenvalues).
-    structural_ok is the metric's structural PSD route, reported apart from
-    `passed`: for func the Schur-Laplacian route, since the eigenvalue-minimal
-    xi is PSD-feasible without being Laplacian-checkable, and for grad
-    diagonal dominance of the slack."""
+    (nonnegative multipliers, S positive semidefinite up to PSD_TOL).
+
+    psd_route names how S was judged.  On 'gershgorin', min_eig is a proven
+    lower bound on lambda_min(S), from Gershgorin discs with the rounding of
+    every float operation bounded, and spectral_norm a proven lower bound on
+    ||S||_2; on 'eigvalsh', taken only when that bound misses the bar, both
+    are read from S's computed eigenvalues.  Either way eig_ok is
+    min_eig >= -PSD_TOL max(spectral_norm, 1).  structural_ok is the metric's
+    structural PSD route, reported apart from `passed`: for func the
+    Schur-Laplacian route, since the eigenvalue-minimal xi is PSD-feasible
+    without being Laplacian-checkable, and for grad diagonal dominance of the
+    slack."""
 
     metric: str
     xi: float
@@ -315,6 +355,7 @@ class FeasibilityReport:
     mu_ok: bool
     eig_ok: bool
     structural_ok: bool
+    psd_route: str
 
     @property
     def passed(self) -> bool:
@@ -325,6 +366,7 @@ class FeasibilityReport:
             "xi": self.xi,
             "min_mu": self.min_mu,
             "min_eig_S": self.min_eig,
+            "psd_route": self.psd_route,
             "laplacian_ok" if self.metric == "func" else "diag_dominant_ok": self.structural_ok,
             "mu_ok": self.mu_ok,
             "eig_ok": self.eig_ok,
@@ -332,49 +374,75 @@ class FeasibilityReport:
         }
 
 
-def _feasibility(lift: CompositeLift, structural_ok: bool) -> FeasibilityReport:
-    """The report: the two required items judged here, the structural route
-    as its check function judged it."""
+def _feasibility(lift: CompositeLift, structural_ok: bool, floor: float) -> FeasibilityReport:
+    """The report: the multipliers judged here, S by the proven floor on
+    lambda_min(S) when it clears the bar and by eigvalsh when it does not,
+    the structural route as its check function judged it."""
     mu_scale = max(1.0, _max_abs(lift.mu))
     min_mu = float(lift.mu.min())
-    eigs = np.linalg.eigvalsh(lift.slack)
-    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+    route, min_eig, snorm = "gershgorin", floor, _norm_floor(lift.slack)
+    # a nan floor misses; an overflowed norm would make any floor clear the bar
+    if not (floor >= -config.PSD_TOL * max(snorm, 1.0) and math.isfinite(snorm)):
+        eigs = np.linalg.eigvalsh(lift.slack)
+        route, min_eig = "eigvalsh", float(eigs[0])
+        snorm = max(abs(min_eig), abs(float(eigs[-1])))
     return FeasibilityReport(
         metric=lift.metric,
         xi=lift.xi,
         min_mu=min_mu,
         mu_scale=mu_scale,
-        min_eig=float(eigs[0]),
+        min_eig=min_eig,
         spectral_norm=snorm,
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
-        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
+        eig_ok=min_eig >= -config.PSD_TOL * max(snorm, 1.0),
         structural_ok=structural_ok,
+        psd_route=route,
     )
 
 
 def check_func_feasibility(lift: CompositeLift) -> FeasibilityReport:
     """Nonnegativity of the nonsmooth multipliers plus two-route evidence
-    that S is positive semidefinite: eigenvalues of S itself, and the Schur
-    route requiring L - (1/xi) v v^T to stay Laplacian, with v and L read
-    from S."""
+    that S is positive semidefinite, both through the Schur complement
+    M = L - (1/xi) v v^T, with v and L read from S.  The structural route
+    requires M to stay Laplacian.  The PSD verdict rests on
+    z^T S z = xi (a + v^T y / xi)^2 + y^T M y for z = (a, y), whenever
+    S[0, 0] >= xi > 0, so lambda_min(S) >= min(0, lambda_min(M)); Gershgorin
+    bounds lambda_min(M) from the computed M^, each of whose entries is
+    within gamma_3 (|L_ij| + |v_i v_j| / xi) of M's, hence within
+    gamma_4 |M^_ij| + gamma_7 |v_i| |v_j| / xi.  With the row sums'
+    gamma_{n+3} (n + 1 rows), two units for the rounding of the final
+    subtraction and one spare unit for forming the error terms, row i loses
+    gamma_{n+10} sum_j |M^_ij| + gamma_8 |v_i| ||v||_1 / xi (gradual underflow
+    aside, at most a few 2^-1074 a row, far beneath the bar).  S is symmetric,
+    as the lift builds it."""
     if lift.xi <= 0.0:
         raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
-    v, laplacian = lift.slack[1:, 0], lift.slack[1:, 1:]
+    n, v, laplacian = lift.n, lift.slack[1:, 0], lift.slack[1:, 1:]
     schur = np.empty_like(laplacian)
-    for rows in _row_blocks(lift.n + 1):
+    for rows in _row_blocks(n + 1):
         np.subtract(laplacian[rows], np.outer(v[rows], v) / lift.xi, out=schur[rows])
     tol = config.LAPLACIAN_TOL * max(1.0, _max_abs(schur))
+    radius, abs_sums = _gershgorin_rows(schur)
+    floor = -math.inf
+    if lift.slack[0, 0] >= lift.xi:
+        v_abs = np.abs(v)
+        rounding = _gamma(n + 10) * abs_sums + _gamma(8) * v_abs * (v_abs.sum() / lift.xi)
+        floor = float(np.min(radius - rounding, initial=0.0))
     schur_offdiag_max, schur_rowsum_max = _laplacian_violations(schur)
     del schur
-    return _feasibility(lift, schur_offdiag_max <= tol and schur_rowsum_max <= tol)
+    return _feasibility(lift, schur_offdiag_max <= tol and schur_rowsum_max <= tol, floor)
 
 
 def check_grad_feasibility(lift: CompositeLift) -> FeasibilityReport:
-    """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
-    and diagonal dominance, whose only nontrivial requirement after the
-    rank-one subtraction is a nonnegative (1, n+1) corner entry."""
-    slack_dd_margin = _diag_dominance_margin(lift.slack)
-    return _feasibility(lift, slack_dd_margin >= -config.LAPLACIAN_TOL * max(1.0, _max_abs(lift.slack)))
+    """Nonnegativity of the multipliers plus PSD evidence for S' from its
+    Gershgorin rows: diagonal dominance, whose only nontrivial requirement
+    after the rank-one subtraction is a nonnegative (1, n+1) corner entry,
+    and the PSD verdict, the same rows less gamma_{n+6} sum_j |S'_ij|
+    (n + 1 rows: the row sums' gamma_{n+3}, two units for the rounding of the
+    final subtraction and one spare unit for forming the error term)."""
+    radius, abs_sums = _gershgorin_rows(lift.slack)
+    structural_ok = float(np.min(radius)) >= -config.LAPLACIAN_TOL * max(1.0, _max_abs(lift.slack))
+    return _feasibility(lift, structural_ok, float(np.min(radius - _gamma(lift.n + 6) * abs_sums)))
 
 
 # ---------------------------------------------------------------------------

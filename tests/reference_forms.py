@@ -581,23 +581,49 @@ def diag_dominance_margin_plain(m: np.ndarray) -> float:
     return float(np.min(np.diag(m) - off.sum(axis=1)))
 
 
+def gershgorin_rows_plain(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m_ii - sum_{j != i} |m_ij| as (m_ii + |m_ii|) - sum_j |m_ij|, sum_j |m_ij|)."""
+    abs_sums = np.abs(m).sum(axis=1)
+    return (np.diag(m) + np.abs(np.diag(m))) - abs_sums, abs_sums
+
+
+def gamma_plain(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u = 2^-53."""
+    return m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def psd_verdict_plain(slack: np.ndarray, floor: float) -> tuple[str, float, float]:
+    """(route, min_eig, spectral_norm): the floor and max_i ||S_i,:|| (1 - gamma_{m+3})
+    when the floor clears -PSD_TOL max(norm, 1), and S's eigenvalues otherwise."""
+    snorm = float(np.sqrt(np.max(np.sum(slack * slack, axis=1))) * (1.0 - gamma_plain(slack.shape[1] + 3)))
+    if floor >= -config.PSD_TOL * max(snorm, 1.0) and math.isfinite(snorm):
+        return "gershgorin", floor, snorm
+    eigs = np.linalg.eigvalsh(slack)
+    return "eigvalsh", float(eigs[0]), max(abs(float(eigs[0])), abs(float(eigs[-1])))
+
+
 def check_func_feasibility_plain(lift: CompositeLift) -> FeasibilityReport:
     """Nonnegativity of the nonsmooth multipliers plus two-route evidence
-    that S is positive semidefinite: eigenvalues of S itself, and the Schur
-    route requiring L - (1/xi) v v^T to stay Laplacian, with v and L read
-    from S."""
+    that S is positive semidefinite, both through the Schur complement
+    M = L - (1/xi) v v^T with v and L read from S: the structural route
+    requires M to stay Laplacian, and the PSD verdict takes the Gershgorin
+    floor of M less its rounding bound, or S's eigenvalues when that floor
+    misses the bar."""
     if lift.xi <= 0.0:
         raise ValueError(f"the Schur route needs xi > 0, got {lift.xi}")
+    n = lift.n
     mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
     min_mu = float(lift.mu.min())
-
-    eigs = np.linalg.eigvalsh(lift.slack)
-    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
 
     v, laplacian = lift.slack[1:, 0], lift.slack[1:, 1:]
     schur = laplacian - np.outer(v, v) / lift.xi
     lap_scale = max(1.0, float(np.max(np.abs(schur))))
     s_off, s_row = laplacian_violations_plain(schur)
+
+    radius, abs_sums = gershgorin_rows_plain(schur)
+    rounding = gamma_plain(n + 10) * abs_sums + gamma_plain(8) * np.abs(v) * (np.abs(v).sum() / lift.xi)
+    floor = float(np.min(np.append(radius - rounding, 0.0))) if lift.slack[0, 0] >= lift.xi else -math.inf
+    route, min_eig, snorm = psd_verdict_plain(lift.slack, floor)
 
     tol_lap = config.LAPLACIAN_TOL
     return FeasibilityReport(
@@ -605,33 +631,35 @@ def check_func_feasibility_plain(lift: CompositeLift) -> FeasibilityReport:
         xi=lift.xi,
         min_mu=min_mu,
         mu_scale=mu_scale,
-        min_eig=float(eigs[0]),
+        min_eig=min_eig,
         spectral_norm=snorm,
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
-        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
+        eig_ok=min_eig >= -config.PSD_TOL * max(snorm, 1.0),
         structural_ok=(s_off <= tol_lap * lap_scale and s_row <= tol_lap * lap_scale),
+        psd_route=route,
     )
 
 
 def check_grad_feasibility_plain(lift: CompositeLift) -> FeasibilityReport:
-    """Nonnegativity of the multipliers plus PSD evidence for S': eigenvalues
-    and diagonal dominance, whose only nontrivial requirement after the
-    rank-one subtraction is a nonnegative (1, n+1) corner entry."""
+    """Nonnegativity of the multipliers plus PSD evidence for S' from its
+    Gershgorin rows: diagonal dominance, whose only nontrivial requirement
+    after the rank-one subtraction is a nonnegative (1, n+1) corner entry,
+    and the PSD verdict, the same rows less their rounding bound, or S's
+    eigenvalues when that floor misses the bar."""
     mu_scale = max(1.0, float(np.max(np.abs(lift.mu))))
     min_mu = float(lift.mu.min())
-    eigs = np.linalg.eigvalsh(lift.slack)
-    snorm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
     scale = max(1.0, float(np.max(np.abs(lift.slack))))
-    slack_margin = diag_dominance_margin_plain(lift.slack)
-    tol = config.LAPLACIAN_TOL
+    radius, abs_sums = gershgorin_rows_plain(lift.slack)
+    route, min_eig, snorm = psd_verdict_plain(lift.slack, float(np.min(radius - gamma_plain(lift.n + 6) * abs_sums)))
     return FeasibilityReport(
         metric="grad",
         xi=lift.xi,
         min_mu=min_mu,
         mu_scale=mu_scale,
-        min_eig=float(eigs[0]),
+        min_eig=min_eig,
         spectral_norm=snorm,
         mu_ok=min_mu >= -config.MU_TOL * mu_scale,
-        eig_ok=float(eigs[0]) >= -config.PSD_TOL * max(snorm, 1.0),
-        structural_ok=slack_margin >= -tol * scale,
+        eig_ok=min_eig >= -config.PSD_TOL * max(snorm, 1.0),
+        structural_ok=float(np.min(radius)) >= -config.LAPLACIAN_TOL * scale,
+        psd_route=route,
     )

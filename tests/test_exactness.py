@@ -39,8 +39,8 @@ from reference_forms import (
     check_func_feasibility_plain,
     check_grad_feasibility_plain,
     coco_block_plain,
-    diag_dominance_margin_plain,
     fista_reference_plain,
+    gershgorin_rows_plain,
     laplacian_violations_plain,
     library_rows,
     lift_func_plain,
@@ -361,11 +361,11 @@ CELLS += [(algo, size) for algo in ("ogm", "ogmg") for size in (1, 2, 3, 5, 64, 
 
 
 def assert_same_fields(actual, expected):
-    """Every field of two dataclass instances, bit for bit; the metric string
-    by equality."""
+    """Every field of two dataclass instances, bit for bit; the metric and
+    PSD-route strings by equality."""
     for field in dataclasses.fields(actual):
-        if field.name == "metric":
-            assert actual.metric == expected.metric
+        if field.name in ("metric", "psd_route"):
+            assert getattr(actual, field.name) == getattr(expected, field.name)
         else:
             assert_bitwise_equal(getattr(actual, field.name), getattr(expected, field.name))
 
@@ -592,7 +592,8 @@ def test_feasibility_helpers_match_plain_forms(rows):
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
         for m in arrays_.values():
             assert_bitwise_equal(lift._laplacian_violations(m.copy()), laplacian_violations_plain(m))
-            assert_bitwise_equal(lift._diag_dominance_margin(m), diag_dominance_margin_plain(m))
+            assert_bitwise_equal(lift._gershgorin_rows(m), gershgorin_rows_plain(m))
+            assert_bitwise_equal(lift._row_sums(m, np.square), np.sum(m * m, axis=1))
 
 
 def test_frozen_copies_only_what_a_caller_can_write():

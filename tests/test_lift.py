@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from peplift import catalog, config
+from peplift import lift as lift_module
 from peplift.catalog import FAMILIES
 from peplift.certificates import (
     FuncCertificate,
@@ -23,6 +25,7 @@ from peplift.certificates import (
 from peplift.cli import main
 from peplift.ledger import ix_dist, ix_g
 from peplift.lift import (
+    CompositeLift,
     _sigma,
     certified_rate,
     check_func_feasibility,
@@ -261,7 +264,7 @@ class TestFuncFeasibility:
         slack[0, 1] += 5.0
         slack[1, 0] += 5.0
         report = check_func_feasibility(dataclasses.replace(lifted, slack=slack))
-        assert report.min_eig < -3.0 and not report.eig_ok
+        assert report.min_eig < -3.0 and not report.eig_ok and report.psd_route == "eigvalsh"
         assert not report.structural_ok
 
     def test_tiny_xi_fails_schur_check(self):
@@ -269,6 +272,7 @@ class TestFuncFeasibility:
         report = check_func_feasibility(lifted)
         assert not report.structural_ok
         assert not report.eig_ok and not report.passed  # S genuinely loses PSD
+        assert report.psd_route == "eigvalsh"  # the Gershgorin floor missed, so eigvalsh judged it
 
     def test_nonpositive_xi_rejected_in_schur_route(self):
         _, _, lifted = silver_lift(2)
@@ -283,6 +287,7 @@ class TestFuncFeasibility:
         # eigenvalue route accepts the minimal xi even when the Laplacian one may not
         report = check_func_feasibility(lifted)
         assert report.eig_ok and report.mu_ok
+        assert report.psd_route == "eigvalsh"  # a singular S with a non-Laplacian Schur complement
 
     def test_pseudoinverse_matches_direct_eig_computation(self):
         _, _, lifted = silver_lift(3)
@@ -303,6 +308,92 @@ class TestFuncFeasibility:
         assert schur_floor == pytest.approx(closed, rel=1e-12)
         _, _, at_floor = ogm_lift(n, xi=schur_floor)
         assert check_func_feasibility(at_floor).structural_ok
+
+
+def route_floor(lifted) -> float:
+    """The Gershgorin floor the feasibility check of lifted computes, whether
+    or not it clears the bar."""
+    floors = []
+    judge = lift_module._feasibility
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lift_module, "_feasibility",
+                      lambda lift, ok, floor: floors.append(floor) or judge(lift, ok, floor))
+        (check_func_feasibility if lifted.metric == "func" else check_grad_feasibility)(lifted)
+    return floors[0]
+
+
+def min_eig_50_digits(slack: np.ndarray):
+    """The least eigenvalue of the float matrix slack, at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return min(mpmath.eigsy(mpmath.matrix(slack.tolist()), eigvals_only=True))
+
+
+def sub_ulp_coupled(diagonal: np.ndarray, seed: int) -> np.ndarray:
+    """diag(diagonal) coupled by symmetric off-diagonal entries below half an
+    ulp of every diagonal entry: each computed Gershgorin row reads its
+    diagonal entry exactly, while lambda_min lies below the least of them, so
+    a floor that dropped its rounding bound would read above lambda_min."""
+    coupling = np.random.default_rng(seed).random((diagonal.size,) * 2) * 2.0**-60
+    m = coupling + coupling.T
+    np.fill_diagonal(m, diagonal)
+    return m
+
+
+SOUNDNESS_CELLS = [(algo, size) for algo in ("silver", "gsw") for size in range(1, 7)]
+SOUNDNESS_CELLS += [(algo, size) for algo in ("ogm", "ogmg") for size in (1, 2, 3, 5, 8, 64)]
+
+
+class TestPsdRoute:
+    """S passes on a proven Gershgorin floor on lambda_min(S), and eigvalsh
+    runs only when that floor misses the bar."""
+
+    @pytest.mark.parametrize("algo, size", SOUNDNESS_CELLS)
+    def test_floor_is_below_lambda_min_at_50_digits(self, algo, size):
+        family = FAMILIES[algo]
+        lifted = family.cell(size).lifted
+        cases = [lifted.slack]
+        if lifted.n <= 8:  # seeded symmetric perturbations, from rounding-sized to large
+            rng = np.random.default_rng(lifted.n)
+            for scale in (1e-15, 1e-9, 1e-3):
+                noise = rng.standard_normal(lifted.slack.shape) * scale * np.max(np.abs(lifted.slack))
+                cases.append(lifted.slack + noise + noise.T)
+        for slack in cases:
+            floor = route_floor(dataclasses.replace(lifted, slack=slack))
+            assert floor <= min_eig_50_digits(slack), (algo, size, floor)
+
+    @pytest.mark.parametrize("size", [2, 5, 33])
+    def test_floor_covers_the_rounding_of_its_row_sums(self, size):
+        diagonal = np.random.default_rng(size).uniform(1.0, 2.0, size)
+        slack = np.zeros((size + 1, size + 1))  # S = [[xi, 0], [0, L]], L with negative eigenvalues
+        slack[0, 0] = 0.5
+        slack[1:, 1:] = sub_ulp_coupled(-diagonal, size)
+        mu = np.zeros((size, size - 1))
+        for lifted in (CompositeLift("grad", size - 1, mu, 0.0, sub_ulp_coupled(diagonal, size), 1.0),
+                       CompositeLift("func", size - 1, mu, 0.5, slack, 1.0)):
+            assert route_floor(lifted) <= min_eig_50_digits(lifted.slack), lifted.metric
+
+    def test_paper_xi_never_runs_an_eigen_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen-decomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for algo, family in FAMILIES.items():
+            # the sweep grid's sizes and the lift-large benchmark's
+            sizes = [*range(1, 6), 9] if family.size_flag == "k" else [*range(1, 33), 512]
+            for size in sizes:
+                cell = family.cell(size)
+                assert cell.passed and cell.feasibility.psd_route == "gershgorin", (algo, size)
+
+    def test_pseudo_xi_and_tiny_xi_take_eigvalsh(self, tmp_path):
+        out = tmp_path / "lift.json"
+        report = ["--json", str(out)]
+        assert main(["lift", "--algo", "ogm", "--metric", "func", "--n", "6", "--xi", "pseudo", *report]) == 0
+        assert json.loads(out.read_text())["psd_route"] == "eigvalsh"
+        assert main(["lift", "--algo", "silver", "--metric", "func", "--k", "3", "--xi", "1e-6", *report]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["psd_route"] == "eigvalsh" and doc["pass"] is False
 
 
 class TestCompositeFuncIdentity:
@@ -569,16 +660,17 @@ class TestRowsThroughFactors:
             for size in sizes:
                 assert family.cell(size).passed, (algo, size)
 
-    def test_lift_digits_do_not_depend_on_the_blas_thread_count(self):
-        # mu, the slack and both identities' ledgers come from elementwise
-        # passes and the factors of H, so the same bits on any thread count;
-        # up to 63 steps the ledgers multiply ogm's and ogmg's entries, a
-        # product small enough for OpenBLAS to keep on one thread; min_eig_S
-        # (eigvalsh) is left out, as it does depend
+    def test_lift_digits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # mu, the slack, both identities' ledgers and the whole `lift --json`
+        # report come from elementwise passes, numpy's own sums and the
+        # factors of H, so the same bits on any thread count; up to 63 steps
+        # the ledgers multiply ogm's and ogmg's entries, a product small
+        # enough for OpenBLAS to keep on one thread
         script = (
-            "import hashlib\n"
+            "import contextlib, hashlib, io, sys\n"
             "from peplift import certificates, lift\n"
             "from peplift.catalog import FAMILIES\n"
+            "from peplift.cli import main\n"
             "for algo, size in (('silver', 9), ('gsw', 9), ('ogm', 300), ('ogmg', 300), ('ogm', 63), ('ogmg', 63)):\n"
             "    family = FAMILIES[algo]\n"
             "    H, cert = family.schedule(size), family.certificate(size)\n"
@@ -590,17 +682,26 @@ class TestRowsThroughFactors:
             "    for led in ledgers:\n"
             "        for part in (led.quad, led.lin_f, led.lin_h):\n"
             "            digest.update(part.tobytes())\n"
-            "    print(algo, digest.hexdigest())\n"
+            "    report = f'{sys.argv[1]}/{algo}_{size}.json'\n"
+            "    args = ['lift', '--algo', algo, '--metric', metric, f'--{family.size_flag}', str(size)]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main([*args, '--json', report])\n"
+            "    with open(report, 'rb') as fh:\n"
+            "        digest.update(fh.read())\n"
+            "    print(algo, code, digest.hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path))
-                 for threads in ("1", "2")]  # both run at once
+        procs = []
+        for threads in ("1", "2"):  # both run at once
+            (tmp_path / threads).mkdir()
+            procs.append(subprocess.Popen([sys.executable, "-c", script, str(tmp_path / threads)],
+                                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                          env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)))
         digests = []
         for proc in procs:
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             digests.append(out)
-        assert len(digests[0].splitlines()) == 6
+        assert [line.split()[1] for line in digests[0].splitlines()] == ["0"] * 6  # every cell passes
         assert digests[0] == digests[1]
