@@ -276,7 +276,15 @@ def _report(lhs: GramLedger, rhs: GramLedger) -> IdentityReport:
 def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, composite: bool) -> GramLedger:
     """A fresh ledger holding the certificate's smooth inequalities, sum
     lam[i, j] Q_ij, along the plain method or, when composite, along its
-    composite extension; a func certificate's optimum row lands on STAR."""
+    composite extension; a func certificate's optimum row lands on STAR.
+
+    The composite ledger's leading n+2 symbols, with lin_f and lin_h, hold
+    the unconstrained ledger bit for bit: the composite extension adds the
+    subgradient columns and STAR's -s_star and leaves the rest as it is.  So
+    a lift cell (verify_cell) assembles the smooth inequalities once, on the
+    composite basis, and hands the ledger to both identities as `smooth`:
+    the unconstrained one copies its leading block, the composite one
+    continues from it."""
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
@@ -285,10 +293,15 @@ def _smooth_ledger(H: StepsizeMatrix, cert: FuncCertificate | GradCertificate, c
     return led
 
 
-def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the objective-gap identity as unconstrained-basis ledgers."""
+def func_identity_ledgers(
+    H: StepsizeMatrix, cert: FuncCertificate, *, smooth: GramLedger | None = None
+) -> tuple[GramLedger, GramLedger]:
+    """Both sides of the objective-gap identity as unconstrained-basis ledgers.
+
+    smooth, when given, is _smooth_ledger(H, cert, composite=True); the lhs
+    starts from a copy of its leading block, and smooth is left as it is."""
     n = cert.n
-    lhs = _smooth_ledger(H, cert, composite=False)
+    lhs = _smooth_ledger(H, cert, composite=False) if smooth is None else smooth.leading_block()
     square = np.zeros(lhs.quad.shape[0])
     square[ix_dist(n)] = 1.0
     for i in range(n + 1):
@@ -302,19 +315,25 @@ def func_identity_ledgers(H: StepsizeMatrix, cert: FuncCertificate) -> tuple[Gra
     return lhs, rhs
 
 
-def verify_func_identity(H: StepsizeMatrix, cert: FuncCertificate) -> IdentityReport:
-    """Check the objective-gap identity for the plain method with H.
+def verify_func_identity(
+    H: StepsizeMatrix, cert: FuncCertificate, *, smooth: GramLedger | None = None
+) -> IdentityReport:
+    """Check the objective-gap identity for the plain method with H, from
+    the composite smooth ledger when one is given (see func_identity_ledgers).
 
     Failure is reported, not raised: the report carries the residuals split
     by coefficient group and the pass flag at the configured tolerance.
     """
-    return _report(*func_identity_ledgers(H, cert))
+    return _report(*func_identity_ledgers(H, cert, smooth=smooth))
 
 
-def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the gradient-norm identity as unconstrained-basis ledgers."""
+def grad_identity_ledgers(
+    H: StepsizeMatrix, cert: GradCertificate, *, smooth: GramLedger | None = None
+) -> tuple[GramLedger, GramLedger]:
+    """Both sides of the gradient-norm identity as unconstrained-basis
+    ledgers; smooth as for func_identity_ledgers."""
     n = cert.n
-    lhs = _smooth_ledger(H, cert, composite=False)
+    lhs = _smooth_ledger(H, cert, composite=False) if smooth is None else smooth.leading_block()
 
     rhs = GramLedger(n, composite=False)
     rhs.add_f(0, 1.0)
@@ -323,9 +342,12 @@ def grad_identity_ledgers(H: StepsizeMatrix, cert: GradCertificate) -> tuple[Gra
     return lhs, rhs
 
 
-def verify_grad_identity(H: StepsizeMatrix, cert: GradCertificate) -> IdentityReport:
-    """Check the gradient-norm identity for the plain method with H."""
-    return _report(*grad_identity_ledgers(H, cert))
+def verify_grad_identity(
+    H: StepsizeMatrix, cert: GradCertificate, *, smooth: GramLedger | None = None
+) -> IdentityReport:
+    """Check the gradient-norm identity for the plain method with H; smooth
+    as for func_identity_ledgers."""
+    return _report(*grad_identity_ledgers(H, cert, smooth=smooth))
 
 
 # ---------------------------------------------------------------------------

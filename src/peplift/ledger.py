@@ -49,23 +49,26 @@ factors.  The offsets x_p - x_0 are minus running sums of H's rows (one
 np.cumsum), and the steps x_k - x_{k-1} are minus H's columns, so the step
 term is -H times the step weights: running sums of W's rows, each row its
 neighbour plus (or minus) one row of W.  H applies itself to them through
-its factors in O(n^2) work (see schedules.py), one column for the STAR point
-and a block for the others; unless H has a dense factor (no catalog family
-has one) no step of the assembly is then a matrix product, so its bits do
-not depend on BLAS's thread count.  For a diagonal H (plain gradient
-descent: the silver and gsw schedules) the one 'diag' factor makes each
-entry of the step term one product.  The step term is subtracted from +0, so
-its zeros are +0; step weights holding an inf or a nan, or overflowing,
-carry it into the ledger, whose identity then fails.
+its factors in O(n^2) work (see schedules.py): a block for the points 0..n
+and, in the composite modes, whose optimum carries -s_star or s_star, one
+column for the STAR point (in the unconstrained mode the optimum's gradient
+is zero, so STAR's term is never formed).  Unless H has a dense factor (no
+catalog family has one) no step of the assembly is then a matrix product,
+so its bits do not depend on BLAS's thread count.  For a diagonal H (plain
+gradient descent: the silver and gsw schedules) the one 'diag' factor makes
+each entry of the step term one product.  The step term is subtracted from
++0, so its zeros are +0; step weights holding an inf or a nan, or
+overflowing, carry it into the ledger, whose identity then fails.
 
 Up to _DENSE_STEPS steps, an H with entries off its diagonal (ogm, ogmg)
 multiplies the step weights by its entries instead, in one matrix product,
-and STAR's term is the offsets weighted by W's STAR column.  At those sizes
-the product is several times faster than the factors' row loops and small
-enough for OpenBLAS to run on one thread, and its coefficients lie nearer
-the exact sum of H's float entries: the exact product of the float factors
-is a few ulps away from those entries, so through the factors, even with a
-step term rounded once from their exact product, some blocks land farther.
+and a composite mode's STAR term is a second, the offsets weighted by W's
+STAR column.  At those sizes the entries' product is several times faster
+than the factors' row loops and small enough for OpenBLAS to run on one
+thread, and its coefficients lie nearer the exact sum of H's float entries:
+the exact product of the float factors is a few ulps away from those
+entries, so through the factors, even with a step term rounded once from
+their exact product, some blocks land farther.
 
 The offsets and the step term are kept directions x points, the layout the
 running sums and the factors produce (the entries' product is formed points
@@ -173,6 +176,19 @@ class GramLedger:
         for at_p, to_p in runs:
             for at_q, to_q in runs:
                 self.quad[to_p, to_q] += sym[at_p, at_q]
+
+    def leading_block(self) -> "GramLedger":
+        """A copy of this composite ledger's part in the leading n+2 symbols
+        [x0 - xstar, g_0..g_n]: the (n+2) x (n+2) corner of quad, with lin_f
+        and lin_h, as an unconstrained-basis ledger."""
+        n, d = self.n, basis_dim(self.n, composite=False)
+        if self.quad.shape[0] != basis_dim(n):
+            raise ValueError(f"need a composite ledger of {basis_dim(n)} symbols, got {self.quad.shape[0]}")
+        led = GramLedger(n, composite=False)
+        led.quad[...] = self.quad[:d, :d]
+        led.lin_f[...] = self.lin_f
+        led.lin_h[...] = self.lin_h
+        return led
 
     def max_abs(self) -> float:
         return max(_max_abs(self.quad), _max_abs(self.lin_f), _max_abs(self.lin_h))
@@ -305,18 +321,20 @@ def coco_block(
     m_dist = -W[star]
     m_dist[star] += c[star]
 
-    # -(H steps) over the points 0..n and sum_i W[i, STAR] x_i for STAR
+    # -(H steps) over the points 0..n and, where the mode couples the
+    # optimum, sum_i W[i, STAR] x_i for STAR; H steps is subtracted from +0,
+    # so each of its zeros gives +0
     m_dir = _step_weights(W, n)  # step k counts for p < k, against for p >= k
-    if n <= _DENSE_STEPS and np.count_nonzero(h) > np.count_nonzero(np.diagonal(h)):
-        # a small H off its diagonal multiplies by its entries, points x directions
+    entries = n <= _DENSE_STEPS and np.count_nonzero(h) > np.count_nonzero(np.diagonal(h))
+    if composite and entries:
         m_star = np.matmul(W[:star, star], np.ascontiguousarray(x_dir.T))
-        m_dir = np.matmul(m_dir.T, -h.T).T
-    else:
-        # step k counts for STAR; H steps is subtracted from +0, so each of
-        # its zeros gives +0
-        m_star = np.empty((n, 1))
+    elif composite:
+        m_star = np.empty((n, 1))  # step k counts for STAR
         np.cumsum(W[n:0:-1, star], out=m_star[::-1, 0])
         m_star = np.subtract(0.0, H.apply(m_star), out=m_star)[:, 0]
+    if entries:  # a small H off its diagonal multiplies by its entries, points x directions
+        m_dir = np.matmul(m_dir.T, -h.T).T
+    else:
         m_dir = np.subtract(0.0, H.apply(m_dir), out=m_dir)
     if smooth:
         lap = np.zeros((n + 2, n + 2))
@@ -337,12 +355,11 @@ def coco_block(
     # groups: g_0..g_n or s_1..s_n, then STAR
     if smooth:
         groups = [(slice(ix_g(n, 0), ix_g(n, n) + 1), slice(0, star), m_dir, 1.0)]
-        star_sign = -1.0 if composite else 0.0
     else:
         groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), m_dir[:, 1:], 1.0)]
-        star_sign = 1.0
-    if star_sign:
-        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), m_star[:, None], star_sign))
+    if composite:  # the optimum's gradient is -s_star for smooth inequalities
+        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), m_star[:, None],
+                       -1.0 if smooth else 1.0))
 
     # The groups' points are disjoint, so each block of m_dir, m_star, m_dist
     # and lap is scaled in place once, just before its only use.

@@ -458,10 +458,15 @@ def composite_func_ledgers(
     H: StepsizeMatrix,
     cert: FuncCertificate,
     lift: CompositeLift,
+    *,
+    smooth: GramLedger | None = None,
 ) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the lifted objective-gap identity as ledgers."""
+    """Both sides of the lifted objective-gap identity as ledgers.
+
+    smooth, when given, is _smooth_ledger(H, cert, composite=True); the lhs
+    continues from it, in place, instead of assembling it again."""
     n = cert.n
-    lhs = _smooth_ledger(H, cert, composite=True)
+    lhs = _smooth_ledger(H, cert, composite=True) if smooth is None else smooth
     # sources 1..n and STAR, subgradients 1..n
     coco_block(lhs, lift.mu, H, "composite_h", origin=(1, 1))
 
@@ -490,24 +495,30 @@ def verify_composite_func_identity(
     H: StepsizeMatrix,
     cert: FuncCertificate,
     lift: CompositeLift,
+    *,
+    smooth: GramLedger | None = None,
 ) -> IdentityReport:
     """Exact coefficient check of the lifted objective-gap identity.
 
     The trace term over S is expanded symbolically (never instantiated with
     vectors), so the check is independent of any problem instance.  The
     identity holds for every xi since it enters both sides identically.
+    smooth, when given, becomes the lhs (see composite_func_ledgers).
     """
-    return _report(*composite_func_ledgers(H, cert, lift))
+    return _report(*composite_func_ledgers(H, cert, lift, smooth=smooth))
 
 
 def composite_grad_ledgers(
     H: StepsizeMatrix,
     cert: GradCertificate,
     lift: CompositeLift,
+    *,
+    smooth: GramLedger | None = None,
 ) -> tuple[GramLedger, GramLedger]:
-    """Both sides of the lifted gradient-norm identity as ledgers."""
+    """Both sides of the lifted gradient-norm identity as ledgers; smooth
+    as for composite_func_ledgers."""
     n = cert.n
-    lhs = _smooth_ledger(H, cert, composite=True)
+    lhs = _smooth_ledger(H, cert, composite=True) if smooth is None else smooth
     # sources 0..n, subgradients 1..n
     coco_block(lhs, lift.mu, H, "composite_h", origin=(0, 1))
 
@@ -527,9 +538,12 @@ def verify_composite_grad_identity(
     H: StepsizeMatrix,
     cert: GradCertificate,
     lift: CompositeLift,
+    *,
+    smooth: GramLedger | None = None,
 ) -> IdentityReport:
-    """Exact coefficient check of the lifted gradient-norm identity."""
-    return _report(*composite_grad_ledgers(H, cert, lift))
+    """Exact coefficient check of the lifted gradient-norm identity; smooth
+    as for composite_func_ledgers."""
+    return _report(*composite_grad_ledgers(H, cert, lift, smooth=smooth))
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +586,22 @@ def verify_cell(
     Checks the unconstrained identity and, unless lift is False, lifts with
     the given xi and checks feasibility and the composite identity.  This is
     the one place that picks the objective-gap or gradient-norm form of a step.
+
+    A lift cell assembles the smooth inequalities once, on the composite
+    basis, and holds that ledger through the lift and feasibility stages:
+    the unconstrained identity reads a copy of its leading n+2 symbols, bit
+    for bit the ledger it would assemble itself, and the composite identity
+    continues from it.  A certify cell assembles them on the unconstrained
+    basis alone.
     """
     func = isinstance(cert, FuncCertificate)
-    identity = (verify_func_identity if func else verify_grad_identity)(H, cert)
+    smooth = _smooth_ledger(H, cert, composite=True) if lift else None
+    identity = (verify_func_identity if func else verify_grad_identity)(H, cert, smooth=smooth)
     if not lift:
         return Cell(cert.n, identity, identity.passed)
     lifted = (lift_func if func else lift_grad)(H, cert, xi)
     feasibility = (check_func_feasibility if func else check_grad_feasibility)(lifted)
-    composite = (verify_composite_func_identity if func else verify_composite_grad_identity)(H, cert, lifted)
+    composite = (verify_composite_func_identity if func else verify_composite_grad_identity)(
+        H, cert, lifted, smooth=smooth)
     passed = identity.passed and composite.passed and feasibility.passed
     return Cell(cert.n, identity, passed, lifted, feasibility, composite, certified_rate(lifted))

@@ -314,21 +314,25 @@ def counted_products(monkeypatch):
 
 
 @pytest.mark.parametrize("lift_", [False, True])
-@pytest.mark.parametrize("algo, size, per_block", [
-    ("silver", 3, 0), ("gsw", 3, 0), ("silver", 7, 0), ("ogm", 64, 0), ("ogmg", 64, 0), ("ogm", 6, 2), ("ogmg", 63, 2),
+@pytest.mark.parametrize("algo, size, certify_products, lift_products", [
+    ("silver", 3, 0, 0), ("gsw", 3, 0, 0), ("silver", 7, 0, 0), ("ogm", 64, 0, 0), ("ogmg", 64, 0, 0),
+    ("ogm", 6, 1, 4), ("ogmg", 63, 1, 4),
 ])
-def test_ledger_products_of_catalog_cells(algo, size, per_block, lift_, counted_products):
+def test_ledger_products_of_catalog_cells(algo, size, certify_products, lift_products, lift_, counted_products):
     """The ledger applies H through its factors, none of them dense for a
     catalog family, so no step of its assembly is a matrix product: for a
     diagonal H at any size, and for ogm and ogmg above _DENSE_STEPS steps.
-    Up to that size, ogm and ogmg make two products per block (the entries'
-    product and STAR's weighted offsets); a lift cell assembles three
-    blocks, a certify cell one."""
+    Up to that size, ogm and ogmg make the entries' product in every block
+    and, in the composite blocks only, a second for STAR's weighted offsets.
+    A certify cell assembles one unconstrained block (one product); a lift
+    cell two composite blocks, the smooth and the nonsmooth inequalities
+    (two products each), and its unconstrained identity reads the leading
+    block of the smooth one."""
     family = FAMILIES[algo]
     H, cert = family.schedule(size), family.certificate(size)
     assert "dense" not in [factor.kind for factor in H.factors]
     assert verify_cell(H, cert, family.xi(size), lift=lift_).passed
-    assert counted_products.products == per_block * (3 if lift_ else 1)
+    assert counted_products.products == (lift_products if lift_ else certify_products)
 
 
 @pytest.mark.parametrize("algo, size", [("ogm", 64), ("ogmg", 64), ("ogm", 300), ("ogmg", 300)])
@@ -373,6 +377,28 @@ def assert_same_fields(actual, expected):
 def assert_same_ledger(actual: GramLedger, expected: GramLedger):
     for name in ("quad", "lin_f", "lin_h"):
         assert_bitwise_equal(getattr(actual, name), getattr(expected, name))
+
+
+LEADING_BLOCK_CELLS = [(algo, size) for algo in ("silver", "gsw") for size in range(1, 9)]
+LEADING_BLOCK_CELLS += [(algo, size) for algo in ("ogm", "ogmg") for size in (1, 2, 5, 63, 64, 300)]
+
+
+@pytest.mark.parametrize("algo, size", LEADING_BLOCK_CELLS)
+def test_unconstrained_smooth_ledger_is_the_leading_block_of_the_composite_one(algo, size):
+    """The smooth inequalities along the composite extension hold, in their
+    leading n+2 symbols and their linear forms, the unconstrained ledger bit
+    for bit, signed zeros included, on both sides of _DENSE_STEPS: a lift
+    cell's unconstrained identity reads them there instead of assembling
+    them again."""
+    family = FAMILIES[algo]
+    H, cert = family.schedule(size), family.certificate(size)
+    composite = certificates._smooth_ledger(H, cert, composite=True)
+    plain = certificates._smooth_ledger(H, cert, composite=False)
+    d = cert.n + 2
+    assert_bitwise_equal(composite.quad[:d, :d], plain.quad)
+    for name in ("lin_f", "lin_h"):
+        assert_bitwise_equal(getattr(composite, name), getattr(plain, name))
+    assert_same_ledger(composite.leading_block(), plain)
 
 
 def plain_ledger_assembly(monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from peplift import catalog, config
+from peplift import certificates as certificates_module
 from peplift import lift as lift_module
 from peplift.catalog import FAMILIES
 from peplift.certificates import (
@@ -546,6 +547,47 @@ class TestCompositeGradIdentity:
         # rank-one corner term on the other side: the g-block nets to zero
         assert np.max(np.abs(diff_c - diff_u)) < 1e-10
         np.testing.assert_allclose(lhs_c.lin_f - rhs_c.lin_f, lhs_u.lin_f - rhs_u.lin_f, atol=1e-10)
+
+
+class TestOneAssemblyPerInequalitySet:
+    """A lift cell assembles its smooth inequalities once, on the composite
+    basis, and both identities read that ledger; its reports are those of
+    the identities checked one by one."""
+
+    @pytest.fixture
+    def modes(self, monkeypatch):
+        """The modes of the coco_block calls made through certificates and lift."""
+        called = []
+        for module in (certificates_module, lift_module):
+            def counted(led, weights, H, mode, origin=(0, 0), _block=module.coco_block):
+                called.append(mode)
+                return _block(led, weights, H, mode, origin)
+            monkeypatch.setattr(module, "coco_block", counted)
+        return called
+
+    @pytest.mark.parametrize("algo, size", [
+        ("silver", 3), ("gsw", 3), ("ogm", 5), ("ogmg", 5), ("ogm", 64), ("ogmg", 64),
+    ])
+    def test_cells_assemble_each_set_once_and_report_as_the_standalone_checks(self, modes, algo, size):
+        family = FAMILIES[algo]
+        H, cert = family.schedule(size), family.certificate(size)
+        func = family.metric == "func"
+        certify = verify_cell(H, cert, family.xi(size), lift=False)
+        assert modes == ["unconstrained"]
+        modes.clear()
+        cell = verify_cell(H, cert, family.xi(size))
+        assert cell.passed and certify.passed
+        assert modes == ["composite_f", "composite_h"]
+
+        identity = certificates_module.verify_func_identity if func else certificates_module.verify_grad_identity
+        composite = verify_composite_func_identity if func else verify_composite_grad_identity
+        assert cell.identity.to_dict() == certify.identity.to_dict() == identity(H, cert).to_dict()
+        assert cell.composite.to_dict() == composite(H, cert, cell.lifted).to_dict()
+
+    def test_leading_block_needs_a_composite_ledger(self):
+        H, cert = ogm_stepsize_matrix(3), ogm_func_certificate(3)
+        with pytest.raises(ValueError, match="composite ledger"):
+            func_identity_ledgers(H, cert, smooth=certificates_module._smooth_ledger(H, cert, composite=False))
 
 
 class TestCertifiedRates:
