@@ -49,11 +49,15 @@ factors.  The offsets x_p - x_0 are minus running sums of H's rows (one
 np.cumsum), and the steps x_k - x_{k-1} are minus H's columns, so the step
 term is -H times the step weights: running sums of W's rows, each row its
 neighbour plus (or minus) one row of W.  H applies itself to them through
-its factors in O(n^2) work (see schedules.py): a block for the points 0..n
-and, in the composite modes, whose optimum carries -s_star or s_star, one
-column for the STAR point (in the unconstrained mode the optimum's gradient
-is zero, so STAR's term is never formed).  Unless H has a dense factor (no
-catalog family has one) no step of the assembly is then a matrix product,
+its factors in O(n^2) work (see schedules.py), in one pass over a block
+with a column for each of the points 0..n and, in the composite modes,
+whose optimum carries -s_star or s_star, a last column for the STAR point
+(in the unconstrained mode the optimum's gradient is zero, so STAR's term
+is never formed).  A pass costs n row steps per factor however few columns
+it carries, and the factor loops work elementwise across columns, so
+STAR's column costs almost nothing there and keeps the bits of a pass of
+its own.  Unless H has a dense factor (no catalog family has one; it keeps
+STAR's one-column pass) no step of the assembly is then a matrix product,
 so its bits do not depend on BLAS's thread count.  For a diagonal H (plain
 gradient descent: the silver and gsw schedules) the one 'diag' factor makes
 each entry of the step term one product.  The step term is subtracted from
@@ -234,23 +238,22 @@ def _add_sym(quad: np.ndarray, rows: slice, cols: slice, half: np.ndarray) -> No
     quad[cols, rows] += half.T
 
 
-def _step_weights(W: np.ndarray, n: int) -> np.ndarray:
-    """Row k-1 (k = 1..n) holds sum_{i>=k} W[i, p] at p < k and
-    -sum_{i<k} W[i, p] at p >= k, over the points p = 0..n.
+def _step_weights(W: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Fill row k-1 (k = 1..n) of out, an (n, n+1) block, with
+    sum_{i>=k} W[i, p] at p < k and -sum_{i<k} W[i, p] at p >= k, over the
+    points p = 0..n.
 
     Each row is its neighbour plus (or minus) one row of W: the suffix sums
     walk up from W[n, :n], the prefix sums down from 0 - W[0, 1:], so each
     sum makes np.cumsum's additions in its order (0 - (a + b) is (0 - a) - b
     to the bit)."""
-    steps = np.empty((n, n + 1))
-    rows, w = list(steps), list(W)
+    rows, w = list(out), list(W)
     rows[n - 1][:n] = w[n][:n]
     for k in range(n - 1, 0, -1):
         np.add(rows[k][:k], w[k][:k], rows[k - 1][:k])
     np.subtract(0.0, w[0][1 : n + 1], rows[0][1:])
     for k in range(2, n + 1):
         np.subtract(rows[k - 2][k:], w[k - 1][k : n + 1], rows[k - 1][k:])
-    return steps
 
 
 _DENSE_STEPS = 63  # the most steps an H off its diagonal multiplies by its entries
@@ -323,19 +326,27 @@ def coco_block(
 
     # -(H steps) over the points 0..n and, where the mode couples the
     # optimum, sum_i W[i, STAR] x_i for STAR; H steps is subtracted from +0,
-    # so each of its zeros gives +0
-    m_dir = _step_weights(W, n)  # step k counts for p < k, against for p >= k
+    # so each of its zeros gives +0.  Through the factors, STAR's step
+    # weights ride as the block's last column (see the module text).  A
+    # dense factor keeps STAR's own pass: there gemv's column met the
+    # one-ulp bar from the exact sum in random dense draws at n = 100, and
+    # the same column of the block's gemm missed it.
     entries = n <= _DENSE_STEPS and np.count_nonzero(h) > np.count_nonzero(np.diagonal(h))
+    rides = composite and not entries and "dense" not in [factor.kind for factor in H.factors]
+    steps = np.empty((n, star + rides))
+    _step_weights(W, n, steps[:, :star])  # step k counts for p < k, against for p >= k
     if composite and entries:
-        m_star = np.matmul(W[:star, star], np.ascontiguousarray(x_dir.T))
-    elif composite:
-        m_star = np.empty((n, 1))  # step k counts for STAR
+        m_star = np.matmul(W[:star, star], np.ascontiguousarray(x_dir.T))[:, None]
+    elif composite:  # step k counts for STAR
+        m_star = steps[:, star:] if rides else np.empty((n, 1))
         np.cumsum(W[n:0:-1, star], out=m_star[::-1, 0])
-        m_star = np.subtract(0.0, H.apply(m_star), out=m_star)[:, 0]
+        if not rides:
+            np.subtract(0.0, H.apply(m_star), out=m_star)
     if entries:  # a small H off its diagonal multiplies by its entries, points x directions
-        m_dir = np.matmul(m_dir.T, -h.T).T
+        m_dir = np.matmul(steps.T, -h.T).T
     else:
-        m_dir = np.subtract(0.0, H.apply(m_dir), out=m_dir)
+        m_dir = np.subtract(0.0, H.apply(steps), out=steps)[:, :star]
+    del steps
     if smooth:
         lap = np.zeros((n + 2, n + 2))
         np.fill_diagonal(lap, r + c)
@@ -358,7 +369,7 @@ def coco_block(
     else:
         groups = [(slice(ix_s(n, 1), ix_s(n, n) + 1), slice(1, star), m_dir[:, 1:], 1.0)]
     if composite:  # the optimum's gradient is -s_star for smooth inequalities
-        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), m_star[:, None],
+        groups.append((slice(ix_s_star(n), ix_s_star(n) + 1), slice(star, star + 1), m_star,
                        -1.0 if smooth else 1.0))
 
     # The groups' points are disjoint, so each block of m_dir, m_star, m_dist

@@ -162,19 +162,33 @@ def _shifted_rows(
     as (U^{-1} H^{-1} T^T) H^T, so for a diagonal H it divides by h, takes
     the row difference and only then scales the columns by h, an order that
     keeps the exact zeros of the silver and gsw rows.  The rank-one term is
-    U^{-1} H^{-1} left times right^T, added a block of rows at a time.
+    U^{-1} H^{-1} left times right^T, added a block of rows at a time.  Its
+    weights U^{-1} H^{-1} left are the last column of the solve block: left
+    rides beside T^T, so H^{-1} is applied once, and as the factor loops
+    work elementwise across columns, the column keeps the bits of a pass of
+    its own.  A dense factor solves left on its own: in random dense draws,
+    LAPACK's block solve put that column farther from the exact weights
+    than a one-column solve more often than not.
     Unless H has a dense factor, no step is a BLAS call, so the bits do not
     depend on BLAS's thread count.
     """
     n = tilde.shape[0]
-    rows = H.solve(_transposed(_suffix_sums(tilde)))
+    rides = left is not None and "dense" not in [factor.kind for factor in H.factors]
+    rows = np.empty((n, n + rides))
+    _transposed(_suffix_sums(tilde), rows[:, :n])
+    if rides:
+        rows[:, n] = left
+    rows = H.solve(rows)
     rows[:-1] -= rows[1:]
-    rows = H.apply(_transposed(rows))
+    if rides:
+        weights = rows[:, n].copy()
+    elif left is not None:  # a dense factor solves a lone column on its own
+        weights = H.solve(np.array(left, dtype=float)[:, None])[:, 0]
+        weights[:-1] -= weights[1:]
+    rows = H.apply(_transposed(rows[:, :n]))
     out = _transposed(rows, out)
     del rows
     if left is not None:
-        weights = H.solve(np.array(left, dtype=float)[:, None])[:, 0]
-        weights[:-1] -= weights[1:]
         for block in _row_blocks(n):
             out[block] += np.outer(weights[block], right)
     return np.negative(out, out=out)

@@ -147,12 +147,13 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
     """Shared y/z/x recursion: z aggregates momentum (coef1[k], coef2[k] at
     step k) on top of the forward step y, x is the prox of z at the fresh
     stepsize fresh[k], and the subgradient comes from the prox residual.  The
-    correction (z_k - x_k)/fresh[k-1] is skipped at k = 0 where it vanishes by
-    construction."""
+    correction (z_k - x_k)/fresh[k-1] is the previous step's subgradient
+    shat[k-1], read back rather than recomputed, and is skipped at k = 0
+    where it vanishes by construction."""
     n = len(fresh)
     L = problem.smoothness
     xs, ghat, shat = _buffers(n, problem.dim)
-    xs[0] = y = z = _as_start(problem, x0)
+    xs[0] = y = _as_start(problem, x0)
     ghat[0] = problem.f_grad(y) / L
     for k in range(n):
         x = xs[k]
@@ -161,14 +162,14 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
         if k == 0:
             z_new = z_new + coef1[k] * (y_new - y)
         else:
-            z_new = z_new + coef1[k] * (y_new - y + (z - x) / fresh[k - 1])
+            z_new = z_new + coef1[k] * (y_new - y + shat[k - 1])
         x_new = problem.prox(fresh[k] / L, z_new)
         if not np.isfinite(x_new).all():
             raise ValueError(f"prox oracle returned a non-finite point at step {k + 1}")
         xs[k + 1] = x_new
         shat[k] = (z_new - x_new) / fresh[k]
         ghat[k + 1] = problem.f_grad(x_new) / L
-        y, z = y_new, z_new
+        y = y_new
     return _trace(problem, xs, ghat, shat)
 
 

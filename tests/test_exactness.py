@@ -335,6 +335,28 @@ def test_ledger_products_of_catalog_cells(algo, size, certify_products, lift_pro
     assert counted_products.products == (lift_products if lift_ else certify_products)
 
 
+@pytest.mark.parametrize("algo, size", [("silver", 5), ("gsw", 5), ("ogm", 300), ("ogmg", 300)])
+def test_factor_passes_of_catalog_lift_cells(algo, size, monkeypatch):
+    """A pass through H's factors costs n row steps per factor however few
+    columns it carries, so every column that needs H rides in one block: a
+    lift cell passes four times, the step terms of its smooth and nonsmooth
+    blocks (STAR's column beside the points') and the lift's solve and
+    apply (the rank-one weights beside the solve's block), and no pass
+    carries a lone column."""
+    passes = []
+    for name in ("apply", "solve"):
+        def counted(H, x, _method=getattr(schedules.StepsizeMatrix, name), _name=name):
+            passes.append((_name, x.shape[1]))
+            return _method(H, x)
+        monkeypatch.setattr(schedules.StepsizeMatrix, name, counted)
+    family = FAMILIES[algo]
+    assert family.cell(size).passed
+    n = family.schedule(size).n
+    assert all(width > 1 for _, width in passes), passes
+    assert sorted(passes) == sorted([("apply", n + 2), ("apply", n + 2), ("apply", n),
+                                     ("solve", n + 1 if family.metric == "func" else n)])
+
+
 @pytest.mark.parametrize("algo, size", [("ogm", 64), ("ogmg", 64), ("ogm", 300), ("ogmg", 300)])
 def test_step_term_through_the_factors_matches_the_entries_product(algo, size, monkeypatch):
     """The plain forms take the step term above _DENSE_STEPS from H.apply,
@@ -432,6 +454,26 @@ def test_cell_matches_plain_forms(algo, size, monkeypatch):
     for (fn, args), sides in zip(calls, fast):
         for led, ref in zip(sides, fn(*args)):
             assert_same_ledger(led, ref)
+
+
+@pytest.mark.parametrize("algo, size", [("silver", 5), ("ogm", 70), ("ogmg", 70), ("dense", 70)])
+def test_rank_one_weights_keep_the_bits_of_a_pass_of_their_own(algo, size):
+    """The objective lift's rank-one weights ride as the last column of the
+    rows kernel's solve block, or for a dense factor are solved on their
+    own; either way the shifted rows equal the kernel's tilde term plus the
+    outer product of a one-column solve, bit for bit."""
+    rng = np.random.default_rng(size)
+    if algo == "dense":
+        H = schedules.StepsizeMatrix(np.triu(rng.standard_normal((size, size))) + 4.0 * np.eye(size))
+        assert [factor.kind for factor in H.factors] == ["dense"]
+    else:
+        H = FAMILIES[algo].schedule(size)
+    n = H.n
+    tilde, left, right = rng.standard_normal((n, n)), rng.standard_normal(n), rng.standard_normal(n)
+    weights = H.solve(left[:, None].copy())[:, 0]
+    weights[:-1] -= weights[1:]
+    expected = np.negative(np.negative(lift._shifted_rows(H, tilde.copy())) + np.outer(weights, right))
+    assert_bitwise_equal(lift._shifted_rows(H, tilde.copy(), left, right), expected)
 
 
 def signed_values(size: int) -> st.SearchStrategy:
