@@ -332,7 +332,7 @@ def coco_block(
     # one-ulp bar from the exact sum in random dense draws at n = 100, and
     # the same column of the block's gemm missed it.
     entries = n <= _DENSE_STEPS and np.count_nonzero(h) > np.count_nonzero(np.diagonal(h))
-    rides = composite and not entries and "dense" not in [factor.kind for factor in H.factors]
+    rides = composite and not entries and not H.dense
     steps = np.empty((n, star + rides))
     _step_weights(W, n, steps[:, :star])  # step k counts for p < k, against for p >= k
     if composite and entries:

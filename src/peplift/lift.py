@@ -166,31 +166,24 @@ def _shifted_rows(
     weights U^{-1} H^{-1} left are the last column of the solve block: left
     rides beside T^T, so H^{-1} is applied once, and as the factor loops
     work elementwise across columns, the column keeps the bits of a pass of
-    its own.  A dense factor solves left on its own: in random dense draws,
-    LAPACK's block solve put that column farther from the exact weights
-    than a one-column solve more often than not.
+    its own (a dense factor's LAPACK solve need not).
     Unless H has a dense factor, no step is a BLAS call, so the bits do not
     depend on BLAS's thread count.
     """
     n = tilde.shape[0]
-    rides = left is not None and "dense" not in [factor.kind for factor in H.factors]
-    rows = np.empty((n, n + rides))
+    rows = np.empty((n, n + (left is not None)))
     _transposed(_suffix_sums(tilde), rows[:, :n])
-    if rides:
+    if left is not None:
         rows[:, n] = left
     rows = H.solve(rows)
     rows[:-1] -= rows[1:]
-    if rides:
-        weights = rows[:, n].copy()
-    elif left is not None:  # a dense factor solves a lone column on its own
-        weights = H.solve(np.array(left, dtype=float)[:, None])[:, 0]
-        weights[:-1] -= weights[1:]
+    weights = rows[:, n:].copy()  # the rank-one weights, if any
     rows = H.apply(_transposed(rows[:, :n]))
     out = _transposed(rows, out)
     del rows
     if left is not None:
         for block in _row_blocks(n):
-            out[block] += np.outer(weights[block], right)
+            out[block] += np.outer(weights[block, 0], right)
     return np.negative(out, out=out)
 
 

@@ -152,6 +152,12 @@ class StepsizeMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def dense(self) -> bool:
+        """Whether a factor is 'dense', applied and solved by BLAS and
+        LAPACK, whose sums for a column can change with the block's width."""
+        return any(factor.kind == "dense" for factor in self.factors)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """H x for a block of columns x (n rows, float), through the factors;
         x is overwritten."""

@@ -23,20 +23,23 @@ class DrawnSteps:
     """Stand-in for a StepsizeMatrix with the entries it would reject for a
     zero on the diagonal, which drawn entries may hold: its entries, and H x
     through the one factor StepsizeMatrix would build from the entries
-    alone, 'diag' for a diagonal matrix and 'dense' otherwise, held as its
-    factors."""
+    alone, 'diag' for a diagonal matrix and 'dense' otherwise."""
 
     def __init__(self, entries):
         self.entries = np.asarray(entries, dtype=float)
         diagonal = np.count_nonzero(self.entries) == np.count_nonzero(np.diagonal(self.entries))
-        self.factors = (Factor("diag", np.diagonal(self.entries).copy()) if diagonal else Factor("dense", self.entries),)
+        self.factor = Factor("diag", np.diagonal(self.entries).copy()) if diagonal else Factor("dense", self.entries)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def dense(self) -> bool:
+        return self.factor.kind == "dense"
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.factors[0].apply(x)
+        return self.factor.apply(x)
 
 
 def stepsizes(entries) -> StepsizeMatrix | DrawnSteps:

@@ -330,7 +330,7 @@ def test_ledger_products_of_catalog_cells(algo, size, certify_products, lift_pro
     block of the smooth one."""
     family = FAMILIES[algo]
     H, cert = family.schedule(size), family.certificate(size)
-    assert "dense" not in [factor.kind for factor in H.factors]
+    assert not H.dense
     assert verify_cell(H, cert, family.xi(size), lift=lift_).passed
     assert counted_products.products == (lift_products if lift_ else certify_products)
 
@@ -456,18 +456,13 @@ def test_cell_matches_plain_forms(algo, size, monkeypatch):
             assert_same_ledger(led, ref)
 
 
-@pytest.mark.parametrize("algo, size", [("silver", 5), ("ogm", 70), ("ogmg", 70), ("dense", 70)])
+@pytest.mark.parametrize("algo, size", [("silver", 5), ("ogm", 70), ("ogmg", 70)])
 def test_rank_one_weights_keep_the_bits_of_a_pass_of_their_own(algo, size):
     """The objective lift's rank-one weights ride as the last column of the
-    rows kernel's solve block, or for a dense factor are solved on their
-    own; either way the shifted rows equal the kernel's tilde term plus the
-    outer product of a one-column solve, bit for bit."""
+    rows kernel's solve block, so the shifted rows equal the kernel's tilde
+    term plus the outer product of a one-column solve, bit for bit."""
     rng = np.random.default_rng(size)
-    if algo == "dense":
-        H = schedules.StepsizeMatrix(np.triu(rng.standard_normal((size, size))) + 4.0 * np.eye(size))
-        assert [factor.kind for factor in H.factors] == ["dense"]
-    else:
-        H = FAMILIES[algo].schedule(size)
+    H = FAMILIES[algo].schedule(size)
     n = H.n
     tilde, left, right = rng.standard_normal((n, n)), rng.standard_normal(n), rng.standard_normal(n)
     weights = H.solve(left[:, None].copy())[:, 0]

@@ -232,6 +232,8 @@ class TestStepsizeMatrixInvariants:
         assert [f.kind for f in StepsizeMatrix(ogm_stepsize_matrix(3).entries).factors] == ["dense"]
         assert [f.kind for f in ogm_stepsize_matrix(3).factors] == ["diag", "upper", "upper_inv"]
         assert [f.kind for f in ogmg_stepsize_matrix(3).factors] == ["upper_inv", "upper", "diag"]
+        assert StepsizeMatrix(ogm_stepsize_matrix(3).entries).dense
+        assert not any(H.dense for H in (from_diagonal([1.0, 2.0]), ogm_stepsize_matrix(3), ogmg_stepsize_matrix(3)))
 
     @pytest.mark.parametrize("factors", [
         (("lower", np.ones(2)),),
