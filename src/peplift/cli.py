@@ -17,6 +17,7 @@ import time
 from functools import partial
 
 from . import catalog, methods, problems
+from .lift import check_xi
 from .reports import ReportRow, dumps17, finite_or_none, write_rollup_csv
 from .schedules import ScheduleSpec
 
@@ -49,8 +50,8 @@ def _size(family: catalog.Family, raw) -> int:
 
 def _xi(raw):
     """(xi, xi_mode) from 'paper' (None: the row's own xi), 'pseudo' or a
-    number (a string on the command line).  The lift rejects values outside
-    its metric's range."""
+    number (a string on the command line).  lift.check_xi holds the range
+    each metric accepts."""
     if raw == "paper":
         return None, "paper"
     if raw == "pseudo":
@@ -184,6 +185,8 @@ def _sweep_job(cell) -> tuple[catalog.Family, int, float | str | None, int]:
     family = _family(cell.get("algo"), cell.get("metric"))
     size = _size(family, cell.get(family.size_flag))
     xi, _ = _xi(cell.get("xi", "paper"))
+    if xi is not None:  # None is the row's own xi
+        check_xi(family.metric, xi)
     instances = cell.get("instances", 0)
     if type(instances) is not int or instances < 0:
         raise UsageError(f"'instances' must be an integer >= 0, got {instances!r}")

@@ -187,6 +187,17 @@ def _shifted_rows(
     return np.negative(out, out=out)
 
 
+def check_xi(metric: str, xi) -> None:
+    """Raise ValueError unless the metric's lift accepts xi: 'pseudo' or a
+    positive finite number for func, None (the lift's default) or a number
+    in [0, 1) for grad."""
+    if metric == "func":
+        if xi != "pseudo" and not (isinstance(xi, numbers.Real) and 0.0 < xi < math.inf):
+            raise ValueError(f"xi must be 'pseudo' or positive and finite for the func metric, got {xi!r}")
+    elif xi is not None and not (isinstance(xi, numbers.Real) and 0.0 <= xi < 1.0):
+        raise ValueError(f"xi must lie in [0, 1) for the grad metric, got {xi!r}")
+
+
 def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> CompositeLift:
     """Lift an objective-gap certificate to the composite setting.
 
@@ -194,8 +205,7 @@ def lift_func(H: StepsizeMatrix, cert: FuncCertificate, xi: float | str) -> Comp
     which picks the pseudoinverse diagnostic value v^T L^+ v.  The shifted
     nonsmooth multipliers come from one closed form; verify_cell judges them.
     """
-    if xi != "pseudo" and not (isinstance(xi, numbers.Real) and 0.0 < xi < math.inf):
-        raise ValueError(f"xi must be 'pseudo' or positive and finite for the func metric, got {xi!r}")
+    check_xi("func", xi)
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")
@@ -246,8 +256,7 @@ def lift_grad(H: StepsizeMatrix, cert: GradCertificate, xi: float | None = None)
     critical corner of the slack matrix and keeps it diagonally dominant;
     a default outside [0, 1) raises, as an explicit xi' there does.
     """
-    if xi is not None and not (isinstance(xi, numbers.Real) and 0.0 <= xi < 1.0):
-        raise ValueError(f"xi must lie in [0, 1) for the grad metric, got {xi!r}")
+    check_xi("grad", xi)
     n = cert.n
     if H.n != n:
         raise ValueError(f"stepsize matrix is {H.n}-step but certificate has n={n}")

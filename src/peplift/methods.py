@@ -29,6 +29,8 @@ class ProxProblem:
     h_value may return +inf outside the domain of an indicator; prox(t, x)
     returns argmin_z { t h(z) + ||z - x||^2 / 2 }.  Oracles take 1-D float
     arrays and must be pure; a known minimizer and optimal value are optional.
+    The optional f_value_grad(x) returns (f_value(x), f_grad(x)) from one
+    evaluation of the smooth part and must agree with the pair bit for bit.
     """
 
     dim: int
@@ -40,9 +42,17 @@ class ProxProblem:
     smooth_only: bool = False
     x_star: np.ndarray | None = None
     opt_value: float | None = None
+    f_value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
-    def objective(self, x: np.ndarray) -> float:
-        return float(self.f_value(x)) + float(self.h_value(x))
+    def value_grad(self) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+        """f_value_grad, or the pair it stands for when the problem has none.
+
+        Resolved when read, so a dataclasses.replace copy with new f_value or
+        f_grad and no f_value_grad calls its own pair."""
+        if self.f_value_grad is not None:
+            return self.f_value_grad
+        f_value, f_grad = self.f_value, self.f_grad
+        return lambda x: (f_value(x), f_grad(x))
 
 
 @dataclass(frozen=True)
@@ -90,9 +100,18 @@ def _buffers(n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty((n + 1, dim)), np.empty((n + 1, dim)), np.empty((n, dim))
 
 
-def _trace(problem: ProxProblem, xs, ghat, shat) -> RunTrace:
+def _smooth_at(value_grad, x, L: float, f_vals: list, out: np.ndarray) -> None:
+    """One fused smooth call at x: f(x) goes to f_vals and f'(x) / L to out."""
+    value, grad = value_grad(x)
+    f_vals.append(value)
+    np.divide(grad, L, out=out)
+
+
+def _trace(problem: ProxProblem, xs, ghat, shat, f_vals: list) -> RunTrace:
+    """The run's record; f_vals holds f at each iterate, from the runner's
+    one fused smooth call there."""
     L = problem.smoothness
-    f_vals = np.array([problem.f_value(x) for x in xs])
+    f_vals = np.array(f_vals)
     h_vals = np.array([problem.h_value(x) for x in xs])
     return RunTrace(xs=xs, grads=L * ghat, subgrads=L * shat,
                     f_values=f_vals, h_values=h_vals, obj_values=f_vals + h_vals)
@@ -103,14 +122,16 @@ def run_unconstrained(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     if not problem.smooth_only:
         raise ValueError("run_unconstrained needs a problem with h identically zero")
     L = problem.smoothness
+    value_grad = problem.value_grad()
     a = H.entries
     xs, ghat, _ = _buffers(H.n, problem.dim)
+    f_vals = []
     xs[0] = _as_start(problem, x0)
-    ghat[0] = problem.f_grad(xs[0]) / L
+    _smooth_at(value_grad, xs[0], L, f_vals, ghat[0])
     for k in range(1, H.n + 1):
-        xs[k] = xs[k - 1] - a[:k, k - 1] @ ghat[:k]
-        ghat[k] = problem.f_grad(xs[k]) / L
-    return _trace(problem, xs, ghat, np.zeros((H.n, problem.dim)))
+        xs[k] = xs[k - 1] - a[:k, k - 1].dot(ghat[:k])
+        _smooth_at(value_grad, xs[k], L, f_vals, ghat[k])
+    return _trace(problem, xs, ghat, np.zeros((H.n, problem.dim)), f_vals)
 
 
 def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
@@ -123,24 +144,27 @@ def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     validated against.
     """
     L = problem.smoothness
+    value_grad = problem.value_grad()
     a = H.entries
     n = H.n
     xs, ghat, shat = _buffers(n, problem.dim)
+    f_vals = []
     combined = np.empty((n, problem.dim))  # row j: (g_j + s_{j+1}) / L
     xs[0] = _as_start(problem, x0)
     for k in range(1, n + 1):
         x_prev = xs[k - 1]
-        g_prev = ghat[k - 1] = problem.f_grad(x_prev) / L
+        g_prev = ghat[k - 1]
+        _smooth_at(value_grad, x_prev, L, f_vals, g_prev)
         akk = a[k - 1, k - 1]  # nonzero: StepsizeMatrix rejects a zero diagonal
-        drift = a[: k - 1, k - 1] @ combined[: k - 1] if k >= 2 else 0.0
+        drift = a[: k - 1, k - 1].dot(combined[: k - 1]) if k >= 2 else 0.0
         x_new = problem.prox(akk / L, x_prev - drift - akk * g_prev)
-        if not np.isfinite(x_new).all():
+        if not np.logical_and.reduce(np.isfinite(x_new)):
             raise ValueError(f"prox oracle returned a non-finite point at step {k}")
         xs[k] = x_new
-        shat[k - 1] = (x_prev - x_new - drift) / akk - g_prev
+        np.subtract((x_prev - x_new - drift) / akk, g_prev, out=shat[k - 1])
         combined[k - 1] = g_prev + shat[k - 1]
-    ghat[n] = problem.f_grad(xs[n]) / L
-    return _trace(problem, xs, ghat, shat)
+    _smooth_at(value_grad, xs[n], L, f_vals, ghat[n])
+    return _trace(problem, xs, ghat, shat, f_vals)
 
 
 def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTrace:
@@ -152,9 +176,11 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
     where it vanishes by construction."""
     n = len(fresh)
     L = problem.smoothness
+    value_grad = problem.value_grad()
     xs, ghat, shat = _buffers(n, problem.dim)
+    f_vals = []
     xs[0] = y = _as_start(problem, x0)
-    ghat[0] = problem.f_grad(y) / L
+    _smooth_at(value_grad, y, L, f_vals, ghat[0])
     for k in range(n):
         x = xs[k]
         y_new = x - ghat[k]
@@ -164,13 +190,13 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
         else:
             z_new = z_new + coef1[k] * (y_new - y + shat[k - 1])
         x_new = problem.prox(fresh[k] / L, z_new)
-        if not np.isfinite(x_new).all():
+        if not np.logical_and.reduce(np.isfinite(x_new)):
             raise ValueError(f"prox oracle returned a non-finite point at step {k + 1}")
         xs[k + 1] = x_new
-        shat[k] = (z_new - x_new) / fresh[k]
-        ghat[k + 1] = problem.f_grad(x_new) / L
+        np.divide(z_new - x_new, fresh[k], out=shat[k])
+        _smooth_at(value_grad, x_new, L, f_vals, ghat[k + 1])
         y = y_new
-    return _trace(problem, xs, ghat, shat)
+    return _trace(problem, xs, ghat, shat, f_vals)
 
 
 def run_pogm(n: int, problem: ProxProblem, x0) -> RunTrace:
@@ -203,21 +229,23 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     L = problem.smoothness
+    value_grad = problem.value_grad()
     xs, ghat, shat = _buffers(n, problem.dim)
+    f_vals = []
     xs[0] = _as_start(problem, x0)
-    ghat[0] = problem.f_grad(xs[0]) / L
+    _smooth_at(value_grad, xs[0], L, f_vals, ghat[0])
     y = xs[0]
     t = 1.0
     for k in range(n):
         z = y - problem.f_grad(y) / L
         x_new = problem.prox(1.0 / L, z)
-        shat[k] = z - x_new  # prox residual at unit normalized step
+        np.subtract(z, x_new, out=shat[k])  # prox residual at unit normalized step
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_new + (t - 1.0) / t_new * (x_new - xs[k])
         xs[k + 1] = x_new
-        ghat[k + 1] = problem.f_grad(x_new) / L
+        _smooth_at(value_grad, x_new, L, f_vals, ghat[k + 1])
         t = t_new
-    return _trace(problem, xs, ghat, shat)
+    return _trace(problem, xs, ghat, shat, f_vals)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,28 +164,37 @@ def initial_point(spec: ProblemSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fista_reference(f_grad, prox, smoothness, x0, f_full, max_iters=REFERENCE_MAX_ITERS):
+def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS):
     """FISTA with function-value adaptive restart; returns the best point.
 
-    Stops early once the prox-gradient residual is at rounding level.
+    One fused smooth call at each new point gives F there and the gradient
+    of the prox-gradient residual; when y is that point (the start, or a
+    restart) the same gradient takes the next step.  Stops early once the
+    residual is at rounding level.
     """
+    value_grad, f_grad, h_value, prox = problem.value_grad(), problem.f_grad, problem.h_value, problem.prox
+    smoothness = problem.smoothness
     x = y = best_x = np.array(x0, dtype=float)  # no iterate is ever written in place
-    val = best_val = f_full(x)  # val is F(x), kept from the step that produced x
+    value, grad_y = value_grad(x)
+    val = best_val = value + h_value(x)  # val is F(x), kept from the step that produced x
     t = 1.0
     step = 1.0 / smoothness
     for _ in range(max_iters):
-        x_new = prox(step, y - f_grad(y) / smoothness)
-        val_new = f_full(x_new)
+        if grad_y is None:
+            grad_y = f_grad(y)
+        x_new = prox(step, y - grad_y / smoothness)
+        value, grad = value_grad(x_new)
+        val_new = value + h_value(x_new)
         if val_new < best_val:
             best_val, best_x = val_new, x_new
         if val_new > val:  # restart on objective increase
-            y = x_new
+            y, grad_y = x_new, grad
             t = 1.0
         else:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + (t - 1.0) / t_new * (x_new - x)
+            y, grad_y = x_new + (t - 1.0) / t_new * (x_new - x), None
             t = t_new
-        d = x_new - prox(step, x_new - f_grad(x_new) / smoothness)
+        d = x_new - prox(step, x_new - grad / smoothness)
         x, val = x_new, val_new
         if math.sqrt(d.dot(d)) <= 1e-15 * (1.0 + math.sqrt(x.dot(x))):  # np.linalg.norm's own formula
             break
@@ -268,49 +277,60 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
     if gram_scale <= 0.0:
         raise ValueError("singular design: the smooth part has zero curvature scale")
 
+    # f_value_grad shares one residual between the value and the gradient;
+    # each of the three oracles performs the same operations on it.
+    a_t = a.T
     if spec.kind in ("lasso", "boxqp", "smooth_quadratic"):
         def f_value(x):
-            r = a @ x - b
-            return 0.5 * float(np.dot(r, r))
+            r = a.dot(x) - b
+            return 0.5 * float(r.dot(r))
 
-        f_grad = lambda x: a.T @ (a @ x - b)
+        f_grad = lambda x: a_t.dot(a.dot(x) - b)
+
+        def f_value_grad(x):
+            r = a.dot(x) - b
+            return 0.5 * float(r.dot(r)), a_t.dot(r)
+
         smoothness = gram_scale
     elif spec.kind == "smooth_huber":
         delta = spec.delta
 
-        def f_value(x):
-            r = a @ x - b
+        def huber(r):
             quad = np.abs(r) <= delta
             return float(np.sum(np.where(quad, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))))
 
-        def f_grad(x):
-            r = a @ x - b
-            return a.T @ np.clip(r, -delta, delta)
+        f_value = lambda x: huber(a.dot(x) - b)
+        f_grad = lambda x: a_t.dot(np.clip(a.dot(x) - b, -delta, delta))
+
+        def f_value_grad(x):
+            r = a.dot(x) - b
+            return huber(r), a_t.dot(np.clip(r, -delta, delta))
 
         smoothness = gram_scale
-    else:  # l1_logistic
+    else:  # l1_logistic, on the margins z = m x
         rng = np.random.default_rng(spec.seed + 2)
         labels = np.where(rng.standard_normal(a.shape[0]) > 0, 1.0, -1.0)
         m = labels[:, None] * a
+        neg_m_t = -m.T
+        f_value = lambda x: float(np.sum(np.logaddexp(0.0, -m.dot(x))))
+        f_grad = lambda x: neg_m_t.dot(1.0 / (1.0 + np.exp(m.dot(x))))
 
-        def f_value(x):
-            return float(np.sum(np.logaddexp(0.0, -(m @ x))))
-
-        def f_grad(x):
-            z = m @ x
-            return -m.T @ (1.0 / (1.0 + np.exp(z)))
+        def f_value_grad(x):
+            z = m.dot(x)
+            return float(np.sum(np.logaddexp(0.0, -z))), neg_m_t.dot(1.0 / (1.0 + np.exp(z)))
 
         smoothness = gram_scale / 4.0
 
     if spec.kind in ("lasso", "l1_logistic"):
         tau = spec.tau
-        h_value = lambda x: tau * float(np.abs(x).sum())
+        h_value = lambda x: tau * float(np.add.reduce(np.abs(x)))
         prox = lambda t, x: soft_threshold(x, t * tau)
         smooth_only = False
     elif spec.kind == "boxqp":
         lo, hi = spec.lo, spec.hi
         lo_tol, hi_tol = lo - 1e-12, hi + 1e-12
-        h_value = lambda x: 0.0 if lo_tol <= x.min() and x.max() <= hi_tol else math.inf  # nan fails both
+        # nan fails both comparisons
+        h_value = lambda x: 0.0 if lo_tol <= np.minimum.reduce(x) and np.maximum.reduce(x) <= hi_tol else math.inf
         prox = lambda t, x: x.clip(lo, hi)
         smooth_only = False
     else:
@@ -318,8 +338,7 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         prox = lambda t, x: x
         smooth_only = True
 
-    x_star, opt_value = _reference_optimum(spec, a, b, f_value, f_grad, h_value, prox, smoothness, cache_dir)
-    return ProxProblem(
+    problem = ProxProblem(
         dim=spec.dim,
         f_value=f_value,
         f_grad=f_grad,
@@ -327,12 +346,13 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         prox=prox,
         smoothness=smoothness,
         smooth_only=smooth_only,
-        x_star=x_star,
-        opt_value=opt_value,
+        f_value_grad=f_value_grad,
     )
+    x_star, opt_value = _reference_optimum(spec, a, b, problem, cache_dir)
+    return replace(problem, x_star=x_star, opt_value=opt_value)
 
 
-def _reference_optimum(spec, a, b, f_value, f_grad, h_value, prox, smoothness, cache_dir):
+def _reference_optimum(spec, a, b, problem: ProxProblem, cache_dir):
     if cache_dir is not None:
         cached = _load_cached(cache_dir, spec)
         if cached is not None:
@@ -346,13 +366,13 @@ def _reference_optimum(spec, a, b, f_value, f_grad, h_value, prox, smoothness, c
     elif spec.kind == "smooth_quadratic":
         x_star = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
-        full = lambda x: f_value(x) + h_value(x)
+        prox, f_grad, smoothness = problem.prox, problem.f_grad, problem.smoothness
 
         def fp_residual(x):
             return float(np.max(np.abs(prox(1.0 / smoothness, x - f_grad(x) / smoothness) - x)))
 
         x0 = np.zeros(spec.dim) if spec.kind != "boxqp" else np.clip(np.zeros(spec.dim), spec.lo, spec.hi)
-        x_star, _ = _fista_reference(f_grad, prox, smoothness, x0, full)
+        x_star, _ = _fista_reference(problem, x0)
         polished = None
         if spec.kind == "lasso":
             polished = _polish_lasso(a, b, spec.tau, x_star)
@@ -363,7 +383,7 @@ def _reference_optimum(spec, a, b, f_value, f_grad, h_value, prox, smoothness, c
         if polished is not None and fp_residual(polished) <= fp_residual(x_star):
             x_star = polished
 
-    opt_value = f_value(x_star) + h_value(x_star)
+    opt_value = problem.f_value(x_star) + problem.h_value(x_star)
     if cache_dir is not None:
         _store_cached(cache_dir, spec, x_star, opt_value)
     return x_star, opt_value

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from peplift import cli
 from peplift.cli import main
 from peplift.schedules import SILVER_RATIO
 
@@ -320,6 +321,24 @@ class TestSweep:
         assert err.startswith("error: ") and "xi must be" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cells", [
+        [{"algo": "silver", "metric": "func", "k": 2}, {"algo": "silver", "metric": "func", "k": 2, "xi": -1}],
+        [{"algo": "ogm", "n": 2}, {"algo": "ogm", "n": 3, "xi": 0}],
+        [{"algo": "gsw", "k": 2}, {"algo": "gsw", "k": 2, "xi": "pseudo"}],
+        [{"algo": "ogmg", "n": 2}, {"algo": "ogmg", "n": 3, "xi": -0.5}],
+    ], ids=["silver-negative", "ogm-zero", "gsw-pseudo", "ogmg-negative"])
+    def test_out_of_range_xi_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, cells):
+        def refuse(*args):
+            raise AssertionError("a cell ran before the config was checked")
+
+        monkeypatch.setattr(cli, "_sweep_cell", refuse)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"cells": cells}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: xi must")
 
     @pytest.mark.parametrize("config", [
         [{"algo": "silver", "k": 2}],

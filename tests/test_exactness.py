@@ -123,9 +123,9 @@ def test_unconstrained_runner():
 def test_reference_optimum(instance, monkeypatch):
     spec, problem, plain, x0 = instance
     a, b = problems._design(spec)
-    monkeypatch.setattr(problems, "_fista_reference", fista_reference_plain)
-    x_star, opt_value = problems._reference_optimum(spec, a, b, plain.f_value, plain.f_grad, plain.h_value,
-                                                    plain.prox, plain.smoothness, None)
+    monkeypatch.setattr(problems, "_fista_reference", lambda p, x0: fista_reference_plain(
+        p.f_grad, p.prox, p.smoothness, x0, lambda x: p.f_value(x) + p.h_value(x)))
+    x_star, opt_value = problems._reference_optimum(spec, a, b, plain, None)
     assert_bitwise_equal(problem.x_star, x_star)
     assert_bitwise_equal(problem.opt_value, opt_value)
 
@@ -136,8 +136,7 @@ def test_reference_loop(instance, max_iters):
     spec, problem, plain, x0 = instance
     full = lambda x: plain.f_value(x) + plain.h_value(x)
     start = x0 if spec.kind == "lasso" else np.clip(np.zeros(spec.dim), spec.lo, spec.hi)
-    x_new, val_new = problems._fista_reference(problem.f_grad, problem.prox, problem.smoothness, start,
-                                               full, max_iters=max_iters)
+    x_new, val_new = problems._fista_reference(problem, start, max_iters=max_iters)
     x_old, val_old = fista_reference_plain(plain.f_grad, plain.prox, plain.smoothness, start, full,
                                            max_iters=max_iters)
     assert_bitwise_equal(x_new, x_old)
@@ -173,6 +172,22 @@ def test_oracles_on_signed_zeros_and_non_finite_points(name):
                 assert_bitwise_equal(library.h_value(x), plain[2](x))
                 for t in steps:
                     assert_bitwise_equal(library.prox(t, x), plain[3](t, x))
+
+
+@pytest.mark.parametrize("kind", problems.KINDS)
+def test_fused_smooth_oracle_is_the_pair(kind):
+    # random points at three scales, signed zeros, +-inf and nan, and x_star
+    spec = ProblemSpec(kind=kind, dim=7, rows=13, seed=17, lo=-0.5, hi=0.5)
+    problem = make_problem(spec)
+    rng = np.random.default_rng(23)
+    points = [scale * rng.standard_normal(spec.dim) for scale in (1e-3, 1.0, 1e3) for _ in range(5)]
+    points += special_points(spec.dim, 1.0) + [problem.x_star]
+    for x in points:
+        with np.errstate(invalid="ignore", over="ignore"):
+            value, grad = problem.f_value_grad(x)
+            assert type(value) is float
+            assert_bitwise_equal(value, problem.f_value(x))
+            assert_bitwise_equal(grad, problem.f_grad(x))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32, 64, 512, 1024, 2048])

@@ -330,6 +330,21 @@ def min_eig_50_digits(slack: np.ndarray):
         return min(mpmath.eigsy(mpmath.matrix(slack.tolist()), eigvals_only=True))
 
 
+def floor_is_below_lambda_min_at_50_digits(slack: np.ndarray, floor: float) -> bool:
+    """Whether floor <= lambda_min(slack), at 50 digits: a Cholesky
+    factorization of slack - floor I proves it, and when a pivot misses
+    (floor at or above lambda_min, or too close to it for a pivot to
+    clear mpmath's tolerance), the eigenvalues decide."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        shifted = mpmath.matrix(slack.tolist()) - floor * mpmath.eye(slack.shape[0])
+        try:
+            mpmath.cholesky(shifted)
+            return True
+        except ValueError:  # not positive-definite at mpmath's tolerance
+            return floor <= min_eig_50_digits(slack)
+
+
 def sub_ulp_coupled(diagonal: np.ndarray, seed: int) -> np.ndarray:
     """diag(diagonal) coupled by symmetric off-diagonal entries below half an
     ulp of every diagonal entry: each computed Gershgorin row reads its
@@ -361,7 +376,15 @@ class TestPsdRoute:
                 cases.append(lifted.slack + noise + noise.T)
         for slack in cases:
             floor = route_floor(dataclasses.replace(lifted, slack=slack))
-            assert floor <= min_eig_50_digits(slack), (algo, size, floor)
+            assert floor_is_below_lambda_min_at_50_digits(slack, floor), (algo, size, floor)
+
+    @pytest.mark.parametrize("algo, size", [("silver", 2), ("gsw", 3), ("ogm", 8), ("ogmg", 5)])
+    def test_a_floor_above_lambda_min_fails_the_50_digit_check(self, algo, size):
+        slack = FAMILIES[algo].cell(size).lifted.slack
+        lam = float(min_eig_50_digits(slack))
+        gap = 1e-9 * float(np.max(np.abs(slack)))
+        assert floor_is_below_lambda_min_at_50_digits(slack, lam - gap)
+        assert not floor_is_below_lambda_min_at_50_digits(slack, lam + gap)
 
     @pytest.mark.parametrize("size", [2, 5, 33])
     def test_floor_covers_the_rounding_of_its_row_sums(self, size):
@@ -372,7 +395,7 @@ class TestPsdRoute:
         mu = np.zeros((size, size - 1))
         for lifted in (CompositeLift("grad", size - 1, mu, 0.0, sub_ulp_coupled(diagonal, size), 1.0),
                        CompositeLift("func", size - 1, mu, 0.5, slack, 1.0)):
-            assert route_floor(lifted) <= min_eig_50_digits(lifted.slack), lifted.metric
+            assert floor_is_below_lambda_min_at_50_digits(lifted.slack, route_floor(lifted)), lifted.metric
 
     def test_paper_xi_never_runs_an_eigen_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from peplift import problems
 from peplift.catalog import FAMILIES
 from peplift.methods import (
     ProxProblem,
@@ -321,3 +323,69 @@ class TestTraceExport:
         doc = trace_summary(trace, problem)
         assert doc["obj"][0] is None
         json.dumps(doc)  # must be serializable
+
+
+def counted(problem: ProxProblem):
+    """Copy of problem whose smooth oracles and prox record their points."""
+    calls = {name: [] for name in ("f_value", "f_grad", "f_value_grad", "prox")}
+
+    def recorder(name):
+        fn = getattr(problem, name)
+
+        def call(*args):
+            calls[name].append(args[-1])  # the point; no iterate is written in place after a call
+            return fn(*args)
+
+        return call
+
+    return dataclasses.replace(problem, **{name: recorder(name) for name in calls}), calls
+
+
+class TestSmoothOracleCalls:
+    """One fused smooth call per visited point, and f_value never."""
+
+    @pytest.mark.parametrize("runner", [
+        lambda n, p, x0: run_composite(ScheduleSpec.silver(3).build(), p, x0),
+        lambda n, p, x0: run_composite(ScheduleSpec.ogm(n).build(), p, x0),
+        run_pogm,
+        run_pogmg,
+        run_fista,
+    ], ids=["composite-silver", "composite-ogm", "pogm", "pogmg", "fista"])
+    def test_runners(self, lasso, runner):
+        spec, problem = lasso
+        problem, calls = counted(problem)
+        trace = runner(5, problem, initial_point(spec))
+        assert len(calls["f_value_grad"]) == trace.n + 1
+        assert np.array_equal(np.array(calls["f_value_grad"]), trace.xs)
+        assert calls["f_value"] == []
+        # FISTA's gradient at its extrapolated point y is the only other one
+        assert len(calls["f_grad"]) == (trace.n if runner is run_fista else 0)
+
+    def test_unconstrained_runner(self):
+        spec = ProblemSpec(kind="smooth_quadratic", dim=6, rows=12, seed=3)
+        problem, calls = counted(make_problem(spec))
+        trace = run_unconstrained(ScheduleSpec.ogm(6).build(), problem, initial_point(spec))
+        assert np.array_equal(np.array(calls["f_value_grad"]), trace.xs)
+        assert calls["f_value"] == [] and calls["f_grad"] == []
+
+    def test_reference_solve(self, lasso):
+        spec, problem = lasso
+        problem, calls = counted(problem)
+        problems._fista_reference(problem, np.zeros(spec.dim))
+        iterations = len(calls["prox"]) // 2  # a step and the residual's prox per iteration
+        assert len(calls["f_value_grad"]) == iterations + 1
+        assert calls["f_value"] == []
+        fused = {id(x) for x in calls["f_value_grad"]}
+        assert not any(id(y) in fused for y in calls["f_grad"])
+        # the start and every restart step from a fused point: its gradient serves
+        assert len(calls["f_grad"]) < iterations - 1
+
+    def test_problem_without_a_fused_oracle_calls_its_own_pair(self):
+        center = np.array([1.0, -2.0])
+        problem = quadratic_problem(np.eye(2), center)
+        assert problem.f_value_grad is None
+        x = np.array([0.5, 0.25])
+        value, grad = problem.value_grad()(x)
+        assert value == problem.f_value(x) and np.array_equal(grad, problem.f_grad(x))
+        copy = dataclasses.replace(problem, f_grad=lambda x: 2.0 * (x - center))
+        assert np.array_equal(copy.value_grad()(x)[1], 2.0 * (x - center))

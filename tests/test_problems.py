@@ -134,7 +134,7 @@ class TestCompositeGap:
         b = rng.standard_normal(4)
         np.testing.assert_allclose(trace.xs[1], soft_threshold(b, 0.25), atol=1e-14)
         gaps = trace.obj_values - problem.opt_value
-        expected0 = problem.objective(x0) - problem.opt_value
+        expected0 = (problem.f_value(x0) + problem.h_value(x0)) - problem.opt_value
         assert gaps[0] == pytest.approx(expected0)
         assert abs(gaps[1]) < 1e-14
 
