@@ -17,7 +17,6 @@ proof, so a certificate whose identity holds is one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,40 +347,3 @@ def verify_grad_identity(
     """Check the gradient-norm identity for the plain method with H; smooth
     as for func_identity_ledgers."""
     return _report(*grad_identity_ledgers(H, cert, smooth=smooth))
-
-
-# ---------------------------------------------------------------------------
-# JSON snapshots
-# ---------------------------------------------------------------------------
-
-
-def certificate_to_dict(cert: FuncCertificate | GradCertificate) -> dict:
-    if isinstance(cert, FuncCertificate):
-        return {
-            "metric": "func",
-            "n": cert.n,
-            "lam": cert.lam.tolist(),
-            "gamma": cert.gamma.tolist(),
-            "r": cert.r,
-        }
-    return {"metric": "grad", "n": cert.n, "lam": cert.lam.tolist(), "r": cert.r}
-
-
-def certificate_from_dict(doc: dict) -> FuncCertificate | GradCertificate:
-    if doc["metric"] == "func":
-        return FuncCertificate(lam=np.asarray(doc["lam"]), gamma=np.asarray(doc["gamma"]), r=float(doc["r"]))
-    if doc["metric"] == "grad":
-        return GradCertificate(lam=np.asarray(doc["lam"]), r=float(doc["r"]))
-    raise ValueError(f"unknown certificate metric {doc.get('metric')!r}")
-
-
-def save_certificate(cert, path) -> None:
-    from .reports import dumps17
-
-    with open(path, "w") as fh:
-        fh.write(dumps17(certificate_to_dict(cert)))
-
-
-def load_certificate(path) -> FuncCertificate | GradCertificate:
-    with open(path) as fh:
-        return certificate_from_dict(json.load(fh))

@@ -237,7 +237,7 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
     y = xs[0]
     t = 1.0
     for k in range(n):
-        z = y - problem.f_grad(y) / L
+        z = y - (problem.f_grad(y) / L if k else ghat[0])  # y = x_0 at k = 0: its fused gradient serves
         x_new = problem.prox(1.0 / L, z)
         np.subtract(z, x_new, out=shat[k])  # prox residual at unit normalized step
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))

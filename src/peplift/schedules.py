@@ -22,7 +22,6 @@ read-only), so schedule objects are safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -321,7 +320,7 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
 # Schedule specifications
 # ---------------------------------------------------------------------------
 
-_KINDS = ("silver", "gsw", "ogm", "ogmg", "constant", "custom")
+_KINDS = ("silver", "gsw", "ogm", "ogmg", "constant")
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,6 @@ class ScheduleSpec:
     n: int
     k: int | None = None
     alpha: float | None = None
-    matrix: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -369,11 +367,6 @@ class ScheduleSpec:
     def constant_gd(cls, alpha: float, n: int) -> "ScheduleSpec":
         return cls(kind="constant", n=n, alpha=alpha)
 
-    @classmethod
-    def custom(cls, matrix) -> "ScheduleSpec":
-        m = StepsizeMatrix(matrix).entries  # rejects what a stepsize matrix cannot hold
-        return cls(kind="custom", n=m.shape[0], matrix=m)
-
     def build(self) -> StepsizeMatrix:
         if self.kind == "silver":
             return from_diagonal(silver_schedule(self.k))
@@ -383,27 +376,4 @@ class ScheduleSpec:
             return ogm_stepsize_matrix(self.n)
         if self.kind == "ogmg":
             return ogmg_stepsize_matrix(self.n)
-        if self.kind == "constant":
-            return from_diagonal(np.full(self.n, self.alpha))
-        return StepsizeMatrix(self.matrix)
-
-
-def load_schedule_json(path) -> ScheduleSpec:
-    """Load a custom schedule from JSON: either a diagonal stepsize vector or
-    a full upper-triangular matrix (row-major, zeros included)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "custom":
-        raise ValueError(f"schedule file must have kind 'custom', got {doc.get('kind')!r}")
-    n = int(doc["n"])
-    if "diagonal" in doc:
-        diag = np.asarray(doc["diagonal"], dtype=float)
-        if diag.shape != (n,):
-            raise ValueError(f"diagonal length {diag.shape[0]} does not match n={n}")
-        return ScheduleSpec.custom(np.diag(diag))
-    if "matrix" in doc:
-        m = np.asarray(doc["matrix"], dtype=float)
-        if m.shape != (n, n):
-            raise ValueError(f"matrix shape {m.shape} does not match n={n}")
-        return ScheduleSpec.custom(m)
-    raise ValueError("schedule file needs a 'diagonal' or 'matrix' field")
+        return from_diagonal(np.full(self.n, self.alpha))

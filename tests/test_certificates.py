@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,13 +8,9 @@ from peplift.certificates import (
     FuncCertificate,
     GradCertificate,
     aggregates,
-    certificate_from_dict,
-    certificate_to_dict,
     gsw_grad_certificate,
-    load_certificate,
     ogm_func_certificate,
     ogmg_grad_certificate,
-    save_certificate,
     silver_func_certificate,
     silver_lambda_bar,
     verify_func_identity,
@@ -193,6 +188,10 @@ class TestPerturbationDetector:
         assert not report.passed
         assert report.max_residual > 1e-4
 
+    def test_func_scaled_r_fails(self):
+        cert = ogm_func_certificate(2)
+        assert not verify_func_identity(ogm_stepsize_matrix(2), rebuilt(cert, r=cert.r * 1.01)).passed
+
 
 class TestAggregates:
     def test_hat_symmetric_and_diagonal(self):
@@ -220,35 +219,6 @@ class TestAggregates:
     def test_grad_zero_matrix_identity(self, n):
         cert = ogmg_grad_certificate(n)
         assert aggregate_identity_residual(ogmg_stepsize_matrix(n), cert) < 1e-10 * max(1.0, cert.r)
-
-
-class TestSnapshots:
-    def test_func_roundtrip(self, tmp_path):
-        cert = silver_func_certificate(3)
-        path = tmp_path / "cert.json"
-        save_certificate(cert, path)
-        back = load_certificate(path)
-        assert isinstance(back, FuncCertificate)
-        np.testing.assert_array_equal(back.lam, cert.lam)
-        np.testing.assert_array_equal(back.gamma, cert.gamma)
-        assert back.r == cert.r
-
-    def test_grad_roundtrip_dict(self):
-        cert = gsw_grad_certificate(2)
-        back = certificate_from_dict(certificate_to_dict(cert))
-        assert isinstance(back, GradCertificate)
-        np.testing.assert_array_equal(back.lam, cert.lam)
-
-    def test_user_supplied_certificate_verify_only(self):
-        # external certificates go through the same verifier; a wrong one fails
-        doc = certificate_to_dict(ogm_func_certificate(2))
-        doc["r"] = doc["r"] * 1.01
-        cert = certificate_from_dict(doc)
-        assert not verify_func_identity(ogm_stepsize_matrix(2), cert).passed
-
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError):
-            certificate_from_dict({"metric": "nope", "lam": [[0.0]], "r": 1.0})
 
 
 def ogm3_null_direction_lam(sign: float) -> np.ndarray:
@@ -304,7 +274,7 @@ class TestMultiplierContract:
 
     @pytest.mark.parametrize("metric", ["func", "grad"])
     @pytest.mark.parametrize("r, match", [
-        (math.nan, "finite"), (math.inf, "finite"), (0.0, "positive"), (-2.0, "positive"),
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (0.0, "positive"), (-2.0, "positive"),
     ])
     def test_rejects_r(self, metric, r, match):
         with pytest.raises(ValueError, match=match):
@@ -336,20 +306,6 @@ class TestMultiplierContract:
         lam[1, 0] *= 4.0
         with pytest.raises(ValueError, match=r"nonnegative, got lam\[1, 0\]"):
             rebuilt(cert, lam=lam)
-
-    @pytest.mark.parametrize("cert", [silver_func_certificate(2), gsw_grad_certificate(2)], ids=["func", "grad"])
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("field", ["lam", "r"])
-    def test_from_dict_rejects_non_finite_literals(self, cert, literal, field):
-        doc = certificate_to_dict(cert)
-        if field == "lam":
-            doc["lam"][1][0] = json.loads(literal)
-        else:
-            doc["r"] = json.loads(literal)
-        text = json.dumps(doc)
-        assert literal in text
-        with pytest.raises(ValueError, match="finite"):
-            certificate_from_dict(json.loads(text))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_ogm_n3_negative_multiplier_certificate_is_rejected(self, monkeypatch, sign):

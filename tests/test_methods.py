@@ -24,6 +24,7 @@ from peplift.problems import ProblemSpec, initial_point, make_problem, soft_thre
 from peplift.schedules import (
     SILVER_RATIO,
     ScheduleSpec,
+    StepsizeMatrix,
     from_diagonal,
     gsw_schedule,
     ogm_stepsize_matrix,
@@ -113,7 +114,7 @@ class TestCompositeRunner:
             ogm_stepsize_matrix(5),
             from_diagonal(silver_schedule(2)),
             ScheduleSpec.constant_gd(0.8, 4).build(),
-            ScheduleSpec.custom(upper).build(),
+            StepsizeMatrix(upper),
         ):
             plain = run_unconstrained(H, problem, x0)
             comp = run_composite(H, problem, x0)
@@ -358,8 +359,10 @@ class TestSmoothOracleCalls:
         assert len(calls["f_value_grad"]) == trace.n + 1
         assert np.array_equal(np.array(calls["f_value_grad"]), trace.xs)
         assert calls["f_value"] == []
-        # FISTA's gradient at its extrapolated point y is the only other one
-        assert len(calls["f_grad"]) == (trace.n if runner is run_fista else 0)
+        # FISTA's gradient at its extrapolated points y_1..y_{n-1} is the only
+        # other one; at y_0 = x_0 the fused call's gradient serves
+        assert len(calls["f_grad"]) == (trace.n - 1 if runner is run_fista else 0)
+        assert not any(np.array_equal(y, trace.xs[0]) for y in calls["f_grad"])
 
     def test_unconstrained_runner(self):
         spec = ProblemSpec(kind="smooth_quadratic", dim=6, rows=12, seed=3)

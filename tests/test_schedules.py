@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from peplift.schedules import (
     from_diagonal,
     gsw_schedule,
     gsw_taus,
-    load_schedule_json,
     ogm_stepsize_matrix,
     ogmg_stepsize_matrix,
     phi_sequence,
@@ -222,6 +220,15 @@ class TestStepsizeMatrixInvariants:
         with pytest.raises(ValueError, match="nonzero"):
             StepsizeMatrix(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("entries", [
+        [[1.0, 0.0], [0.0, math.nan]],
+        [[math.inf]],
+        [[1.0, -math.inf], [0.0, 1.0]],
+    ])
+    def test_rejects_non_finite_entries(self, entries):
+        with pytest.raises(ValueError, match="must be finite"):
+            StepsizeMatrix(np.array(entries))
+
     def test_entries_read_only(self):
         h = from_diagonal([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -288,38 +295,3 @@ class TestScheduleSpec:
     def test_constant_requires_positive_step(self):
         with pytest.raises(ValueError):
             ScheduleSpec.constant_gd(0.0, 3)
-
-    def test_custom_json_diagonal(self, tmp_path):
-        path = tmp_path / "sched.json"
-        path.write_text(json.dumps({"kind": "custom", "n": 3, "diagonal": [1.0, 2.0, 0.5]}))
-        spec = load_schedule_json(path)
-        np.testing.assert_array_equal(spec.build().entries, np.diag([1.0, 2.0, 0.5]))
-
-    def test_custom_json_matrix(self, tmp_path):
-        path = tmp_path / "sched.json"
-        mat = [[1.5, 0.25], [0.0, 1.1]]
-        path.write_text(json.dumps({"kind": "custom", "n": 2, "matrix": mat}))
-        np.testing.assert_array_equal(load_schedule_json(path).build().entries, mat)
-
-    def test_custom_json_rejects_mismatched_n(self, tmp_path):
-        path = tmp_path / "sched.json"
-        path.write_text(json.dumps({"kind": "custom", "n": 2, "diagonal": [1.0]}))
-        with pytest.raises(ValueError, match="does not match"):
-            load_schedule_json(path)
-
-    @pytest.mark.parametrize("text", [
-        '{"kind": "custom", "n": 2, "diagonal": [1.0, NaN]}',
-        '{"kind": "custom", "n": 1, "diagonal": [Infinity]}',
-        '{"kind": "custom", "n": 2, "matrix": [[1.0, -Infinity], [0.0, 1.0]]}',
-    ])
-    def test_custom_json_rejects_non_finite_literals(self, tmp_path, text):
-        path = tmp_path / "sched.json"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="must be finite"):
-            load_schedule_json(path)
-
-    def test_custom_json_rejects_wrong_kind(self, tmp_path):
-        path = tmp_path / "sched.json"
-        path.write_text(json.dumps({"kind": "silver", "n": 1, "diagonal": [1.0]}))
-        with pytest.raises(ValueError, match="custom"):
-            load_schedule_json(path)
