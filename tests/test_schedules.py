@@ -229,6 +229,17 @@ class TestStepsizeMatrixInvariants:
         with pytest.raises(ValueError, match="must be finite"):
             StepsizeMatrix(np.array(entries))
 
+    @pytest.mark.parametrize("entries", [np.zeros((2, 3)), np.zeros((0, 0)), np.ones(3)], ids=["2x3", "0x0", "1d"])
+    def test_rejects_non_square_or_empty_entries(self, entries):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            StepsizeMatrix(entries)
+
+    def test_entries_are_copied_from_a_writable_array(self):
+        mat = np.array([[1.5, 0.25], [0.0, 1.1]])
+        h = StepsizeMatrix(mat)
+        mat[0, 1] = 9.0
+        np.testing.assert_array_equal(h.entries, [[1.5, 0.25], [0.0, 1.1]])
+
     def test_entries_read_only(self):
         h = from_diagonal([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -287,6 +298,42 @@ class TestScheduleSpec:
         h = spec.build()
         assert np.all(np.diag(h.entries) != 0.0)
         assert np.isfinite(np.linalg.cond(h.entries))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ScheduleSpec.silver(k) for k in (1, 2, 3)]
+        + [ScheduleSpec.gsw(k) for k in (1, 2, 3)]
+        + [ScheduleSpec.ogm(n) for n in (1, 4)]
+        + [ScheduleSpec.ogmg(n) for n in (1, 4)]
+        + [ScheduleSpec.constant_gd(0.3, 5)],
+        ids=lambda spec: f"{spec.kind}-{spec.n}",
+    )
+    def test_build_is_the_family_it_names(self, spec):
+        expected = {
+            "silver": lambda: from_diagonal(silver_schedule(spec.k)),
+            "gsw": lambda: from_diagonal(gsw_schedule(spec.k).steps),
+            "ogm": lambda: ogm_stepsize_matrix(spec.n),
+            "ogmg": lambda: ogmg_stepsize_matrix(spec.n),
+            "constant": lambda: from_diagonal(np.full(spec.n, spec.alpha)),
+        }[spec.kind]()
+        h = spec.build()
+        assert h.n == spec.n
+        np.testing.assert_array_equal(h.entries, expected.entries)
+        assert [f.kind for f in h.factors] == [f.kind for f in expected.factors]
+
+    @pytest.mark.parametrize("fields, match", [
+        (dict(kind="nope", n=2), "unknown schedule kind"),
+        (dict(kind="ogm", n=0), ">= 1"),
+        (dict(kind="ogmg", n=-1), ">= 1"),
+        (dict(kind="gsw", n=4, k=2), r"2\*\*k - 1"),
+        (dict(kind="silver", n=3), r"2\*\*k - 1"),
+        (dict(kind="constant", n=3), "alpha > 0"),
+        (dict(kind="constant", n=3, alpha=-0.5), "alpha > 0"),
+    ], ids=["unknown-kind", "ogm-n0", "ogmg-negative-n", "gsw-length", "silver-without-k",
+            "constant-without-alpha", "constant-negative-alpha"])
+    def test_rejects_invalid_fields(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            ScheduleSpec(**fields)
 
     def test_silver_requires_power_of_two_length(self):
         with pytest.raises(ValueError, match="2\\*\\*k - 1"):
