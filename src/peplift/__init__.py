@@ -32,7 +32,6 @@ from .methods import (
     run_fista,
     run_pogm,
     run_pogmg,
-    run_unconstrained,
 )
 from .problems import ProblemSpec, initial_point, make_problem
 from .schedules import (

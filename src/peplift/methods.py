@@ -1,6 +1,7 @@
-"""Method runners: the plain n-step method for a stepsize matrix, its
-composite extension through proximal oracles, and the memory-efficient
-three-sequence forms of the two optimized methods.
+"""Method runners: the composite extension, through proximal oracles, of the
+n-step method for a stepsize matrix (the plain method when h is zero, as the
+prox is then the identity), and the memory-efficient three-sequence forms of
+the two optimized methods.
 
 Problems carry an arbitrary smoothness constant; runners rescale the smooth
 part (and the nonsmooth part with it) so the stepsizes apply to a 1-smooth
@@ -39,7 +40,6 @@ class ProxProblem:
     h_value: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
     smoothness: float = 1.0
-    smooth_only: bool = False
     x_star: np.ndarray | None = None
     opt_value: float | None = None
     f_value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
@@ -115,23 +115,6 @@ def _trace(problem: ProxProblem, xs, ghat, shat, f_vals: list) -> RunTrace:
     h_vals = np.array([problem.h_value(x) for x in xs])
     return RunTrace(xs=xs, grads=L * ghat, subgrads=L * shat,
                     f_values=f_vals, h_values=h_vals, obj_values=f_vals + h_vals)
-
-
-def run_unconstrained(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
-    """Run the plain n-step method; the problem must have no nonsmooth part."""
-    if not problem.smooth_only:
-        raise ValueError("run_unconstrained needs a problem with h identically zero")
-    L = problem.smoothness
-    value_grad = problem.value_grad()
-    a = H.entries
-    xs, ghat, _ = _buffers(H.n, problem.dim)
-    f_vals = []
-    xs[0] = _as_start(problem, x0)
-    _smooth_at(value_grad, xs[0], L, f_vals, ghat[0])
-    for k in range(1, H.n + 1):
-        xs[k] = xs[k - 1] - a[:k, k - 1].dot(ghat[:k])
-        _smooth_at(value_grad, xs[k], L, f_vals, ghat[k])
-    return _trace(problem, xs, ghat, np.zeros((H.n, problem.dim)), f_vals)
 
 
 def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:

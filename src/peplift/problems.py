@@ -55,8 +55,11 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}; valid: {KINDS}")
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.kind in ("lasso", "l1_logistic") and self.tau <= 0:
+        # "not > 0" also rejects nan
+        if self.kind in ("lasso", "l1_logistic") and not self.tau > 0:
             raise ValueError(f"l1 weight must be positive, got {self.tau}")
+        if self.kind == "smooth_huber" and not self.delta > 0:
+            raise ValueError(f"Huber knee must be positive, got {self.delta}")
         if self.kind == "boxqp" and not self.lo <= self.hi:
             raise ValueError(f"box requires lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -325,18 +328,15 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         tau = spec.tau
         h_value = lambda x: tau * float(np.add.reduce(np.abs(x)))
         prox = lambda t, x: soft_threshold(x, t * tau)
-        smooth_only = False
     elif spec.kind == "boxqp":
         lo, hi = spec.lo, spec.hi
         lo_tol, hi_tol = lo - 1e-12, hi + 1e-12
         # nan fails both comparisons
         h_value = lambda x: 0.0 if lo_tol <= np.minimum.reduce(x) and np.maximum.reduce(x) <= hi_tol else math.inf
         prox = lambda t, x: x.clip(lo, hi)
-        smooth_only = False
     else:
         h_value = lambda x: 0.0
         prox = lambda t, x: x
-        smooth_only = True
 
     problem = ProxProblem(
         dim=spec.dim,
@@ -345,7 +345,6 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         h_value=h_value,
         prox=prox,
         smoothness=smoothness,
-        smooth_only=smooth_only,
         f_value_grad=f_value_grad,
     )
     x_star, opt_value = _reference_optimum(spec, a, b, problem, cache_dir)

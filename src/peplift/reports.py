@@ -73,10 +73,12 @@ def _emit(obj, parts: list[str], indent: int) -> None:
 
 
 def finite_or_none(doc):
-    """A report document (nested dicts) with every non-finite float made
-    None, which JSON writes as null and a CSV row as an empty field."""
+    """A report document (nested dicts and lists) with every non-finite float
+    made None, which JSON writes as null and a CSV row as an empty field."""
     if isinstance(doc, dict):
         return {key: finite_or_none(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [finite_or_none(value) for value in doc]
     return None if isinstance(doc, float) and not math.isfinite(doc) else doc
 
 

@@ -211,13 +211,7 @@ def gsw_taus(k: int) -> np.ndarray:
     return taus
 
 
-class GswSchedule(NamedTuple):
-    steps: np.ndarray  # length 2**k - 1
-    tau: float  # tau_k
-    etas: np.ndarray  # eta_1..eta_{k-1}
-
-
-def gsw_schedule(k: int) -> GswSchedule:
+def gsw_schedule(k: int) -> np.ndarray:
     """GD stepsizes tuned for final gradient norm: [w, eta_k, silver] doubling.
 
     Starts from [3/2]; each doubling appends the bridge step
@@ -227,13 +221,12 @@ def gsw_schedule(k: int) -> GswSchedule:
     if k < 1:
         raise ValueError(f"gsw schedule needs k >= 1, got {k}")
     taus = gsw_taus(k)
-    etas = np.empty(k - 1)
     steps = np.array([1.5])
     for kk in range(1, k):
         t, r = taus[kk - 1], SILVER_RATIO**kk
-        etas[kk - 1] = 1.0 + (math.sqrt(t * t + 8.0 * r * t) - t) / 4.0
-        steps = np.concatenate([steps, [etas[kk - 1]], silver_schedule(kk)])
-    return GswSchedule(steps=steps, tau=float(taus[-1]), etas=etas)
+        eta = 1.0 + (math.sqrt(t * t + 8.0 * r * t) - t) / 4.0
+        steps = np.concatenate([steps, [eta], silver_schedule(kk)])
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,7 @@ class ScheduleSpec:
         if self.kind == "silver":
             return from_diagonal(silver_schedule(self.k))
         if self.kind == "gsw":
-            return from_diagonal(gsw_schedule(self.k).steps)
+            return from_diagonal(gsw_schedule(self.k))
         if self.kind == "ogm":
             return ogm_stepsize_matrix(self.n)
         if self.kind == "ogmg":

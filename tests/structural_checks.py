@@ -71,7 +71,7 @@ def silver_partial_sum_violation(k: int) -> float:
 def gsw_partial_sum_violation(k: int) -> float:
     lam = gsw_grad_certificate(k).lam
     n = 2**k - 1
-    gammas = np.append(gsw_schedule(k).steps, 1.0)
+    gammas = np.append(gsw_schedule(k), 1.0)
     return scaled_partial_sum_violation(lam, gammas, n)
 
 

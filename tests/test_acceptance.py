@@ -30,10 +30,10 @@ from peplift.lift import (
     verify_composite_func_identity,
     verify_composite_grad_identity,
 )
-from peplift.methods import run_composite, run_pogm, run_pogmg, run_unconstrained
+from peplift.methods import run_composite, run_pogm, run_pogmg
 from peplift.problems import ProblemSpec, initial_point, make_problem
 from peplift.schedules import SILVER_RATIO, from_diagonal, gsw_schedule, silver_schedule, theta_sequence
-from reference_forms import diag_dominance_margin_plain, laplacian_violations_plain
+from reference_forms import diag_dominance_margin_plain, laplacian_violations_plain, run_unconstrained_plain
 
 IDENTITY_TOL = 1e-9  # relative, criteria 1 and 2
 RATE_TOL = 1e-12  # relative, criterion 2
@@ -181,22 +181,21 @@ def test_criterion_4_method_equivalence():
             h_value=lambda x: 0.0,
             prox=lambda t, x: x,
             smoothness=float(np.linalg.eigvalsh(gram)[-1]),
-            smooth_only=True,
         )
         x0 = rng.standard_normal(7)
         for H in (
             from_diagonal(silver_schedule(3)),
-            from_diagonal(gsw_schedule(3).steps),
+            from_diagonal(gsw_schedule(3)),
             FAMILIES["ogm"].schedule(7),
             FAMILIES["ogmg"].schedule(7),
         ):
-            plain = run_unconstrained(H, smooth, x0)
+            plain = run_unconstrained_plain(H, smooth, x0)
             comp = run_composite(H, smooth, x0)
             for a_, b_ in zip(comp.xs, plain.xs):
                 worst_smooth = max(worst_smooth, float(np.max(np.abs(a_ - b_))) / max(1.0, float(np.max(np.abs(b_)))))
         for runner, plain_h in ((run_pogm, "ogm"), (run_pogmg, "ogmg")):
             eff = runner(7, smooth, x0)
-            plain = run_unconstrained(FAMILIES[plain_h].schedule(7), smooth, x0)
+            plain = run_unconstrained_plain(FAMILIES[plain_h].schedule(7), smooth, x0)
             for a_, b_ in zip(eff.xs, plain.xs):
                 worst_smooth = max(worst_smooth, float(np.max(np.abs(a_ - b_))) / max(1.0, float(np.max(np.abs(b_)))))
     ok = worst_pair < EQUIV_TOL and worst_smooth < SMOOTH_MATCH_TOL
@@ -230,7 +229,7 @@ def test_criterion_5_empirical_rate_envelopes():
             worst_ratio = max(worst_ratio, gap / bound)
             violations += gap > bound + ENVELOPE_SLACK
         for k in range(1, 6):
-            trace = run_composite(from_diagonal(gsw_schedule(k).steps), problem, x0)
+            trace = run_composite(from_diagonal(gsw_schedule(k)), problem, x0)
             gap = trace.final_composite_grad_norm**2
             bound = FAMILIES["gsw"].rate(k) * L * (trace.obj_values[0] - trace.obj_values[-1])
             checks += 1

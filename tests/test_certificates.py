@@ -40,7 +40,7 @@ def silver_H(k):
 
 
 def gsw_H(k):
-    return from_diagonal(gsw_schedule(k).steps)
+    return from_diagonal(gsw_schedule(k))
 
 
 class TestSilverCertificate:

@@ -135,14 +135,28 @@ class TestRun:
         assert main(["run", "--algo", "pogm", "--problem", str(spec_path), "--n", "5", "--json", str(out)]) == 0
         doc = json.loads(out.read_text())
 
-        from peplift.methods import run_unconstrained, trace_summary
+        from peplift.methods import trace_summary
         from peplift.problems import initial_point, make_problem, spec_from_json
         from peplift.schedules import ogm_stepsize_matrix
+        from reference_forms import run_unconstrained_plain
 
         spec = spec_from_json(spec_path)
         problem = make_problem(spec)
-        reference = trace_summary(run_unconstrained(ogm_stepsize_matrix(5), problem, initial_point(spec)), problem)
+        reference = trace_summary(run_unconstrained_plain(ogm_stepsize_matrix(5), problem, initial_point(spec)), problem)
         np.testing.assert_allclose(doc["obj"], reference["obj"], rtol=1e-10)
+
+    def test_json_writes_overflowed_trace_entries_as_null(self, tmp_path):
+        spec_path = tmp_path / "huge.json"
+        spec_path.write_text(json.dumps({"kind": "lasso", "dim": 2, "tau": 0.1, "a": [[1, 0], [0, 1], [1, 1]],
+                                         "b": [1e200, -1e200, 1e200]}))
+        out = tmp_path / "trace.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--algo", "pogm", "--problem", str(spec_path), "--n", "3", "--json", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["grad_plus_subgrad_sq"][-1] is None and doc["dist_to_opt"][-1] is None
+        assert all(value is None or math.isfinite(value)
+                   for name in ("obj", "grad_plus_subgrad_sq", "obj_gap", "dist_to_opt") for value in doc[name])
 
     def test_fista_baseline_and_csv(self, lasso_spec_file, tmp_path):
         out = tmp_path / "trace.csv"
@@ -188,6 +202,8 @@ class TestRun:
         pytest.param('{"kind": "lasso", "dim": 3, "tau": 1' + "0" * 400 + '}', id="tau-beyond-float-range"),
         '{"kind": "boxqp", "dim": 3, "hi": Infinity}',
         '{"kind": "smooth_huber", "dim": 3, "delta": "1"}',
+        '{"kind": "smooth_huber", "dim": 3, "rows": 5, "delta": 0}',
+        '{"kind": "smooth_huber", "dim": 3, "rows": 5, "delta": -1}',
         '{"kind": "lasso", "dim": 2, "a": [[1, 2, 3]]}',
         '{"kind": "lasso", "dim": 2, "a": [1, 2]}',
         '{"kind": "lasso", "dim": 2, "a": [[1, 2], [3]]}',

@@ -30,7 +30,7 @@ from peplift.catalog import FAMILIES
 from peplift.certificates import _report, func_identity_ledgers, ogm_func_certificate
 from peplift.ledger import GramLedger, coco_block, ix_g, ix_s
 from peplift.lift import verify_cell
-from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg, run_unconstrained
+from peplift.methods import ProxProblem, run_composite, run_fista, run_pogm, run_pogmg
 from peplift.problems import ProblemSpec, initial_point, make_problem
 from peplift.schedules import ScheduleSpec, from_diagonal, ogm_stepsize_matrix, ogmg_stepsize_matrix
 from reference_forms import (
@@ -52,7 +52,6 @@ from reference_forms import (
     run_fista_plain,
     run_pogm_plain,
     run_pogmg_plain,
-    run_unconstrained_plain,
 )
 
 SPECS = {
@@ -109,15 +108,6 @@ def test_fista_runner(instance):
     spec, problem, plain, x0 = instance
     for n in (1, 5, 20):
         assert_same_trace(run_fista(n, problem, x0), run_fista_plain(n, plain, x0))
-
-
-def test_unconstrained_runner():
-    spec = ProblemSpec(kind="smooth_quadratic", dim=6, rows=12, seed=3)
-    problem = make_problem(spec)
-    for n in (1, 4, 9):
-        H = ScheduleSpec.ogm(n).build()
-        x0 = initial_point(spec)
-        assert_same_trace(run_unconstrained(H, problem, x0), run_unconstrained_plain(H, problem, x0))
 
 
 def test_reference_optimum(instance, monkeypatch):

@@ -16,7 +16,6 @@ from peplift.methods import (
     run_fista,
     run_pogm,
     run_pogmg,
-    run_unconstrained,
     trace_summary,
     write_trace_csv,
 )
@@ -33,6 +32,8 @@ from peplift.schedules import (
     theta_sequence,
 )
 
+from reference_forms import run_unconstrained_plain
+
 RHO = SILVER_RATIO
 
 
@@ -46,7 +47,6 @@ def quadratic_problem(q: np.ndarray, center: np.ndarray) -> ProxProblem:
         h_value=lambda x: 0.0,
         prox=lambda t, x: x,
         smoothness=smoothness,
-        smooth_only=True,
         x_star=center,
         opt_value=0.0,
     )
@@ -72,9 +72,11 @@ def boxqp():
 
 
 class TestUnconstrained:
+    """The plain method's closed forms, on the composite runner at h = 0."""
+
     def test_single_unit_step_kills_quadratic(self):
         problem = quadratic_problem(np.eye(1), np.zeros(1))
-        trace = run_unconstrained(ScheduleSpec.constant_gd(1.0, 1).build(), problem, np.array([1.0]))
+        trace = run_composite(ScheduleSpec.constant_gd(1.0, 1).build(), problem, np.array([1.0]))
         assert abs(trace.xs[-1][0]) < 1e-15
 
     def test_ogm_rate_on_random_quadratic(self, rng):
@@ -84,7 +86,7 @@ class TestUnconstrained:
         q /= np.linalg.eigvalsh(q)[-1]
         problem = quadratic_problem(q, rng.standard_normal(5))
         x0 = rng.standard_normal(5)
-        trace = run_unconstrained(ogm_stepsize_matrix(2), problem, x0)
+        trace = run_composite(ogm_stepsize_matrix(2), problem, x0)
         t2 = theta_sequence(2)[-1]
         bound = float(np.dot(x0 - problem.x_star, x0 - problem.x_star)) / (2 * t2**2)
         assert trace.f_values[-1] - 0.0 <= bound + 1e-12
@@ -92,14 +94,9 @@ class TestUnconstrained:
     def test_silver_scalar_product_formula(self):
         problem = quadratic_problem(np.eye(1), np.zeros(1))
         steps = silver_schedule(2)
-        trace = run_unconstrained(from_diagonal(steps), problem, np.array([1.0]))
+        trace = run_composite(from_diagonal(steps), problem, np.array([1.0]))
         expected = np.prod(1.0 - steps)
         assert abs(trace.xs[-1][0] - expected) < 1e-14
-
-    def test_rejects_composite_problem(self, lasso):
-        _, problem = lasso
-        with pytest.raises(ValueError, match="h identically zero"):
-            run_unconstrained(ogm_stepsize_matrix(2), problem, np.zeros(problem.dim))
 
 
 class TestCompositeRunner:
@@ -116,7 +113,7 @@ class TestCompositeRunner:
             ScheduleSpec.constant_gd(0.8, 4).build(),
             StepsizeMatrix(upper),
         ):
-            plain = run_unconstrained(H, problem, x0)
+            plain = run_unconstrained_plain(H, problem, x0)
             comp = run_composite(H, problem, x0)
             assert rel_iterate_gap(comp, plain) < 1e-12
             assert np.max(np.abs(comp.subgrads)) < 1e-12
@@ -200,10 +197,10 @@ class TestEfficientForms:
         problem = quadratic_problem(q, rng.standard_normal(4))
         x0 = rng.standard_normal(4)
         pogm = run_pogm(6, problem, x0)
-        plain = run_unconstrained(ogm_stepsize_matrix(6), problem, x0)
+        plain = run_unconstrained_plain(ogm_stepsize_matrix(6), problem, x0)
         assert rel_iterate_gap(pogm, plain) < 1e-10
         pogmg = run_pogmg(6, problem, x0)
-        plaing = run_unconstrained(ogmg_stepsize_matrix(6), problem, x0)
+        plaing = run_unconstrained_plain(ogmg_stepsize_matrix(6), problem, x0)
         assert rel_iterate_gap(pogmg, plaing) < 1e-10
 
     def test_stationarity_persistence(self):
@@ -248,7 +245,7 @@ class TestRateEnvelopes:
                 bound = FAMILIES["ogm"].rate(n) * L * dist_sq
                 assert trace.obj_values[-1] - problem.opt_value <= bound + 1e-9
             for k in (1, 2, 3):
-                trace = run_composite(from_diagonal(gsw_schedule(k).steps), problem, x0)
+                trace = run_composite(from_diagonal(gsw_schedule(k)), problem, x0)
                 bound = FAMILIES["gsw"].rate(k) * L * (trace.obj_values[0] - trace.obj_values[-1])
                 assert trace.final_composite_grad_norm**2 <= bound + 1e-9
             for n in (1, 2, 5, 11):
@@ -363,13 +360,6 @@ class TestSmoothOracleCalls:
         # other one; at y_0 = x_0 the fused call's gradient serves
         assert len(calls["f_grad"]) == (trace.n - 1 if runner is run_fista else 0)
         assert not any(np.array_equal(y, trace.xs[0]) for y in calls["f_grad"])
-
-    def test_unconstrained_runner(self):
-        spec = ProblemSpec(kind="smooth_quadratic", dim=6, rows=12, seed=3)
-        problem, calls = counted(make_problem(spec))
-        trace = run_unconstrained(ScheduleSpec.ogm(6).build(), problem, initial_point(spec))
-        assert np.array_equal(np.array(calls["f_value_grad"]), trace.xs)
-        assert calls["f_value"] == [] and calls["f_grad"] == []
 
     def test_reference_solve(self, lasso):
         spec, problem = lasso

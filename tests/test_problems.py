@@ -14,6 +14,15 @@ from peplift.problems import (
 from peplift.schedules import from_diagonal
 
 
+def assert_h_is_zero(problem):
+    """h reads 0 and prox is the identity, at any step, on a smooth kind."""
+    rng = np.random.default_rng(0)
+    for x in (np.zeros(problem.dim), rng.standard_normal(problem.dim), problem.x_star):
+        assert problem.h_value(x) == 0.0
+        for t in (0.5, 3.0):
+            assert np.array_equal(problem.prox(t, x), x)
+
+
 class TestClosedForms:
     def test_lasso_identity_design(self):
         spec = ProblemSpec(kind="lasso", dim=5, rows=0, seed=2, tau=0.3)
@@ -33,7 +42,7 @@ class TestClosedForms:
     def test_smooth_quadratic_least_squares(self):
         spec = ProblemSpec(kind="smooth_quadratic", dim=4, rows=9, seed=6)
         problem = make_problem(spec)
-        assert problem.smooth_only
+        assert_h_is_zero(problem)
         assert np.linalg.norm(problem.f_grad(problem.x_star)) < 1e-10
 
 
@@ -70,7 +79,7 @@ class TestReferenceSolve:
     def test_huber_problem_is_smooth(self):
         spec = ProblemSpec(kind="smooth_huber", dim=5, rows=9, seed=8, delta=0.7)
         problem = make_problem(spec)
-        assert problem.smooth_only
+        assert_h_is_zero(problem)
         assert np.linalg.norm(problem.f_grad(problem.x_star)) < 1e-7
 
     def test_cache_sidecar_roundtrip(self, tmp_path):
@@ -160,8 +169,15 @@ class TestSpecValidation:
             ProblemSpec(kind="boxqp", dim=3, lo=1.0, hi=-1.0)
 
     def test_bad_tau(self):
-        with pytest.raises(ValueError, match="positive"):
-            ProblemSpec(kind="lasso", dim=3, tau=0.0)
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                ProblemSpec(kind="lasso", dim=3, tau=tau)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_bad_huber_knee(self, delta):
+        with pytest.raises(ValueError, match="Huber knee must be positive"):
+            ProblemSpec(kind="smooth_huber", dim=3, rows=5, delta=delta)
+        ProblemSpec(kind="lasso", dim=3, delta=delta)  # the other kinds ignore the knee
 
     def test_singular_design_flagged(self):
         spec = ProblemSpec(kind="lasso", dim=2, tau=0.1, a=np.zeros((3, 2)), b=np.ones(3))

@@ -57,25 +57,23 @@ class TestSilver:
 
 class TestGsw:
     def test_first_order(self):
-        sched = gsw_schedule(1)
-        np.testing.assert_allclose(sched.steps, [1.5])
-        assert sched.tau == 4.0
-        assert sched.etas.size == 0
+        np.testing.assert_allclose(gsw_schedule(1), [1.5])
+        assert gsw_taus(1)[-1] == 4.0
 
     def test_second_order_direct_recursion(self):
         tau2 = 0.5 * (4 + 4 * RHO + math.sqrt(16 + 32 * RHO))
         eta1 = 1 + (math.sqrt(16 + 32 * RHO) - 4) / 4
-        sched = gsw_schedule(2)
-        assert sched.steps.shape == (3,)
-        np.testing.assert_allclose(sched.steps, [1.5, eta1, math.sqrt(2)], rtol=1e-15)
-        np.testing.assert_allclose(sched.tau, tau2, rtol=1e-15)
+        steps = gsw_schedule(2)
+        assert steps.shape == (3,)
+        np.testing.assert_allclose(steps, [1.5, eta1, math.sqrt(2)], rtol=1e-15)
+        np.testing.assert_allclose(gsw_taus(2)[-1], tau2, rtol=1e-15)
 
     def test_eta_identity(self):
         # eta_k = 1 + rho^k (1 - 2 rho^k / tau_{k+1})
         taus = gsw_taus(9)
-        etas = gsw_schedule(9).etas
+        steps = gsw_schedule(9)
         for k in range(1, 9):
-            lhs = etas[k - 1]
+            lhs = steps[2**k - 1]  # eta_k sits after the first 2**k - 1 steps
             rhs = 1 + RHO**k * (1 - 2 * RHO**k / taus[k])
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -311,7 +309,7 @@ class TestScheduleSpec:
     def test_build_is_the_family_it_names(self, spec):
         expected = {
             "silver": lambda: from_diagonal(silver_schedule(spec.k)),
-            "gsw": lambda: from_diagonal(gsw_schedule(spec.k).steps),
+            "gsw": lambda: from_diagonal(gsw_schedule(spec.k)),
             "ogm": lambda: ogm_stepsize_matrix(spec.n),
             "ogmg": lambda: ogmg_stepsize_matrix(spec.n),
             "constant": lambda: from_diagonal(np.full(spec.n, spec.alpha)),
