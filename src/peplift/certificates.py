@@ -268,7 +268,7 @@ def _report(lhs: GramLedger, rhs: GramLedger) -> IdentityReport:
         lin_f_residual=lf,
         lin_h_residual=lh,
         scale=scale,
-        tol=config.rel_tol(),
+        tol=config.REL_TOL,
     )
 
 

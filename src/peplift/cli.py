@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     runner = RUNNERS[args.algo](args.n, args.alpha)
     spec = problems.spec_from_json(args.problem)
-    problem = problems.make_problem(spec, cache_dir=args.cache_dir)
+    problem = problems.make_problem(spec)
     x0 = problems.initial_point(spec)
 
     trace = runner(problem, x0)
@@ -151,10 +151,8 @@ def cmd_run(args) -> int:
     if args.json:
         _write_json(args.json, {"algorithm": args.algo, "problem": spec.canonical(),
                                 **methods.trace_summary(trace, problem)})
-    final_gap = ""
-    if problem.opt_value is not None:
-        final_gap = f" gap={trace.obj_values[-1] - problem.opt_value:.6e}"
-    print(f"run {args.algo} n={args.n}: obj={trace.obj_values[-1]:.9g}{final_gap} "
+    final_obj = trace.obj_values[-1]
+    print(f"run {args.algo} n={args.n}: obj={final_obj:.9g} gap={final_obj - problem.opt_value:.6e} "
           f"||g+s||={trace.final_composite_grad_norm:.6e}")
     return 0
 
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--alpha", type=float, default=1.0, help="stepsize for proxgd-const")
     run_p.add_argument("--csv", help="write the per-iterate trace here")
     run_p.add_argument("--json", help="write the trace summary here")
-    run_p.add_argument("--cache-dir", help="cache directory for reference optima")
     run_p.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a grid of certify+lift cells")

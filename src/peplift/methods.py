@@ -239,24 +239,23 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
 def trace_summary(trace: RunTrace, problem: ProxProblem) -> dict:
     """Per-iterate gaps, stationarity norms and distances as a JSON-ready dict.
 
-    Infinite objective values (indicator h at an infeasible start) become
-    None, since JSON has no representation for them.
+    Every non-finite value (indicator h at an infeasible start, a run that
+    overflows) becomes None, since JSON has no representation for it.
     """
-    n = trace.n
-    def _clean(x: float):
-        return None if not np.isfinite(x) else float(x)
+    from .reports import finite_or_none  # not at import time: peplift.__all__ lists its loaded modules
 
+    n = trace.n
     doc: dict = {
         "n": n,
-        "obj": [_clean(v) for v in trace.obj_values],
+        "obj": trace.obj_values.tolist(),
         "grad_plus_subgrad_sq": [None]
         + [float(np.dot(trace.grads[i] + trace.subgrads[i - 1], trace.grads[i] + trace.subgrads[i - 1])) for i in range(1, n + 1)],
     }
     if problem.opt_value is not None:
-        doc["obj_gap"] = [_clean(v - problem.opt_value) for v in trace.obj_values]
+        doc["obj_gap"] = (trace.obj_values - problem.opt_value).tolist()
     if problem.x_star is not None:
         doc["dist_to_opt"] = [float(np.linalg.norm(x - problem.x_star)) for x in trace.xs]
-    return doc
+    return finite_or_none(doc)
 
 
 def write_trace_csv(trace: RunTrace, path, problem: ProxProblem) -> None:

@@ -5,8 +5,8 @@ Instance kinds: lasso (least squares + l1), box-constrained least squares
 regression.  Smoothness constants come from the largest eigenvalue of the
 Gram matrix.  Optimal values are produced by a high-accuracy reference solve
 (FISTA with adaptive restart, capped at 1e5 iterations, plus an active-set
-polish when the structure allows) and can be cached in a JSON sidecar keyed
-by the spec hash.  Results are deterministic given the seed; cross-platform
+polish when the structure allows); an instance whose optimum leaves float
+range is rejected.  Results are deterministic given the seed; cross-platform
 agreement is to tolerance, not bit-exact.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -35,8 +34,8 @@ class ProblemSpec:
     """Declarative description of a test instance.
 
     rows=0 with kind 'lasso' or 'boxqp' means the identity design matrix, for
-    which the minimizer has a closed form.  Explicit a/b arrays override the
-    seeded random draw (used for matrices loaded from CSV).
+    which the minimizer has a closed form.  Explicit a/b arrays (a spec
+    file's inline a and b) override the seeded random draw.
     """
 
     kind: str
@@ -82,19 +81,15 @@ def spec_from_json(path) -> ProblemSpec:
 
     The file is outside input, so the field types are checked here: kind and
     dim are required, dim/rows/seed are integers (dim >= 1, the others >= 0)
-    and tau/lo/hi/delta are finite numbers.  An explicit design (inline or
-    from CSV) must be a finite 2-D a with dim columns, and b, which needs a,
-    a finite 1-D vector with one entry per row of a.
+    and tau/lo/hi/delta are finite numbers.  An explicit design must be a
+    finite 2-D a with dim columns, and b, which needs a, a finite 1-D vector
+    with one entry per row of a.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"problem spec must be a JSON object, got {type(doc).__name__}")
     a = b = None
-    if "a_csv" in doc:
-        a = np.loadtxt(doc.pop("a_csv"), delimiter=",", dtype=float, ndmin=2)
-    if "b_csv" in doc:
-        b = np.loadtxt(doc.pop("b_csv"), delimiter=",", dtype=float, ndmin=1)
     if "a" in doc:
         a = _float_array(doc.pop("a"), "a")
     if "b" in doc:
@@ -250,31 +245,14 @@ def _polish_boxqp(a, b, lo, hi, x):
     return cand
 
 
-def _load_cached(cache_dir, spec: ProblemSpec):
-    path = os.path.join(cache_dir, f"opt_{spec.digest()}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        return np.asarray(doc["x_star"], dtype=float), float(doc["opt_value"])
-    return None
-
-
-def _store_cached(cache_dir, spec: ProblemSpec, x_star, opt_value) -> None:
-    from .reports import dumps17
-
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"opt_{spec.digest()}.json")
-    with open(path, "w") as fh:
-        fh.write(dumps17({"spec": spec.canonical(), "x_star": x_star.tolist(), "opt_value": opt_value}))
-
-
 # ---------------------------------------------------------------------------
 # Instance construction
 # ---------------------------------------------------------------------------
 
 
-def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem:
-    """Wire the oracles for a spec and attach the reference optimum."""
+def make_problem(spec: ProblemSpec) -> ProxProblem:
+    """Wire the oracles for a spec and attach the reference optimum; an
+    optimum that is not finite raises ValueError."""
     a, b = _design(spec)
     gram_scale = float(np.linalg.eigvalsh(a.T @ a)[-1])
     if gram_scale <= 0.0:
@@ -347,16 +325,13 @@ def make_problem(spec: ProblemSpec, cache_dir: str | None = None) -> ProxProblem
         smoothness=smoothness,
         f_value_grad=f_value_grad,
     )
-    x_star, opt_value = _reference_optimum(spec, a, b, problem, cache_dir)
+    x_star, opt_value = _reference_optimum(spec, a, b, problem)
+    if not math.isfinite(opt_value):
+        raise ValueError(f"the reference optimum is {opt_value}: the instance leaves float range")
     return replace(problem, x_star=x_star, opt_value=opt_value)
 
 
-def _reference_optimum(spec, a, b, problem: ProxProblem, cache_dir):
-    if cache_dir is not None:
-        cached = _load_cached(cache_dir, spec)
-        if cached is not None:
-            return cached
-
+def _reference_optimum(spec, a, b, problem: ProxProblem):
     identity_design = spec.a is None and spec.rows == 0
     if spec.kind == "lasso" and identity_design:
         x_star = soft_threshold(b, spec.tau)
@@ -382,8 +357,5 @@ def _reference_optimum(spec, a, b, problem: ProxProblem, cache_dir):
         if polished is not None and fp_residual(polished) <= fp_residual(x_star):
             x_star = polished
 
-    opt_value = problem.f_value(x_star) + problem.h_value(x_star)
-    if cache_dir is not None:
-        _store_cached(cache_dir, spec, x_star, opt_value)
-    return x_star, opt_value
+    return x_star, problem.f_value(x_star) + problem.h_value(x_star)
 

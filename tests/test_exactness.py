@@ -115,7 +115,7 @@ def test_reference_optimum(instance, monkeypatch):
     a, b = problems._design(spec)
     monkeypatch.setattr(problems, "_fista_reference", lambda p, x0: fista_reference_plain(
         p.f_grad, p.prox, p.smoothness, x0, lambda x: p.f_value(x) + p.h_value(x)))
-    x_star, opt_value = problems._reference_optimum(spec, a, b, plain, None)
+    x_star, opt_value = problems._reference_optimum(spec, a, b, plain)
     assert_bitwise_equal(problem.x_star, x_star)
     assert_bitwise_equal(problem.opt_value, opt_value)
 

@@ -76,11 +76,6 @@ def produce_sweep(out_dir: Path) -> dict[str, str]:
     return {name: mask_runtime(name, _read(out_dir / "sweep" / name)) for name in SWEEP_FILES}
 
 
-@pytest.fixture(autouse=True)
-def default_tolerance(monkeypatch):
-    monkeypatch.delenv("PEPLIFT_TOL", raising=False)
-
-
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_bytes(name, tmp_path):
     assert produce_report(name, tmp_path) == _read(GOLDEN / name)
@@ -92,10 +87,8 @@ def test_sweep_bytes(tmp_path):
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
-    os.environ.pop("PEPLIFT_TOL", None)
     (GOLDEN / "sweep").mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in REPORTS:

@@ -322,6 +322,20 @@ class TestTraceExport:
         assert doc["obj"][0] is None
         json.dumps(doc)  # must be serializable
 
+    def test_overflowed_row_is_empty_in_every_field(self, tmp_path):
+        # a step of 1e30/L overflows the last iterate: obj, its gap, the
+        # stationarity norm and the distance all leave float range together
+        spec = ProblemSpec(kind="lasso", dim=3, rows=5, seed=1, tau=0.1)
+        problem = make_problem(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run_composite(ScheduleSpec.constant_gd(1e30, 6).build(), problem, initial_point(spec))
+            path = tmp_path / "trace.csv"
+            write_trace_csv(trace, path, problem)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,obj,grad_plus_subgrad_sq,obj_gap,dist_to_opt"
+        assert lines[-1] == "6,,,,"
+        assert all("inf" not in line and "nan" not in line for line in lines)
+
 
 def counted(problem: ProxProblem):
     """Copy of problem whose smooth oracles and prox record their points."""

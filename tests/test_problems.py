@@ -82,16 +82,6 @@ class TestReferenceSolve:
         assert_h_is_zero(problem)
         assert np.linalg.norm(problem.f_grad(problem.x_star)) < 1e-7
 
-    def test_cache_sidecar_roundtrip(self, tmp_path):
-        spec = ProblemSpec(kind="lasso", dim=6, rows=10, seed=17, tau=0.1)
-        first = make_problem(spec, cache_dir=str(tmp_path))
-        files = list(tmp_path.glob("opt_*.json"))
-        assert len(files) == 1
-        second = make_problem(spec, cache_dir=str(tmp_path))
-        assert first.opt_value == second.opt_value
-        doc = json.loads(files[0].read_text())
-        assert doc["spec"]["seed"] == 17
-
 
 class TestSmoothnessConstant:
     @pytest.mark.parametrize("kind", ["lasso", "boxqp", "smooth_quadratic"])
@@ -184,27 +174,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="singular design"):
             make_problem(spec)
 
-    def test_json_spec_with_csv_matrices(self, tmp_path):
+    def test_json_spec_with_inline_matrices(self, tmp_path):
         a = np.array([[1.0, 0.5], [0.0, 2.0], [0.3, 0.3]])
         b = np.array([0.2, -0.4, 1.0])
-        np.savetxt(tmp_path / "a.csv", a, delimiter=",")
-        np.savetxt(tmp_path / "b.csv", b, delimiter=",")
-        doc = {"kind": "lasso", "dim": 2, "tau": 0.1,
-               "a_csv": str(tmp_path / "a.csv"), "b_csv": str(tmp_path / "b.csv")}
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({"kind": "lasso", "dim": 2, "tau": 0.1, "a": a.tolist(), "b": b.tolist()}))
         spec = spec_from_json(path)
         problem = make_problem(spec)
         assert problem.smoothness == pytest.approx(np.linalg.eigvalsh(a.T @ a)[-1])
-
-    def test_json_spec_with_one_column_csv(self, tmp_path):
-        (tmp_path / "a.csv").write_text("1.0\n2.0\n0.5\n")
-        (tmp_path / "b.csv").write_text("0.3\n-0.1\n2.0\n")
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"kind": "lasso", "dim": 1, "tau": 0.1,
-                                    "a_csv": str(tmp_path / "a.csv"), "b_csv": str(tmp_path / "b.csv")}))
-        spec = spec_from_json(path)
-        assert spec.a.shape == (3, 1) and spec.b.shape == (3,)
 
     def test_json_spec_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "spec.json"
