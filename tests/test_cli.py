@@ -47,6 +47,12 @@ class TestCertify:
         monkeypatch.setenv("PEPLIFT_TOL", "1e-30")
         assert main(["certify", "--algo", "silver", "--metric", "func", "--k", "4"]) == 0
 
+    def test_json_report_states_the_fixed_tolerance(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("PEPLIFT_TOL", "1e-6")
+        out = tmp_path / "certify.json"
+        assert main(["certify", "--algo", "ogm", "--metric", "func", "--n", "16", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["tol"] == config.REL_TOL == 1e-9
+
 
 class TestLift:
     def test_silver_paper_xi(self, tmp_path):
@@ -68,6 +74,18 @@ class TestLift:
         doc = json.loads(out.read_text())
         assert 0 < doc["xi"] <= doc["xi_paper"] + 1e-12
         assert doc["laplacian_ok"] is False
+
+    def test_verdict_reads_the_identity_tolerance(self, monkeypatch, tmp_path):
+        # a lift report has no tol key, so its pass flag must come from config.REL_TOL alone
+        out = tmp_path / "lift.json"
+        argv = ["lift", "--algo", "silver", "--metric", "func", "--k", "4", "--xi", "paper", "--json", str(out)]
+        monkeypatch.setattr(config, "REL_TOL", 1e-30)  # stricter than rounding noise
+        assert main(argv) == 1
+        assert json.loads(out.read_text())["pass"] is False
+        monkeypatch.setattr(config, "REL_TOL", 1e-9)
+        monkeypatch.setenv("PEPLIFT_TOL", "1e-30")
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["pass"] is True
 
     def test_negative_xi_is_usage_error(self):
         assert main(["lift", "--algo", "silver", "--metric", "func", "--k", "2", "--xi", "-1"]) == 2
@@ -170,6 +188,14 @@ class TestRun:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "reference optimum" in err[0]
 
+    def test_cache_dir_flag_is_usage_error(self, lasso_spec_file, tmp_path, capsys):
+        # the reference optimum is solved on every run; no flag reads or writes a cache
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algo", "pogm", "--problem", lasso_spec_file, "--n", "2", "--cache-dir", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_fista_baseline_and_csv(self, lasso_spec_file, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["run", "--algo", "fista", "--problem", lasso_spec_file,
@@ -227,6 +253,7 @@ class TestRun:
         '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b": [NaN]}',
         '{"kind": "lasso", "dim": 2, "b": [1]}',
         '{"kind": "lasso", "dim": 2, "a_csv": "a.csv"}',
+        '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b_csv": "b.csv"}',
     ])
     def test_malformed_problem_spec_is_usage_error(self, tmp_path, capsys, monkeypatch, text):
         from peplift import problems

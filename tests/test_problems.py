@@ -183,6 +183,21 @@ class TestSpecValidation:
         problem = make_problem(spec)
         assert problem.smoothness == pytest.approx(np.linalg.eigvalsh(a.T @ a)[-1])
 
+    def test_json_spec_with_one_column_inline_matrices(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "lasso", "dim": 1, "tau": 0.1,
+                                    "a": [[1.0], [2.0], [0.5]], "b": [0.3, -0.1, 2.0]}))
+        spec = spec_from_json(path)
+        assert spec.a.shape == (3, 1) and spec.b.shape == (3,)
+
+    def test_non_finite_reference_optimum_rejected(self):
+        # finite data whose least-squares value overflows: the optimum leaves float range
+        spec = ProblemSpec(kind="lasso", dim=2, tau=0.1, a=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                           b=np.array([1e200, -1e200, 1e200]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="reference optimum"):
+                make_problem(spec)
+
     def test_json_spec_rejects_unknown_fields(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"kind": "lasso", "dim": 3, "tau": 0.1, "bogus": 1}))
