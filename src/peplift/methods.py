@@ -13,6 +13,7 @@ and the proximal step at stepsize alpha calls prox with parameter alpha/L.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +33,9 @@ class ProxProblem:
     arrays and must be pure; a known minimizer and optimal value are optional.
     The optional f_value_grad(x) returns (f_value(x), f_grad(x)) from one
     evaluation of the smooth part and must agree with the pair bit for bit.
+    The optional h_rows(X) returns [h_value(x) for x in X] as a float array
+    for the C-contiguous rows X of a run, and must agree with it bit for bit;
+    a copy that swaps h_value must swap or drop h_rows.
     """
 
     dim: int
@@ -43,6 +47,7 @@ class ProxProblem:
     x_star: np.ndarray | None = None
     opt_value: float | None = None
     f_value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
+    h_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value_grad(self) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
         """f_value_grad, or the pair it stands for when the problem has none.
@@ -104,15 +109,24 @@ def _smooth_at(value_grad, x, L: float, f_vals: list, out: np.ndarray) -> None:
     """One fused smooth call at x: f(x) goes to f_vals and f'(x) / L to out."""
     value, grad = value_grad(x)
     f_vals.append(value)
-    np.divide(grad, L, out=out)
+    np.divide(grad, L, out)
+
+
+def _finite(x_new: np.ndarray, step: int) -> np.ndarray:
+    """The prox point of a step, checked: a non-finite one stops the run."""
+    if not np.logical_and.reduce(np.isfinite(x_new)):
+        raise ValueError(f"prox oracle returned a non-finite point at step {step}")
+    return x_new
 
 
 def _trace(problem: ProxProblem, xs, ghat, shat, f_vals: list) -> RunTrace:
     """The run's record; f_vals holds f at each iterate, from the runner's
-    one fused smooth call there."""
+    one fused smooth call there, and h comes from one h_rows call when the
+    problem has that oracle."""
     L = problem.smoothness
     f_vals = np.array(f_vals)
-    h_vals = np.array([problem.h_value(x) for x in xs])
+    h_rows = problem.h_rows
+    h_vals = np.array([problem.h_value(x) for x in xs]) if h_rows is None else h_rows(xs)
     return RunTrace(xs=xs, grads=L * ghat, subgrads=L * shat,
                     f_values=f_vals, h_values=h_vals, obj_values=f_vals + h_vals)
 
@@ -140,11 +154,9 @@ def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
         _smooth_at(value_grad, x_prev, L, f_vals, g_prev)
         akk = a[k - 1, k - 1]  # nonzero: StepsizeMatrix rejects a zero diagonal
         drift = a[: k - 1, k - 1].dot(combined[: k - 1]) if k >= 2 else 0.0
-        x_new = problem.prox(akk / L, x_prev - drift - akk * g_prev)
-        if not np.logical_and.reduce(np.isfinite(x_new)):
-            raise ValueError(f"prox oracle returned a non-finite point at step {k}")
+        x_new = _finite(problem.prox(akk / L, x_prev - drift - akk * g_prev), k)
         xs[k] = x_new
-        np.subtract((x_prev - x_new - drift) / akk, g_prev, out=shat[k - 1])
+        np.subtract((x_prev - x_new - drift) / akk, g_prev, shat[k - 1])
         combined[k - 1] = g_prev + shat[k - 1]
     _smooth_at(value_grad, xs[n], L, f_vals, ghat[n])
     return _trace(problem, xs, ghat, shat, f_vals)
@@ -172,14 +184,31 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
             z_new = z_new + coef1[k] * (y_new - y)
         else:
             z_new = z_new + coef1[k] * (y_new - y + shat[k - 1])
-        x_new = problem.prox(fresh[k] / L, z_new)
-        if not np.logical_and.reduce(np.isfinite(x_new)):
-            raise ValueError(f"prox oracle returned a non-finite point at step {k + 1}")
+        x_new = _finite(problem.prox(fresh[k] / L, z_new), k + 1)
         xs[k + 1] = x_new
-        np.divide(z_new - x_new, fresh[k], out=shat[k])
+        np.divide(z_new - x_new, fresh[k], shat[k])
         _smooth_at(value_grad, x_new, L, f_vals, ghat[k + 1])
         y = y_new
     return _trace(problem, xs, ghat, shat, f_vals)
+
+
+@functools.cache
+def _pogm_coefficients(n: int) -> tuple[tuple[float, ...], ...]:
+    """coef1, coef2 and fresh of the n-step POGM, built once per horizon."""
+    theta = theta_sequence(n)
+    t, t_next = theta[:-1], theta[1:]  # theta_k, theta_{k+1} at step k
+    return (tuple(((t - 1.0) / t_next).tolist()), tuple((t / t_next).tolist()),
+            tuple((1.0 + (2.0 * t - 1.0) / t_next).tolist()))
+
+
+@functools.cache
+def _pogmg_coefficients(n: int) -> tuple[tuple[float, ...], ...]:
+    """coef1, coef2 and fresh of the n-step POGM-G, built once per horizon."""
+    theta = theta_sequence(n)[::-1]
+    t, t_prev = theta[:-1], theta[1:]  # theta_{n-k}, theta_{n-k-1} at step k
+    return (tuple(((t - 1.0) * (2.0 * t_prev - 1.0) / (t * (2.0 * t - 1.0))).tolist()),
+            tuple(((2.0 * t_prev - 1.0) / (2.0 * t - 1.0)).tolist()),
+            tuple((1.0 + (2.0 * t_prev - 1.0) / t).tolist()))
 
 
 def run_pogm(n: int, problem: ProxProblem, x0) -> RunTrace:
@@ -187,24 +216,14 @@ def run_pogm(n: int, problem: ProxProblem, x0) -> RunTrace:
     optimized method, in O(dim) memory."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    theta = theta_sequence(n)
-    t, t_next = theta[:-1], theta[1:]  # theta_k, theta_{k+1} at step k
-    return _run_three_sequence(problem, x0, ((t - 1.0) / t_next).tolist(), (t / t_next).tolist(),
-                               (1.0 + (2.0 * t - 1.0) / t_next).tolist())
+    return _run_three_sequence(problem, x0, *_pogm_coefficients(n))
 
 
 def run_pogmg(n: int, problem: ProxProblem, x0) -> RunTrace:
     """Proximal gradient-norm optimized method (reversed-index coefficients)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    theta = theta_sequence(n)[::-1]
-    t, t_prev = theta[:-1], theta[1:]  # theta_{n-k}, theta_{n-k-1} at step k
-    return _run_three_sequence(
-        problem, x0,
-        ((t - 1.0) * (2.0 * t_prev - 1.0) / (t * (2.0 * t - 1.0))).tolist(),
-        ((2.0 * t_prev - 1.0) / (2.0 * t - 1.0)).tolist(),
-        (1.0 + (2.0 * t_prev - 1.0) / t).tolist(),
-    )
+    return _run_three_sequence(problem, x0, *_pogmg_coefficients(n))
 
 
 def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
@@ -221,8 +240,8 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
     t = 1.0
     for k in range(n):
         z = y - (problem.f_grad(y) / L if k else ghat[0])  # y = x_0 at k = 0: its fused gradient serves
-        x_new = problem.prox(1.0 / L, z)
-        np.subtract(z, x_new, out=shat[k])  # prox residual at unit normalized step
+        x_new = _finite(problem.prox(1.0 / L, z), k + 1)
+        np.subtract(z, x_new, shat[k])  # prox residual at unit normalized step
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_new + (t - 1.0) / t_new * (x_new - xs[k])
         xs[k + 1] = x_new

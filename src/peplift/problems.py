@@ -302,18 +302,23 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
 
         smoothness = gram_scale / 4.0
 
+    # h_rows performs h_value's operations on each row of a run's iterates
     if spec.kind in ("lasso", "l1_logistic"):
         tau = spec.tau
         h_value = lambda x: tau * float(np.add.reduce(np.abs(x)))
+        h_rows = lambda xs: tau * np.add.reduce(np.abs(xs), axis=1)
         prox = lambda t, x: soft_threshold(x, t * tau)
     elif spec.kind == "boxqp":
         lo, hi = spec.lo, spec.hi
         lo_tol, hi_tol = lo - 1e-12, hi + 1e-12
         # nan fails both comparisons
         h_value = lambda x: 0.0 if lo_tol <= np.minimum.reduce(x) and np.maximum.reduce(x) <= hi_tol else math.inf
+        h_rows = lambda xs: np.where((lo_tol <= np.minimum.reduce(xs, axis=1))
+                                     & (np.maximum.reduce(xs, axis=1) <= hi_tol), 0.0, math.inf)
         prox = lambda t, x: x.clip(lo, hi)
     else:
         h_value = lambda x: 0.0
+        h_rows = lambda xs: np.zeros(xs.shape[0])
         prox = lambda t, x: x
 
     problem = ProxProblem(
@@ -324,6 +329,7 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
         prox=prox,
         smoothness=smoothness,
         f_value_grad=f_value_grad,
+        h_rows=h_rows,
     )
     x_star, opt_value = _reference_optimum(spec, a, b, problem)
     if not math.isfinite(opt_value):

@@ -338,8 +338,8 @@ class TestTraceExport:
 
 
 def counted(problem: ProxProblem):
-    """Copy of problem whose smooth oracles and prox record their points."""
-    calls = {name: [] for name in ("f_value", "f_grad", "f_value_grad", "prox")}
+    """Copy of problem whose oracles record their points (the rows, for h_rows)."""
+    calls = {name: [] for name in ("f_value", "f_grad", "f_value_grad", "h_value", "h_rows", "prox")}
 
     def recorder(name):
         fn = getattr(problem, name)
@@ -350,19 +350,25 @@ def counted(problem: ProxProblem):
 
         return call
 
-    return dataclasses.replace(problem, **{name: recorder(name) for name in calls}), calls
+    wrapped = {name: recorder(name) for name in calls if getattr(problem, name) is not None}
+    return dataclasses.replace(problem, **wrapped), calls
+
+
+# the runners, each called as runner(n, problem, x0); the silver schedule has 7 steps
+RUNNERS = {
+    "composite-silver": lambda n, p, x0: run_composite(ScheduleSpec.silver(3).build(), p, x0),
+    "composite-ogm": lambda n, p, x0: run_composite(ScheduleSpec.ogm(n).build(), p, x0),
+    "pogm": run_pogm,
+    "pogmg": run_pogmg,
+    "fista": run_fista,
+}
 
 
 class TestSmoothOracleCalls:
-    """One fused smooth call per visited point, and f_value never."""
+    """One fused smooth call per visited point, f_value never, and h from
+    one h_rows call per run when the problem has that oracle."""
 
-    @pytest.mark.parametrize("runner", [
-        lambda n, p, x0: run_composite(ScheduleSpec.silver(3).build(), p, x0),
-        lambda n, p, x0: run_composite(ScheduleSpec.ogm(n).build(), p, x0),
-        run_pogm,
-        run_pogmg,
-        run_fista,
-    ], ids=["composite-silver", "composite-ogm", "pogm", "pogmg", "fista"])
+    @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
     def test_runners(self, lasso, runner):
         spec, problem = lasso
         problem, calls = counted(problem)
@@ -396,3 +402,63 @@ class TestSmoothOracleCalls:
         assert value == problem.f_value(x) and np.array_equal(grad, problem.f_grad(x))
         copy = dataclasses.replace(problem, f_grad=lambda x: 2.0 * (x - center))
         assert np.array_equal(copy.value_grad()(x)[1], 2.0 * (x - center))
+
+    @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+    def test_h_values_come_from_one_h_rows_call(self, lasso, runner):
+        spec, problem = lasso
+        with_rows, calls = counted(problem)
+        trace = runner(5, with_rows, initial_point(spec))
+        assert len(calls["h_rows"]) == 1 and calls["h_rows"][0] is trace.xs
+        assert calls["h_value"] == []
+        without_rows, calls = counted(dataclasses.replace(problem, h_rows=None))
+        trace = runner(5, without_rows, initial_point(spec))
+        assert calls["h_rows"] == []
+        assert len(calls["h_value"]) == trace.n + 1
+        assert np.array_equal(np.array(calls["h_value"]), trace.xs)
+
+
+@pytest.fixture(scope="module", params=problems.KINDS)
+def any_kind(request):
+    spec = ProblemSpec(kind=request.param, dim=6, rows=11, seed=3, lo=-0.6, hi=0.9)
+    return spec, make_problem(spec)
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+def test_trace_without_h_rows_keeps_its_bits(any_kind, runner):
+    """Dropping h_rows sends the run back to one h_value call per iterate,
+    and every array of the trace keeps its bits; the tripled start leaves
+    the box, so box-QP's h reads +inf there."""
+    spec, problem = any_kind
+    plain = dataclasses.replace(problem, h_rows=None)
+    for x0 in (initial_point(spec), 3.0 * initial_point(spec)):
+        fast, slow = runner(5, problem, x0), runner(5, plain, x0)
+        for name in ("xs", "grads", "subgrads", "f_values", "h_values", "obj_values"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestNonFiniteProx:
+    """Every runner stops at the first non-finite prox point, naming its
+    step, before any smooth call there."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "+inf"])
+    @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
+    def test_raises_at_step_2(self, lasso, runner, bad):
+        spec, problem = lasso
+        prox = problem.prox
+        steps = []
+
+        def prox_breaking_at_step_2(t, x):
+            steps.append(t)
+            out = prox(t, x)
+            if len(steps) == 2:
+                out = out.copy()
+                out[1] = bad
+            return out
+
+        broken, calls = counted(dataclasses.replace(problem, prox=prox_breaking_at_step_2))
+        with pytest.raises(ValueError, match=r"non-finite point at step 2$"):
+            runner(5, broken, initial_point(spec))
+        assert len(steps) == 2
+        assert len(calls["f_value_grad"]) == 2  # at x_0 and x_1 only
+        assert all(np.isfinite(x).all() for x in calls["f_value_grad"])

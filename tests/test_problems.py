@@ -5,6 +5,7 @@ import pytest
 
 from peplift.methods import run_composite, run_fista
 from peplift.problems import (
+    KINDS,
     ProblemSpec,
     initial_point,
     make_problem,
@@ -147,6 +148,42 @@ class TestCompositeGap:
         assert np.min(gaps) >= -1e-10
         # long steps overshoot: at least one uptick is expected on this seed
         assert np.any(np.diff(gaps) > 0)
+
+
+class TestHRows:
+    """h_rows is h_value on each row, bit for bit, for every kind."""
+
+    @staticmethod
+    def rows(spec: ProblemSpec) -> np.ndarray:
+        rng = np.random.default_rng(spec.dim)
+        lo_edge, hi_edge = spec.lo - 1e-12, spec.hi + 1e-12  # box-QP's tolerance edges
+        rows = [scale * rng.standard_normal(spec.dim) for scale in (1e-3, 1.0, 1e3) for _ in range(3)]
+        rows += [np.full(spec.dim, value) for value in (
+            lo_edge, hi_edge, np.nextafter(lo_edge, -np.inf), np.nextafter(hi_edge, np.inf),
+            spec.lo - 1.0, spec.hi + 1.0, 0.0, -0.0, np.nan,
+        )]
+        mixed = rng.uniform(spec.lo, spec.hi, size=(4, spec.dim))
+        mixed[0, -1] = spec.hi + 1.0  # one entry outside the box
+        mixed[1, 0] = lo_edge
+        mixed[2, spec.dim // 2] = np.nan
+        mixed[3] = np.where(rng.random(spec.dim) < 0.5, 0.0, -0.0)
+        return np.concatenate([np.array(rows), mixed])
+
+    @pytest.mark.parametrize("dim", [1, 9, 33])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_h_value_per_row(self, kind, dim):
+        spec = ProblemSpec(kind=kind, dim=dim, rows=dim + 4, seed=11, lo=-0.5, hi=0.5)
+        problem = make_problem(spec)
+        xs = self.rows(spec)
+        rows = problem.h_rows(xs)
+        per_row = np.array([problem.h_value(x) for x in xs])
+        assert rows.dtype == per_row.dtype and rows.shape == per_row.shape == (len(xs),)
+        assert np.array_equal(rows, per_row, equal_nan=True)
+        assert np.array_equal(np.signbit(rows), np.signbit(per_row))
+        if kind == "boxqp":  # both sides of each tolerance edge are covered
+            assert rows[9:13].tolist() == [0.0, 0.0, np.inf, np.inf]
+        if kind in ("lasso", "l1_logistic"):
+            assert np.isnan(rows).sum() == 2
 
 
 class TestSpecValidation:
