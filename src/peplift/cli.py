@@ -219,7 +219,10 @@ def _sweep_cell(family: catalog.Family, size: int, xi, instances: list) -> tuple
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        config_doc = json.load(fh)
+        try:
+            config_doc = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise UsageError("sweep config is nested too deeply to decode") from None
     cells = config_doc.get("cells", []) if isinstance(config_doc, dict) else None
     if not isinstance(cells, list):
         raise UsageError("sweep config must be an object with a 'cells' list")

@@ -8,6 +8,8 @@ part (and the nonsmooth part with it) so the stepsizes apply to a 1-smooth
 objective, then record unscaled quantities in the trace.  Concretely, with
 smoothness L the update direction for gradient j is (alpha/L)(g_j + s_{j+1})
 and the proximal step at stepsize alpha calls prox with parameter alpha/L.
+Every runner takes f and its gradient at each iterate from one f_value_grad
+call there, and the h values of a run from one h_rows call on its iterates.
 """
 
 from __future__ import annotations
@@ -31,33 +33,24 @@ class ProxProblem:
     h_value may return +inf outside the domain of an indicator; prox(t, x)
     returns argmin_z { t h(z) + ||z - x||^2 / 2 }.  Oracles take 1-D float
     arrays and must be pure; a known minimizer and optimal value are optional.
-    The optional f_value_grad(x) returns (f_value(x), f_grad(x)) from one
-    evaluation of the smooth part and must agree with the pair bit for bit.
-    The optional h_rows(X) returns [h_value(x) for x in X] as a float array
-    for the C-contiguous rows X of a run, and must agree with it bit for bit;
-    a copy that swaps h_value must swap or drop h_rows.
+    Two fused oracles serve the runs: f_value_grad(x) returns (f_value(x),
+    f_grad(x)) from one evaluation of the smooth part, and h_rows(X) returns
+    [h_value(x) for x in X] as a float array for the C-contiguous rows X of a
+    run.  Both must agree with the plain oracles bit for bit, so a
+    dataclasses.replace copy that changes what an oracle returns must change
+    its fused partner too.
     """
 
     dim: int
     f_value: Callable[[np.ndarray], float]
     f_grad: Callable[[np.ndarray], np.ndarray]
+    f_value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     h_value: Callable[[np.ndarray], float]
+    h_rows: Callable[[np.ndarray], np.ndarray]
     prox: Callable[[float, np.ndarray], np.ndarray]
     smoothness: float = 1.0
     x_star: np.ndarray | None = None
     opt_value: float | None = None
-    f_value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
-    h_rows: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def value_grad(self) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-        """f_value_grad, or the pair it stands for when the problem has none.
-
-        Resolved when read, so a dataclasses.replace copy with new f_value or
-        f_grad and no f_value_grad calls its own pair."""
-        if self.f_value_grad is not None:
-            return self.f_value_grad
-        f_value, f_grad = self.f_value, self.f_grad
-        return lambda x: (f_value(x), f_grad(x))
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,9 @@ def _buffers(n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty((n + 1, dim)), np.empty((n + 1, dim)), np.empty((n, dim))
 
 
-def _smooth_at(value_grad, x, L: float, f_vals: list, out: np.ndarray) -> None:
+def _smooth_at(f_value_grad, x, L: float, f_vals: list, out: np.ndarray) -> None:
     """One fused smooth call at x: f(x) goes to f_vals and f'(x) / L to out."""
-    value, grad = value_grad(x)
+    value, grad = f_value_grad(x)
     f_vals.append(value)
     np.divide(grad, L, out)
 
@@ -121,12 +114,10 @@ def _finite(x_new: np.ndarray, step: int) -> np.ndarray:
 
 def _trace(problem: ProxProblem, xs, ghat, shat, f_vals: list) -> RunTrace:
     """The run's record; f_vals holds f at each iterate, from the runner's
-    one fused smooth call there, and h comes from one h_rows call when the
-    problem has that oracle."""
+    one fused smooth call there, and h comes from one h_rows call."""
     L = problem.smoothness
     f_vals = np.array(f_vals)
-    h_rows = problem.h_rows
-    h_vals = np.array([problem.h_value(x) for x in xs]) if h_rows is None else h_rows(xs)
+    h_vals = problem.h_rows(xs)
     return RunTrace(xs=xs, grads=L * ghat, subgrads=L * shat,
                     f_values=f_vals, h_values=h_vals, obj_values=f_vals + h_vals)
 
@@ -141,7 +132,7 @@ def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     validated against.
     """
     L = problem.smoothness
-    value_grad = problem.value_grad()
+    f_value_grad = problem.f_value_grad
     a = H.entries
     n = H.n
     xs, ghat, shat = _buffers(n, problem.dim)
@@ -151,14 +142,14 @@ def run_composite(H: StepsizeMatrix, problem: ProxProblem, x0) -> RunTrace:
     for k in range(1, n + 1):
         x_prev = xs[k - 1]
         g_prev = ghat[k - 1]
-        _smooth_at(value_grad, x_prev, L, f_vals, g_prev)
+        _smooth_at(f_value_grad, x_prev, L, f_vals, g_prev)
         akk = a[k - 1, k - 1]  # nonzero: StepsizeMatrix rejects a zero diagonal
         drift = a[: k - 1, k - 1].dot(combined[: k - 1]) if k >= 2 else 0.0
         x_new = _finite(problem.prox(akk / L, x_prev - drift - akk * g_prev), k)
         xs[k] = x_new
         np.subtract((x_prev - x_new - drift) / akk, g_prev, shat[k - 1])
         combined[k - 1] = g_prev + shat[k - 1]
-    _smooth_at(value_grad, xs[n], L, f_vals, ghat[n])
+    _smooth_at(f_value_grad, xs[n], L, f_vals, ghat[n])
     return _trace(problem, xs, ghat, shat, f_vals)
 
 
@@ -171,11 +162,11 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
     where it vanishes by construction."""
     n = len(fresh)
     L = problem.smoothness
-    value_grad = problem.value_grad()
+    f_value_grad = problem.f_value_grad
     xs, ghat, shat = _buffers(n, problem.dim)
     f_vals = []
     xs[0] = y = _as_start(problem, x0)
-    _smooth_at(value_grad, y, L, f_vals, ghat[0])
+    _smooth_at(f_value_grad, y, L, f_vals, ghat[0])
     for k in range(n):
         x = xs[k]
         y_new = x - ghat[k]
@@ -187,7 +178,7 @@ def _run_three_sequence(problem: ProxProblem, x0, coef1, coef2, fresh) -> RunTra
         x_new = _finite(problem.prox(fresh[k] / L, z_new), k + 1)
         xs[k + 1] = x_new
         np.divide(z_new - x_new, fresh[k], shat[k])
-        _smooth_at(value_grad, x_new, L, f_vals, ghat[k + 1])
+        _smooth_at(f_value_grad, x_new, L, f_vals, ghat[k + 1])
         y = y_new
     return _trace(problem, xs, ghat, shat, f_vals)
 
@@ -227,15 +218,16 @@ def run_pogmg(n: int, problem: ProxProblem, x0) -> RunTrace:
 
 
 def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
-    """FISTA with constant step 1/L, as a baseline runner."""
+    """FISTA with constant step 1/L, as a baseline runner; f_grad gives the
+    gradient at y_1..y_{n-1}, and at y_0 = x_0 the fused one serves."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     L = problem.smoothness
-    value_grad = problem.value_grad()
+    f_value_grad = problem.f_value_grad
     xs, ghat, shat = _buffers(n, problem.dim)
     f_vals = []
     xs[0] = _as_start(problem, x0)
-    _smooth_at(value_grad, xs[0], L, f_vals, ghat[0])
+    _smooth_at(f_value_grad, xs[0], L, f_vals, ghat[0])
     y = xs[0]
     t = 1.0
     for k in range(n):
@@ -245,7 +237,7 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_new + (t - 1.0) / t_new * (x_new - xs[k])
         xs[k + 1] = x_new
-        _smooth_at(value_grad, x_new, L, f_vals, ghat[k + 1])
+        _smooth_at(f_value_grad, x_new, L, f_vals, ghat[k + 1])
         t = t_new
     return _trace(problem, xs, ghat, shat, f_vals)
 
@@ -258,39 +250,32 @@ def run_fista(n: int, problem: ProxProblem, x0) -> RunTrace:
 def trace_summary(trace: RunTrace, problem: ProxProblem) -> dict:
     """Per-iterate gaps, stationarity norms and distances as a JSON-ready dict.
 
-    Every non-finite value (indicator h at an infeasible start, a run that
-    overflows) becomes None, since JSON has no representation for it.
+    The gaps and distances are measured against the problem's reference
+    optimum, which make_problem attaches; a problem without one raises
+    ValueError.  Every non-finite value (indicator h at an infeasible start,
+    a run that overflows) becomes None, since JSON has no representation for it.
     """
     from .reports import finite_or_none  # not at import time: peplift.__all__ lists its loaded modules
 
+    if problem.x_star is None or problem.opt_value is None:
+        raise ValueError("a trace export needs the problem's reference optimum, x_star and opt_value")
     n = trace.n
-    doc: dict = {
+    return finite_or_none({
         "n": n,
         "obj": trace.obj_values.tolist(),
         "grad_plus_subgrad_sq": [None]
         + [float(np.dot(trace.grads[i] + trace.subgrads[i - 1], trace.grads[i] + trace.subgrads[i - 1])) for i in range(1, n + 1)],
-    }
-    if problem.opt_value is not None:
-        doc["obj_gap"] = (trace.obj_values - problem.opt_value).tolist()
-    if problem.x_star is not None:
-        doc["dist_to_opt"] = [float(np.linalg.norm(x - problem.x_star)) for x in trace.xs]
-    return finite_or_none(doc)
+        "obj_gap": (trace.obj_values - problem.opt_value).tolist(),
+        "dist_to_opt": [float(np.linalg.norm(x - problem.x_star)) for x in trace.xs],
+    })
 
 
 def write_trace_csv(trace: RunTrace, path, problem: ProxProblem) -> None:
     """One row per iterate: objective, gap and stationarity columns."""
     doc = trace_summary(trace, problem)
-    fields = ["k", "obj", "grad_plus_subgrad_sq"]
-    if "obj_gap" in doc:
-        fields.append("obj_gap")
-    if "dist_to_opt" in doc:
-        fields.append("dist_to_opt")
+    fields = ["obj", "grad_plus_subgrad_sq", "obj_gap", "dist_to_opt"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(["k", *fields])
         for k in range(trace.n + 1):
-            row = [k]
-            for name in fields[1:]:
-                value = doc[name][k]
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+            writer.writerow([k, *("" if doc[name][k] is None else repr(doc[name][k]) for name in fields)])

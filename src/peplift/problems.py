@@ -86,7 +86,10 @@ def spec_from_json(path) -> ProblemSpec:
     with one entry per row of a.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("problem spec is nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ValueError(f"problem spec must be a JSON object, got {type(doc).__name__}")
     a = b = None
@@ -170,10 +173,10 @@ def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS):
     restart) the same gradient takes the next step.  Stops early once the
     residual is at rounding level.
     """
-    value_grad, f_grad, h_value, prox = problem.value_grad(), problem.f_grad, problem.h_value, problem.prox
+    f_value_grad, f_grad, h_value, prox = problem.f_value_grad, problem.f_grad, problem.h_value, problem.prox
     smoothness = problem.smoothness
     x = y = best_x = np.array(x0, dtype=float)  # no iterate is ever written in place
-    value, grad_y = value_grad(x)
+    value, grad_y = f_value_grad(x)
     val = best_val = value + h_value(x)  # val is F(x), kept from the step that produced x
     t = 1.0
     step = 1.0 / smoothness
@@ -181,7 +184,7 @@ def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS):
         if grad_y is None:
             grad_y = f_grad(y)
         x_new = prox(step, y - grad_y / smoothness)
-        value, grad = value_grad(x_new)
+        value, grad = f_value_grad(x_new)
         val_new = value + h_value(x_new)
         if val_new < best_val:
             best_val, best_x = val_new, x_new

@@ -3,10 +3,11 @@
 The tests compare the library against these: the recursive silver doubling,
 the theta recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
-partial-sum kernel, and the plain forms of the OGM and OGM-G schedule
-loops, U(d)'s row loop, the runners, the lasso/box-QP oracles, the
-reference solve, the ledger assembly, the lifts and the feasibility checks,
-which the library's faster forms must reproduce bit for bit.  The plain lifts take their shifted multiplier rows
+partial-sum kernel, the pair and per-row forms of a problem's fused oracles,
+and the plain forms of the OGM and OGM-G schedule loops, U(d)'s row loop,
+the runners, the lasso/box-QP oracles, the reference solve, the ledger
+assembly, the lifts and the feasibility checks, which the library's faster
+forms must reproduce bit for bit.  The plain lifts take their shifted multiplier rows
 from the library's kernel; the dense solve that formed those rows before
 (`dense_rows`) is compared with the kernel at a tolerance, and the exact
 oracle in exact_lift.py judges which of the two is closer.  None of them is
@@ -189,6 +190,14 @@ def plain_oracles(spec, a, b):
         h_value = lambda x: 0.0 if np.all((x >= lo - 1e-12) & (x <= hi + 1e-12)) else math.inf
         prox = lambda t, x: np.clip(x, lo, hi)
     return f_value, f_grad, h_value, prox
+
+
+def fused_oracles(f_value, f_grad, h_value) -> dict:
+    """f_value_grad and h_rows of a hand-built problem, as keyword arguments
+    of ProxProblem: the pair of smooth oracles at one point, and h_value on
+    each row.  Each agrees with the plain oracles bit for bit."""
+    return {"f_value_grad": lambda x: (f_value(x), f_grad(x)),
+            "h_rows": lambda xs: np.array([h_value(x) for x in xs])}
 
 
 def _plain_trace(problem: ProxProblem, xs, ghat, shat) -> RunTrace:

@@ -33,7 +33,7 @@ from peplift.lift import (
 from peplift.methods import run_composite, run_pogm, run_pogmg
 from peplift.problems import ProblemSpec, initial_point, make_problem
 from peplift.schedules import SILVER_RATIO, from_diagonal, gsw_schedule, silver_schedule, theta_sequence
-from reference_forms import diag_dominance_margin_plain, laplacian_violations_plain, run_unconstrained_plain
+from reference_forms import diag_dominance_margin_plain, fused_oracles, laplacian_violations_plain, run_unconstrained_plain
 
 IDENTITY_TOL = 1e-9  # relative, criteria 1 and 2
 RATE_TOL = 1e-12  # relative, criterion 2
@@ -174,13 +174,17 @@ def test_criterion_4_method_equivalence():
 
         gram = a.T @ a
         center = rng.standard_normal(7)
+        f_value = lambda x, q=gram, c=center: 0.5 * float((x - c) @ q @ (x - c))
+        f_grad = lambda x, q=gram, c=center: q @ (x - c)
+        h_value = lambda x: 0.0
         smooth = ProxProblem(
             dim=7,
-            f_value=lambda x, q=gram, c=center: 0.5 * float((x - c) @ q @ (x - c)),
-            f_grad=lambda x, q=gram, c=center: q @ (x - c),
-            h_value=lambda x: 0.0,
+            f_value=f_value,
+            f_grad=f_grad,
+            h_value=h_value,
             prox=lambda t, x: x,
             smoothness=float(np.linalg.eigvalsh(gram)[-1]),
+            **fused_oracles(f_value, f_grad, h_value),
         )
         x0 = rng.standard_normal(7)
         for H in (

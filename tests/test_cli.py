@@ -254,6 +254,8 @@ class TestRun:
         '{"kind": "lasso", "dim": 2, "b": [1]}',
         '{"kind": "lasso", "dim": 2, "a_csv": "a.csv"}',
         '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b_csv": "b.csv"}',
+        # the JSON decoder recurses once per level and gives up far short of 5000
+        pytest.param('{"kind": "lasso", "dim": 2, "a": ' + "[" * 5000 + "]" * 5000 + "}", id="a-nested-5000-deep"),
     ])
     def test_malformed_problem_spec_is_usage_error(self, tmp_path, capsys, monkeypatch, text):
         from peplift import problems
@@ -390,6 +392,15 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: xi must")
+
+    def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys):
+        # written as text: json.dumps recurses once per level too
+        path = tmp_path / "sweep.json"
+        path.write_text('{"cells": [' + '{"algo": ' * 3000 + '"silver"' + "}" * 3000 + "]}")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sweep config is nested too deeply to decode\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [
         [{"algo": "silver", "k": 2}],

@@ -40,6 +40,7 @@ from reference_forms import (
     check_grad_feasibility_plain,
     coco_block_plain,
     fista_reference_plain,
+    fused_oracles,
     gershgorin_rows_plain,
     laplacian_violations_plain,
     library_rows,
@@ -71,10 +72,12 @@ def assert_bitwise_equal(actual, expected):
 
 
 def plain_problem(spec: ProblemSpec, library: ProxProblem) -> ProxProblem:
-    """The library's instance with the plain oracle expressions swapped in."""
+    """The library's instance with the plain oracle expressions swapped in,
+    and the fused oracles formed from them."""
     f_value, f_grad, h_value, prox = plain_oracles(spec, *problems._design(spec))
     return ProxProblem(dim=spec.dim, f_value=f_value, f_grad=f_grad, h_value=h_value, prox=prox,
-                       smoothness=library.smoothness, x_star=library.x_star, opt_value=library.opt_value)
+                       smoothness=library.smoothness, x_star=library.x_star, opt_value=library.opt_value,
+                       **fused_oracles(f_value, f_grad, h_value))
 
 
 @pytest.fixture(scope="module", params=sorted(SPECS))

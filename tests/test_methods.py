@@ -32,7 +32,7 @@ from peplift.schedules import (
     theta_sequence,
 )
 
-from reference_forms import run_unconstrained_plain
+from reference_forms import fused_oracles, run_unconstrained_plain
 
 RHO = SILVER_RATIO
 
@@ -40,15 +40,19 @@ RHO = SILVER_RATIO
 def quadratic_problem(q: np.ndarray, center: np.ndarray) -> ProxProblem:
     """f(x) = (x - c)^T Q (x - c) / 2 with unit smoothness when lam_max(Q) = 1."""
     smoothness = float(np.linalg.eigvalsh(q)[-1])
+    f_value = lambda x: 0.5 * float((x - center) @ q @ (x - center))
+    f_grad = lambda x: q @ (x - center)
+    h_value = lambda x: 0.0
     return ProxProblem(
         dim=q.shape[0],
-        f_value=lambda x: 0.5 * float((x - center) @ q @ (x - center)),
-        f_grad=lambda x: q @ (x - center),
-        h_value=lambda x: 0.0,
+        f_value=f_value,
+        f_grad=f_grad,
+        h_value=h_value,
         prox=lambda t, x: x,
         smoothness=smoothness,
         x_star=center,
         opt_value=0.0,
+        **fused_oracles(f_value, f_grad, h_value),
     )
 
 
@@ -162,13 +166,15 @@ class TestCompositeRunner:
                     assert h_z >= h_i + float(trace.subgrads[i - 1] @ (z - x_i)) - 1e-8
 
     def test_nonfinite_prox_is_reported(self):
+        f_value, f_grad, h_value = lambda x: 0.5 * float(x @ x), lambda x: x, lambda x: 0.0
         problem = ProxProblem(
             dim=1,
-            f_value=lambda x: 0.5 * float(x @ x),
-            f_grad=lambda x: x,
-            h_value=lambda x: 0.0,
+            f_value=f_value,
+            f_grad=f_grad,
+            h_value=h_value,
             prox=lambda t, x: x * np.nan,
             smoothness=1.0,
+            **fused_oracles(f_value, f_grad, h_value),
         )
         with pytest.raises(ValueError, match="non-finite"):
             run_composite(from_diagonal([1.0]), problem, np.zeros(1))
@@ -311,8 +317,20 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path, problem)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:3] == ["k", "obj", "grad_plus_subgrad_sq"]
+        assert lines[0] == "k,obj,grad_plus_subgrad_sq,obj_gap,dist_to_opt"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("missing", ["x_star", "opt_value"])
+    def test_export_without_an_optimum_is_refused(self, tmp_path, lasso, missing):
+        spec, problem = lasso
+        trace = run_pogm(4, problem, initial_point(spec))
+        bare = dataclasses.replace(problem, **{missing: None})
+        with pytest.raises(ValueError, match="reference optimum, x_star and opt_value"):
+            trace_summary(trace, bare)
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="reference optimum"):
+            write_trace_csv(trace, path, bare)
+        assert not path.exists()
 
     def test_infinite_start_serializes_as_null(self, boxqp):
         spec, problem = boxqp
@@ -350,8 +368,7 @@ def counted(problem: ProxProblem):
 
         return call
 
-    wrapped = {name: recorder(name) for name in calls if getattr(problem, name) is not None}
-    return dataclasses.replace(problem, **wrapped), calls
+    return dataclasses.replace(problem, **{name: recorder(name) for name in calls}), calls
 
 
 # the runners, each called as runner(n, problem, x0); the silver schedule has 7 steps
@@ -366,7 +383,7 @@ RUNNERS = {
 
 class TestSmoothOracleCalls:
     """One fused smooth call per visited point, f_value never, and h from
-    one h_rows call per run when the problem has that oracle."""
+    one h_rows call per run."""
 
     @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
     def test_runners(self, lasso, runner):
@@ -393,28 +410,21 @@ class TestSmoothOracleCalls:
         # the start and every restart step from a fused point: its gradient serves
         assert len(calls["f_grad"]) < iterations - 1
 
-    def test_problem_without_a_fused_oracle_calls_its_own_pair(self):
-        center = np.array([1.0, -2.0])
-        problem = quadratic_problem(np.eye(2), center)
-        assert problem.f_value_grad is None
-        x = np.array([0.5, 0.25])
-        value, grad = problem.value_grad()(x)
-        assert value == problem.f_value(x) and np.array_equal(grad, problem.f_grad(x))
-        copy = dataclasses.replace(problem, f_grad=lambda x: 2.0 * (x - center))
-        assert np.array_equal(copy.value_grad()(x)[1], 2.0 * (x - center))
+    @pytest.mark.parametrize("fused", ["f_value_grad", "h_rows"])
+    def test_a_problem_needs_both_fused_oracles(self, fused):
+        f_value, f_grad, h_value = lambda x: 0.5 * float(x @ x), lambda x: x, lambda x: 0.0
+        oracles = fused_oracles(f_value, f_grad, h_value)
+        del oracles[fused]
+        with pytest.raises(TypeError, match=fused):
+            ProxProblem(dim=2, f_value=f_value, f_grad=f_grad, h_value=h_value, prox=lambda t, x: x, **oracles)
 
     @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
     def test_h_values_come_from_one_h_rows_call(self, lasso, runner):
         spec, problem = lasso
-        with_rows, calls = counted(problem)
-        trace = runner(5, with_rows, initial_point(spec))
+        problem, calls = counted(problem)
+        trace = runner(5, problem, initial_point(spec))
         assert len(calls["h_rows"]) == 1 and calls["h_rows"][0] is trace.xs
         assert calls["h_value"] == []
-        without_rows, calls = counted(dataclasses.replace(problem, h_rows=None))
-        trace = runner(5, without_rows, initial_point(spec))
-        assert calls["h_rows"] == []
-        assert len(calls["h_value"]) == trace.n + 1
-        assert np.array_equal(np.array(calls["h_value"]), trace.xs)
 
 
 @pytest.fixture(scope="module", params=problems.KINDS)
@@ -424,12 +434,13 @@ def any_kind(request):
 
 
 @pytest.mark.parametrize("runner", RUNNERS.values(), ids=RUNNERS.keys())
-def test_trace_without_h_rows_keeps_its_bits(any_kind, runner):
-    """Dropping h_rows sends the run back to one h_value call per iterate,
-    and every array of the trace keeps its bits; the tripled start leaves
-    the box, so box-QP's h reads +inf there."""
+def test_trace_with_fused_oracles_from_the_plain_ones_keeps_its_bits(any_kind, runner):
+    """A copy whose f_value_grad and h_rows call the plain oracles, one
+    smooth pair per point and one h_value per row, runs to a trace with
+    every array's bits; the tripled start leaves the box, so box-QP's h
+    reads +inf there."""
     spec, problem = any_kind
-    plain = dataclasses.replace(problem, h_rows=None)
+    plain = dataclasses.replace(problem, **fused_oracles(problem.f_value, problem.f_grad, problem.h_value))
     for x0 in (initial_point(spec), 3.0 * initial_point(spec)):
         fast, slow = runner(5, problem, x0), runner(5, plain, x0)
         for name in ("xs", "grads", "subgrads", "f_values", "h_values", "obj_values"):
