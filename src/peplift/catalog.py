@@ -56,12 +56,15 @@ class Family:
     metric: str
     size_flag: str
     asymptotic: str
-    schedule: Callable[[int], StepsizeMatrix]
     certificate: Callable[[int], FuncCertificate | GradCertificate]
     xi: Callable[[int], float | None]
     rate: Callable[[int], float]
     run: Callable[[int, ProxProblem, np.ndarray], RunTrace]
     bound: Callable[[RunTrace, ProxProblem, np.ndarray, float], tuple[float, float]]
+
+    def schedule(self, size: int) -> StepsizeMatrix:
+        """The row's stepsize matrix at this size, keyed by the family name."""
+        return ScheduleSpec(self.name, size).build()
 
     def cell(self, size: int, xi: float | str | None = None, *, lift: bool = True) -> Cell:
         """Certify, and unless lift is False, lift at xi (the row's own
@@ -80,25 +83,22 @@ def _gsw_xi(k: int) -> float:
 FAMILIES = {family.name: family for family in (
     Family(
         name="silver", metric="func", size_flag="k", asymptotic="O(1/n^{log2(1+sqrt(2))})",
-        schedule=lambda k: ScheduleSpec.silver(k).build(),
         certificate=lambda k: silver_func_certificate(k),
         xi=lambda k: 1.0 / math.sqrt(2.0),
         rate=lambda k: SILVER_RATIO / (math.sqrt(2.0) * (4.0 * SILVER_RATIO**k - 2.0)),
-        run=lambda k, problem, x0: run_composite(ScheduleSpec.silver(k).build(), problem, x0),
+        run=lambda k, problem, x0: run_composite(FAMILIES["silver"].schedule(k), problem, x0),
         bound=_distance_bound,
     ),
     Family(
         name="gsw", metric="grad", size_flag="k", asymptotic="O(1/n^{log2(1+sqrt(2))})",
-        schedule=lambda k: ScheduleSpec.gsw(k).build(),
         certificate=lambda k: gsw_grad_certificate(k),
         xi=_gsw_xi,
         rate=lambda k: 2.0 * math.sqrt(2.0) / float(gsw_taus(k)[-1]),
-        run=lambda k, problem, x0: run_composite(ScheduleSpec.gsw(k).build(), problem, x0),
+        run=lambda k, problem, x0: run_composite(FAMILIES["gsw"].schedule(k), problem, x0),
         bound=_descent_bound,
     ),
     Family(
         name="ogm", metric="func", size_flag="n", asymptotic="O(1/n^2)",
-        schedule=lambda n: ScheduleSpec.ogm(n).build(),
         certificate=lambda n: ogm_func_certificate(n),
         xi=lambda n: (math.sqrt(5.0) - 1.0) / 4.0 if n >= 2 else 1.0 / 3.0,
         rate=lambda n: (3.0 + math.sqrt(5.0)) / (8.0 * theta_sequence(n)[-1] ** 2) if n >= 2 else 1.0 / 6.0,
@@ -107,7 +107,6 @@ FAMILIES = {family.name: family for family in (
     ),
     Family(
         name="ogmg", metric="grad", size_flag="n", asymptotic="O(1/n^2)",
-        schedule=lambda n: ScheduleSpec.ogmg(n).build(),
         certificate=lambda n: ogmg_grad_certificate(n),
         xi=lambda n: None,  # the lift's corner-zeroing 1 - (lam[n-1,n] + lam[n,n-1]) / r
         rate=lambda n: 2.0 * (math.sqrt(5.0) - 1.0) / theta_sequence(n)[-1] ** 2 if n >= 2 else 2.0 / 3.0,

@@ -12,14 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 import time
 from functools import partial
 
+import numpy as np
+
 from . import catalog, methods, problems
 from .lift import check_xi
 from .reports import ReportRow, dumps17, finite_or_none, write_rollup_csv
-from .schedules import ScheduleSpec
+from .schedules import from_diagonal
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
@@ -34,9 +37,9 @@ def _family(algo, metric=None) -> catalog.Family:
     (the row's own metric when none is given)."""
     family = catalog.FAMILIES.get(algo) if isinstance(algo, str) else None
     if family is None:
-        raise UsageError(f"unknown algorithm {algo!r}; valid: {tuple(catalog.FAMILIES)}")
+        raise UsageError(f"unknown algorithm {reprlib.repr(algo)}; valid: {tuple(catalog.FAMILIES)}")
     if metric is not None and metric != family.metric:
-        raise UsageError(f"algorithm {algo!r} certifies the {family.metric!r} metric, not {metric!r}")
+        raise UsageError(f"algorithm {algo!r} certifies the {family.metric!r} metric, not {reprlib.repr(metric)}")
     return family
 
 
@@ -44,7 +47,7 @@ def _size(family: catalog.Family, raw) -> int:
     if raw is None:
         raise UsageError(f"algorithm {family.name!r} is sized by {family.size_flag!r}")
     if type(raw) is not int or raw < 1:
-        raise UsageError(f"{family.size_flag!r} must be an integer >= 1, got {raw!r}")
+        raise UsageError(f"{family.size_flag!r} must be an integer >= 1, got {reprlib.repr(raw)}")
     return raw
 
 
@@ -61,7 +64,7 @@ def _xi(raw):
             return float(raw), "explicit"
         except (ValueError, OverflowError):  # an int beyond float range overflows
             pass
-    raise UsageError(f"xi must be a number, 'paper' or 'pseudo', got {raw!r}")
+    raise UsageError(f"xi must be a number, 'paper' or 'pseudo', got {reprlib.repr(raw)}")
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -125,6 +128,12 @@ def _silver_runner(n: int, alpha: float):
     return partial(catalog.FAMILIES["silver"].run, k)
 
 
+def _const_runner(n: int, alpha: float):
+    if not alpha > 0:  # also rejects nan; StepsizeMatrix rejects inf
+        raise UsageError(f"--alpha must be > 0, got {alpha}")
+    return partial(methods.run_composite, from_diagonal(np.full(n, alpha)))
+
+
 # runner of `peplift run`: (n, alpha) -> (problem, x0) -> trace; the outer
 # call checks n and alpha, so a bad value exits before the reference solve
 RUNNERS = {
@@ -132,7 +141,7 @@ RUNNERS = {
     "pogm": lambda n, alpha: partial(catalog.FAMILIES["ogm"].run, n),
     "pogmg": lambda n, alpha: partial(catalog.FAMILIES["ogmg"].run, n),
     "fista": lambda n, alpha: partial(methods.run_fista, n),
-    "proxgd-const": lambda n, alpha: partial(methods.run_composite, ScheduleSpec.constant_gd(alpha, n).build()),
+    "proxgd-const": _const_runner,
 }
 
 
@@ -179,7 +188,7 @@ def _empirical_ratio(family: catalog.Family, size: int, rate: float, instances: 
 def _sweep_job(cell) -> tuple[catalog.Family, int, float | str | None, int]:
     """Validate one sweep cell: (family, size, xi, instances)."""
     if not isinstance(cell, dict):
-        raise UsageError(f"sweep cell must be an object, got {cell!r}")
+        raise UsageError(f"sweep cell must be an object, got {reprlib.repr(cell)}")
     family = _family(cell.get("algo"), cell.get("metric"))
     size = _size(family, cell.get(family.size_flag))
     xi, _ = _xi(cell.get("xi", "paper"))
@@ -187,7 +196,7 @@ def _sweep_job(cell) -> tuple[catalog.Family, int, float | str | None, int]:
         check_xi(family.metric, xi)
     instances = cell.get("instances", 0)
     if type(instances) is not int or instances < 0:
-        raise UsageError(f"'instances' must be an integer >= 0, got {instances!r}")
+        raise UsageError(f"'instances' must be an integer >= 0, got {reprlib.repr(instances)}")
     return family, size, xi, instances
 
 
@@ -290,8 +299,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    # json.JSONDecodeError is a ValueError; numpy raises MemoryError for an
+    # array too large to allocate before it allocates any of it, and Python
+    # raises one with no message when a list outgrows the memory left
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeWarning as exc:  # raised under -W error::RuntimeWarning: a value left float range
         print(f"error: {exc}", file=sys.stderr)

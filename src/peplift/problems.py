@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 
@@ -51,7 +52,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}; valid: {KINDS}")
+            raise ValueError(f"unknown problem kind {reprlib.repr(self.kind)}; valid: {KINDS}")
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         # "not > 0" also rejects nan
@@ -83,7 +84,8 @@ def spec_from_json(path) -> ProblemSpec:
     dim are required, dim/rows/seed are integers (dim >= 1, the others >= 0)
     and tau/lo/hi/delta are finite numbers.  An explicit design must be a
     finite 2-D a with dim columns, and b, which needs a, a finite 1-D vector
-    with one entry per row of a.
+    with one entry per row of a.  A message echoes a field through
+    reprlib.repr, so its length is bounded whatever the file holds.
     """
     with open(path) as fh:
         try:
@@ -100,19 +102,19 @@ def spec_from_json(path) -> ProblemSpec:
     known = {"kind", "dim", "rows", "seed", "tau", "lo", "hi", "delta"}
     unknown = set(doc) - known
     if unknown:
-        raise ValueError(f"unknown problem spec fields: {sorted(unknown)}")
+        raise ValueError(f"unknown problem spec fields: {reprlib.repr(sorted(unknown))}")
     for name in ("kind", "dim"):
         if name not in doc:
             raise ValueError(f"problem spec needs a {name!r} field")
     for name, low in (("dim", 1), ("rows", 0), ("seed", 0)):
         value = doc.get(name, low)
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValueError(f"{name!r} must be an integer >= {low}, got {value!r}")
+            raise ValueError(f"{name!r} must be an integer >= {low}, got {reprlib.repr(value)}")
     for name in ("tau", "lo", "hi", "delta"):
         value = doc.get(name, 0.0)
         # the comparisons also fail for nan and for integers beyond float range
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+            raise ValueError(f"{name!r} must be a finite number, got {reprlib.repr(value)}")
     if a is not None and (a.ndim != 2 or a.shape[1] != doc["dim"]):
         raise ValueError(f"'a' must be a 2-D array with dim={doc['dim']} columns, got shape {a.shape}")
     if b is not None and a is None:

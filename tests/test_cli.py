@@ -12,6 +12,18 @@ from peplift.cli import main
 from peplift.schedules import SILVER_RATIO
 
 
+def one_short_error_line(capsys) -> str:
+    """The usage error's one stderr line, which must stay under 300 bytes."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err.encode()) < 300
+    return err
+
+
+# a value whose repr would make an error line of about a megabyte
+BIG = "x" * 10**6
+
+
 @pytest.fixture()
 def lasso_spec_file(tmp_path):
     path = tmp_path / "problem.json"
@@ -99,6 +111,10 @@ class TestLift:
     def test_non_finite_xi_is_usage_error(self, capsys, algo, metric, xi):
         assert main(["lift", "--algo", algo, "--metric", metric, "--k", "2", "--xi", xi]) == 2
         assert "xi must" in capsys.readouterr().err
+
+    def test_long_xi_is_one_short_error_line(self, capsys):
+        assert main(["lift", "--algo", "silver", "--metric", "func", "--k", "2", "--xi", BIG]) == 2
+        one_short_error_line(capsys)
 
     @pytest.mark.parametrize("algo,metric,size_flag,size", [
         ("ogm", "func", "--n", "1024"),
@@ -220,6 +236,20 @@ class TestRun:
         assert main(["run", "--algo", "proxgd-const", "--problem", lasso_spec_file,
                      "--n", "4", "--alpha", "1.0"]) == 0
 
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+    def test_const_runner_rejects_alpha_before_the_reference_solve(self, lasso_spec_file, monkeypatch,
+                                                                    capsys, alpha):
+        from peplift import problems
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("make_problem ran for an invalid --alpha")
+
+        monkeypatch.setattr(problems, "make_problem", no_solve)
+        assert main(["run", "--algo", "proxgd-const", "--problem", lasso_spec_file,
+                     "--n", "4", "--alpha", alpha]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_missing_problem_file(self):
         assert main(["run", "--algo", "pogm", "--problem", "/nonexistent.json", "--n", "2"]) == 2
 
@@ -256,6 +286,15 @@ class TestRun:
         '{"kind": "lasso", "dim": 2, "a": [[1, 2]], "b_csv": "b.csv"}',
         # the JSON decoder recurses once per level and gives up far short of 5000
         pytest.param('{"kind": "lasso", "dim": 2, "a": ' + "[" * 5000 + "]" * 5000 + "}", id="a-nested-5000-deep"),
+        # each message echoes the field short, whatever its length
+        *(pytest.param(json.dumps(spec), id=f"{name}-1MB") for name, spec in (
+            ("kind", {"kind": BIG, "dim": 2}),
+            ("dim", {"kind": "lasso", "dim": BIG}),
+            ("rows", {"kind": "lasso", "dim": 2, "rows": BIG}),
+            ("seed", {"kind": "lasso", "dim": 2, "seed": BIG}),
+            ("tau", {"kind": "lasso", "dim": 2, "tau": BIG}),
+            ("field-name", {"kind": "lasso", "dim": 2, BIG: 1}),
+        )),
     ])
     def test_malformed_problem_spec_is_usage_error(self, tmp_path, capsys, monkeypatch, text):
         from peplift import problems
@@ -267,7 +306,7 @@ class TestRun:
         path = tmp_path / "problem.json"
         path.write_text(text)
         assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "2"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        one_short_error_line(capsys)
 
 
 class TestSweep:
@@ -412,15 +451,54 @@ class TestSweep:
         {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": 2, "xi": [1]}]},
         {"cells": [{"algo": "silver", "k": 2}, {"algo": "silver", "k": 2, "instances": 1.5}]},
         {"cells": [{"algo": "silver", "k": 2}, {"algo": ["silver"], "k": 2}]},
+        # each message echoes the cell or field short, whatever its length
+        *({"cells": [{"algo": "silver", "k": 2}, cell]} for cell in (
+            BIG,
+            list(range(10**5)),
+            {"algo": BIG, "k": 2},
+            {"algo": "silver", "metric": BIG, "k": 2},
+            {"algo": "silver", "k": BIG},
+            {"algo": "ogm", "n": BIG},
+            {"algo": "silver", "k": 2, "xi": BIG},
+            {"algo": "silver", "k": 2, "instances": BIG},
+        )),
     ], ids=["list", "cells-object", "cell-string", "missing-k", "float-k", "bool-k", "list-xi",
-            "float-instances", "list-algo"])
+            "float-instances", "list-algo", "cell-string-1MB", "cell-list-1MB", "algo-1MB", "metric-1MB",
+            "k-1MB", "n-1MB", "xi-1MB", "instances-1MB"])
     def test_malformed_config_rejected_before_any_cell_runs(self, tmp_path, capsys, config):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        one_short_error_line(capsys)
         assert not out.exists()
+
+
+class TestTooLargeToAllocate:
+    """A size whose arrays numpy refuses to allocate (TiB-scale, refused
+    before any of it is allocated) is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--algo", "ogm", "--metric", "func", "--n", "1000000"],
+        ["lift", "--algo", "ogmg", "--metric", "grad", "--n", "1000000"],
+    ], ids=["certify-ogm", "lift-ogmg"])
+    def test_cell(self, capsys, argv):
+        assert main(argv) == 2
+        assert "Unable to allocate" in one_short_error_line(capsys)
+
+    def test_run_problem(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "lasso", "dim": 10**6}))
+        assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "2"]) == 2
+        assert "Unable to allocate" in one_short_error_line(capsys)
+
+    def test_memory_error_without_a_message_is_named(self, monkeypatch, capsys):
+        def out_of_memory(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_certify", out_of_memory)
+        assert main(["certify", "--algo", "ogm", "--metric", "func", "--n", "2"]) == 2
+        assert one_short_error_line(capsys) == "error: MemoryError\n"
 
 
 class TestEntryPoint:

@@ -102,7 +102,7 @@ def test_three_sequence_runners(instance, n):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_composite_runner(instance, k):
     spec, problem, plain, x0 = instance
-    for schedule in (ScheduleSpec.silver(k), ScheduleSpec.gsw(k), ScheduleSpec.ogm(2 * k + 1)):
+    for schedule in (ScheduleSpec("silver", k), ScheduleSpec("gsw", k), ScheduleSpec("ogm", 2 * k + 1)):
         H = schedule.build()
         assert_same_trace(run_composite(H, problem, x0), run_composite_plain(H, plain, x0))
 

@@ -22,7 +22,6 @@ from peplift.methods import (
 from peplift.problems import ProblemSpec, initial_point, make_problem, soft_threshold
 from peplift.schedules import (
     SILVER_RATIO,
-    ScheduleSpec,
     StepsizeMatrix,
     from_diagonal,
     gsw_schedule,
@@ -80,7 +79,7 @@ class TestUnconstrained:
 
     def test_single_unit_step_kills_quadratic(self):
         problem = quadratic_problem(np.eye(1), np.zeros(1))
-        trace = run_composite(ScheduleSpec.constant_gd(1.0, 1).build(), problem, np.array([1.0]))
+        trace = run_composite(from_diagonal(np.full(1, 1.0)), problem, np.array([1.0]))
         assert abs(trace.xs[-1][0]) < 1e-15
 
     def test_ogm_rate_on_random_quadratic(self, rng):
@@ -114,7 +113,7 @@ class TestCompositeRunner:
         for H in (
             ogm_stepsize_matrix(5),
             from_diagonal(silver_schedule(2)),
-            ScheduleSpec.constant_gd(0.8, 4).build(),
+            from_diagonal(np.full(4, 0.8)),
             StepsizeMatrix(upper),
         ):
             plain = run_unconstrained_plain(H, problem, x0)
@@ -346,7 +345,7 @@ class TestTraceExport:
         spec = ProblemSpec(kind="lasso", dim=3, rows=5, seed=1, tau=0.1)
         problem = make_problem(spec)
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = run_composite(ScheduleSpec.constant_gd(1e30, 6).build(), problem, initial_point(spec))
+            trace = run_composite(from_diagonal(np.full(6, 1e30)), problem, initial_point(spec))
             path = tmp_path / "trace.csv"
             write_trace_csv(trace, path, problem)
         lines = path.read_text().splitlines()
@@ -373,8 +372,8 @@ def counted(problem: ProxProblem):
 
 # the runners, each called as runner(n, problem, x0); the silver schedule has 7 steps
 RUNNERS = {
-    "composite-silver": lambda n, p, x0: run_composite(ScheduleSpec.silver(3).build(), p, x0),
-    "composite-ogm": lambda n, p, x0: run_composite(ScheduleSpec.ogm(n).build(), p, x0),
+    "composite-silver": lambda n, p, x0: run_composite(from_diagonal(silver_schedule(3)), p, x0),
+    "composite-ogm": lambda n, p, x0: run_composite(ogm_stepsize_matrix(n), p, x0),
     "pogm": run_pogm,
     "pogmg": run_pogmg,
     "fista": run_fista,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -285,58 +286,62 @@ class TestStepsizeMatrixInvariants:
 class TestScheduleSpec:
     @pytest.mark.parametrize(
         "spec",
-        [ScheduleSpec.silver(k) for k in range(1, 8)]
-        + [ScheduleSpec.gsw(k) for k in range(1, 8)]
-        + [ScheduleSpec.ogm(n) for n in (1, 2, 17, 127)]
-        + [ScheduleSpec.ogmg(n) for n in (1, 2, 17, 127)]
-        + [ScheduleSpec.constant_gd(0.3, 11)],
+        [ScheduleSpec("silver", k) for k in range(1, 8)]
+        + [ScheduleSpec("gsw", k) for k in range(1, 8)]
+        + [ScheduleSpec("ogm", n) for n in (1, 2, 17, 127)]
+        + [ScheduleSpec("ogmg", n) for n in (1, 2, 17, 127)],
     )
     def test_diagonal_nonzero_and_invertible(self, spec):
-        assert spec.n <= 127
         h = spec.build()
+        assert h.n <= 127
         assert np.all(np.diag(h.entries) != 0.0)
         assert np.isfinite(np.linalg.cond(h.entries))
 
     @pytest.mark.parametrize(
         "spec",
-        [ScheduleSpec.silver(k) for k in (1, 2, 3)]
-        + [ScheduleSpec.gsw(k) for k in (1, 2, 3)]
-        + [ScheduleSpec.ogm(n) for n in (1, 4)]
-        + [ScheduleSpec.ogmg(n) for n in (1, 4)]
-        + [ScheduleSpec.constant_gd(0.3, 5)],
-        ids=lambda spec: f"{spec.kind}-{spec.n}",
+        [ScheduleSpec("silver", k) for k in (1, 2, 3)]
+        + [ScheduleSpec("gsw", k) for k in (1, 2, 3)]
+        + [ScheduleSpec("ogm", n) for n in (1, 4)]
+        + [ScheduleSpec("ogmg", n) for n in (1, 4)],
+        ids=lambda spec: f"{spec.kind}-{spec.size}",
     )
     def test_build_is_the_family_it_names(self, spec):
         expected = {
-            "silver": lambda: from_diagonal(silver_schedule(spec.k)),
-            "gsw": lambda: from_diagonal(gsw_schedule(spec.k)),
-            "ogm": lambda: ogm_stepsize_matrix(spec.n),
-            "ogmg": lambda: ogmg_stepsize_matrix(spec.n),
-            "constant": lambda: from_diagonal(np.full(spec.n, spec.alpha)),
+            "silver": lambda: from_diagonal(silver_schedule(spec.size)),
+            "gsw": lambda: from_diagonal(gsw_schedule(spec.size)),
+            "ogm": lambda: ogm_stepsize_matrix(spec.size),
+            "ogmg": lambda: ogmg_stepsize_matrix(spec.size),
         }[spec.kind]()
         h = spec.build()
-        assert h.n == spec.n
+        assert h.n == (2**spec.size - 1 if spec.kind in ("silver", "gsw") else spec.size)
         np.testing.assert_array_equal(h.entries, expected.entries)
         assert [f.kind for f in h.factors] == [f.kind for f in expected.factors]
 
-    @pytest.mark.parametrize("fields, match", [
-        (dict(kind="nope", n=2), "unknown schedule kind"),
-        (dict(kind="ogm", n=0), ">= 1"),
-        (dict(kind="ogmg", n=-1), ">= 1"),
-        (dict(kind="gsw", n=4, k=2), r"2\*\*k - 1"),
-        (dict(kind="silver", n=3), r"2\*\*k - 1"),
-        (dict(kind="constant", n=3), "alpha > 0"),
-        (dict(kind="constant", n=3, alpha=-0.5), "alpha > 0"),
-    ], ids=["unknown-kind", "ogm-n0", "ogmg-negative-n", "gsw-length", "silver-without-k",
-            "constant-without-alpha", "constant-negative-alpha"])
-    def test_rejects_invalid_fields(self, fields, match):
+    def test_holds_only_a_family_name_and_a_size(self):
+        assert [f.name for f in dataclasses.fields(ScheduleSpec)] == ["kind", "size"]
+        assert ScheduleSpec.silver(3) == ScheduleSpec("silver", 3)
+        assert ScheduleSpec.gsw(2) == ScheduleSpec("gsw", 2)
+
+    def test_catalog_rows_build_through_the_spec(self, monkeypatch):
+        # the family name is the one key from a catalog row to its H, so a
+        # wrapper of ScheduleSpec.build sees every row's build
+        from peplift.catalog import FAMILIES, Family
+
+        assert "schedule" not in {f.name for f in dataclasses.fields(Family)}
+        built, build = [], ScheduleSpec.build
+        monkeypatch.setattr(ScheduleSpec, "build", lambda spec: built.append(spec) or build(spec))
+        for family in FAMILIES.values():
+            family.schedule(2)
+        assert built == [ScheduleSpec(name, 2) for name in FAMILIES]
+
+    @pytest.mark.parametrize("kind, size, match", [
+        ("nope", 2, r"unknown schedule kind 'nope'; valid: \('silver', 'gsw', 'ogm', 'ogmg'\)"),
+        ("constant", 3, "unknown schedule kind"),
+        ("ogm", 0, ">= 1"),
+        ("ogmg", -1, ">= 1"),
+        ("silver", 0, ">= 1"),
+        ("gsw", 0, ">= 1"),
+    ], ids=["unknown-kind", "constant-kind", "ogm-n0", "ogmg-negative-n", "silver-k0", "gsw-k0"])
+    def test_rejects_invalid_fields(self, kind, size, match):
         with pytest.raises(ValueError, match=match):
-            ScheduleSpec(**fields)
-
-    def test_silver_requires_power_of_two_length(self):
-        with pytest.raises(ValueError, match="2\\*\\*k - 1"):
-            ScheduleSpec(kind="silver", n=5, k=2)
-
-    def test_constant_requires_positive_step(self):
-        with pytest.raises(ValueError):
-            ScheduleSpec.constant_gd(0.0, 3)
+            ScheduleSpec(kind, size).build()
