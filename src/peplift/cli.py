@@ -67,6 +67,21 @@ def _xi(raw):
     raise UsageError(f"xi must be a number, 'paper' or 'pseudo', got {reprlib.repr(raw)}")
 
 
+def _typed(convert, name: str):
+    """argparse type converting with convert; a bad value's message echoes
+    it through reprlib.repr, so it stays short whatever the value's length."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:  # also int's digit limit
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {reprlib.repr(text)}") from None
+
+    return parse
+
+
+_INT = _typed(int, "int")
+
+
 def _write_json(path: str | None, doc: dict) -> None:
     if path:
         text = dumps17(finite_or_none(doc))  # before the file is opened, so a failure leaves none
@@ -270,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     for cell_p in (certify, lift_p):
         cell_p.add_argument("--algo", required=True, choices=catalog.FAMILIES)
         cell_p.add_argument("--metric", required=True, choices=("func", "grad"))
-        cell_p.add_argument("--n", type=int)
-        cell_p.add_argument("--k", type=int)
+        cell_p.add_argument("--n", type=_INT)
+        cell_p.add_argument("--k", type=_INT)
     certify.add_argument("--json", help="write the residual report here")
     certify.set_defaults(func=cmd_certify)
     lift_p.add_argument("--xi", default="paper", help="'paper', 'pseudo', or a number")
@@ -281,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a method on a problem spec")
     run_p.add_argument("--algo", required=True, choices=RUNNERS)
     run_p.add_argument("--problem", required=True, help="problem spec JSON file")
-    run_p.add_argument("--n", type=int, required=True, help="iteration count")
-    run_p.add_argument("--alpha", type=float, default=1.0, help="stepsize for proxgd-const")
+    run_p.add_argument("--n", type=_INT, required=True, help="iteration count")
+    run_p.add_argument("--alpha", type=_typed(float, "float"), default=1.0, help="stepsize for proxgd-const")
     run_p.add_argument("--csv", help="write the per-iterate trace here")
     run_p.add_argument("--json", help="write the trace summary here")
     run_p.set_defaults(func=cmd_run)

@@ -6,8 +6,17 @@ regression.  Smoothness constants come from the largest eigenvalue of the
 Gram matrix.  Optimal values are produced by a high-accuracy reference solve
 (FISTA with adaptive restart, capped at 1e5 iterations, plus an active-set
 polish when the structure allows); an instance whose optimum leaves float
-range is rejected.  Results are deterministic given the seed; cross-platform
-agreement is to tolerance, not bit-exact.
+range is rejected.  On lasso and box-QP the solve polishes its iterate x
+every POLISH_EVERY iterations and stops at the first polished point c with
+(a) F(c) <= F(x) and (b) a prox-gradient residual at c of at most
+1e-15 (1 + ||x||), the loop's own stop test scaled by the iterate's norm;
+otherwise it runs to that stop test.  The point it returns is polished once
+more, and the polish adopted if its fixed-point residual is no larger.
+With a full-rank design the minimizer is unique, so the early stop and the
+full run reach one point, to rounding; a rank-deficient design may get
+another point of its minimizer set.
+Results are deterministic given the seed; cross-platform agreement is to
+tolerance, not bit-exact.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +36,8 @@ from .methods import ProxProblem
 KINDS = ("lasso", "boxqp", "smooth_quadratic", "smooth_huber", "l1_logistic")
 
 REFERENCE_MAX_ITERS = 100_000
+# iterations between the reference solve's polish attempts
+POLISH_EVERY = 10
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -167,13 +179,22 @@ def initial_point(spec: ProblemSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS):
+def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS, polish=None):
     """FISTA with function-value adaptive restart; returns the best point.
 
     One fused smooth call at each new point gives F there and the gradient
     of the prox-gradient residual; when y is that point (the start, or a
     restart) the same gradient takes the next step.  Stops early once the
     residual is at rounding level.
+
+    With a polish callable (iterate -> exact candidate or None), every
+    POLISH_EVERY iterations, after the stop test, the current iterate x is
+    polished, and the solve returns the candidate c with F(c) once (a)
+    F(c) <= F(x) and (b) ||c - prox(c - grad f(c)/L)|| <= 1e-15 (1 + ||x||).
+    A blown-up solve of a singular active set (a rank-deficient design) can
+    be so large that its prox-gradient step rounds away and its residual
+    reads about 0: (a) rejects it, and scaling (b) by the iterate's norm
+    rather than its own keeps (b) from loosening with its size.
     """
     f_value_grad, f_grad, h_value, prox = problem.f_value_grad, problem.f_grad, problem.h_value, problem.prox
     smoothness = problem.smoothness
@@ -182,7 +203,7 @@ def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS):
     val = best_val = value + h_value(x)  # val is F(x), kept from the step that produced x
     t = 1.0
     step = 1.0 / smoothness
-    for _ in range(max_iters):
+    for it in range(1, max_iters + 1):
         if grad_y is None:
             grad_y = f_grad(y)
         x_new = prox(step, y - grad_y / smoothness)
@@ -199,8 +220,17 @@ def _fista_reference(problem: ProxProblem, x0, max_iters=REFERENCE_MAX_ITERS):
             t = t_new
         d = x_new - prox(step, x_new - grad / smoothness)
         x, val = x_new, val_new
-        if math.sqrt(d.dot(d)) <= 1e-15 * (1.0 + math.sqrt(x.dot(x))):  # np.linalg.norm's own formula
+        tol = 1e-15 * (1.0 + math.sqrt(x.dot(x)))  # np.linalg.norm's own formula
+        if math.sqrt(d.dot(d)) <= tol:
             break
+        if polish is not None and it % POLISH_EVERY == 0:
+            c = polish(x)
+            if c is not None:
+                value, grad = f_value_grad(c)
+                c_val = value + h_value(c)
+                d = c - prox(step, c - grad / smoothness)
+                if c_val <= val and math.sqrt(d.dot(d)) <= tol:
+                    return c, c_val
     return best_x, best_val
 
 
@@ -356,13 +386,14 @@ def _reference_optimum(spec, a, b, problem: ProxProblem):
         def fp_residual(x):
             return float(np.max(np.abs(prox(1.0 / smoothness, x - f_grad(x) / smoothness) - x)))
 
-        x0 = np.zeros(spec.dim) if spec.kind != "boxqp" else np.clip(np.zeros(spec.dim), spec.lo, spec.hi)
-        x_star, _ = _fista_reference(problem, x0)
-        polished = None
+        polish = None
         if spec.kind == "lasso":
-            polished = _polish_lasso(a, b, spec.tau, x_star)
+            polish = partial(_polish_lasso, a, b, spec.tau)
         elif spec.kind == "boxqp":
-            polished = _polish_boxqp(a, b, spec.lo, spec.hi, x_star)
+            polish = partial(_polish_boxqp, a, b, spec.lo, spec.hi)
+        x0 = np.zeros(spec.dim) if spec.kind != "boxqp" else np.clip(np.zeros(spec.dim), spec.lo, spec.hi)
+        x_star, _ = _fista_reference(problem, x0, polish=polish)
+        polished = polish(x_star) if polish is not None else None
         # the polished point is a machine-exact stationary solve; adopt it on
         # the fixed-point residual (objective differences sit below rounding)
         if polished is not None and fp_residual(polished) <= fp_residual(x_star):

@@ -179,21 +179,20 @@ def from_diagonal(steps) -> StepsizeMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_valuation(i: int) -> int:
-    """Largest j such that 2**j divides i (i >= 1)."""
-    return (i & -i).bit_length() - 1
-
-
 def silver_schedule(k: int) -> np.ndarray:
     """Silver stepsizes of length 2**k - 1, from the dyadic closed form.
 
     Step i equals 1 + rho**(nu(i) - 1) where rho is the silver ratio and
-    nu(i) is the 2-adic valuation of i.
+    nu(i) is the 2-adic valuation of i.  The output is allocated before any
+    step is computed, so a size beyond memory fails at once; the i with
+    nu(i) = v are the odd multiples of 2**v, one strided slice per value.
     """
     if k < 1:
         raise ValueError(f"silver schedule needs k >= 1, got {k}")
-    n = 2**k - 1
-    return np.array([1.0 + SILVER_RATIO ** (_dyadic_valuation(i) - 1) for i in range(1, n + 1)])
+    steps = np.empty(2**k - 1)
+    for v in range(k):
+        steps[2**v - 1 :: 2 ** (v + 1)] = 1.0 + SILVER_RATIO ** (v - 1)
+    return steps
 
 
 def gsw_taus(k: int) -> np.ndarray:
@@ -217,12 +216,17 @@ def gsw_schedule(k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"gsw schedule needs k >= 1, got {k}")
+    # doubling kk appends its bridge as step 2**kk and its silver block as
+    # steps 2**kk + 1 .. 2**(kk+1) - 1, where step i is the block's step
+    # i - 2**kk, of the same 2-adic valuation: the order-k silver schedule
+    # holds every block, and only its steps 2**kk (kk < k) change, to the
+    # first step and the bridges
+    steps = silver_schedule(k)
+    steps[0] = 1.5
     taus = gsw_taus(k)
-    steps = np.array([1.5])
     for kk in range(1, k):
         t, r = taus[kk - 1], SILVER_RATIO**kk
-        eta = 1.0 + (math.sqrt(t * t + 8.0 * r * t) - t) / 4.0
-        steps = np.concatenate([steps, [eta], silver_schedule(kk)])
+        steps[2**kk - 1] = 1.0 + (math.sqrt(t * t + 8.0 * r * t) - t) / 4.0
     return steps
 
 

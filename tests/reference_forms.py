@@ -5,7 +5,8 @@ the theta recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
 partial-sum kernel, the pair and per-row forms of a problem's fused oracles,
 and the plain forms of the OGM and OGM-G schedule loops, U(d)'s row loop,
-the runners, the lasso/box-QP oracles, the reference solve, the ledger
+the runners, the lasso/box-QP oracles, the reference solve (also without
+its early exit), the silver and gsw schedules as lists, the ledger
 assembly, the lifts and the feasibility checks, which the library's faster
 forms must reproduce bit for bit.  The plain lifts take their shifted multiplier rows
 from the library's kernel; the dense solve that formed those rows before
@@ -24,7 +25,8 @@ from peplift.certificates import FuncCertificate, GradCertificate, aggregates
 from peplift.ledger import _DENSE_STEPS, GramLedger, ix_dist, ix_g, ix_s, ix_s_star
 from peplift.lift import CompositeLift, FeasibilityReport, _shifted_rows, _sigma, pseudoinverse_xi
 from peplift.methods import ProxProblem, RunTrace
-from peplift.schedules import SILVER_RATIO, StepsizeMatrix, phi_sequence, theta_sequence
+from peplift.problems import _polish_boxqp, _polish_lasso
+from peplift.schedules import SILVER_RATIO, StepsizeMatrix, gsw_taus, phi_sequence, theta_sequence
 
 
 def hc_product(H: StepsizeMatrix) -> np.ndarray:
@@ -50,6 +52,27 @@ def silver_schedule_recursive(k: int) -> np.ndarray:
     steps = np.array([math.sqrt(2.0)])
     for kk in range(1, k):
         steps = np.concatenate([steps, [SILVER_RATIO ** (kk - 1) + 1.0], steps])
+    return steps
+
+
+def silver_schedule_listed(k: int) -> np.ndarray:
+    """Silver stepsizes built as a Python list, one valuation per step."""
+    if k < 1:
+        raise ValueError(f"silver schedule needs k >= 1, got {k}")
+    valuation = lambda i: (i & -i).bit_length() - 1
+    return np.array([1.0 + SILVER_RATIO ** (valuation(i) - 1) for i in range(1, 2**k)])
+
+
+def gsw_schedule_concatenated(k: int) -> np.ndarray:
+    """GSW stepsizes by concatenating [steps, bridge, silver block] per doubling."""
+    if k < 1:
+        raise ValueError(f"gsw schedule needs k >= 1, got {k}")
+    taus = gsw_taus(k)
+    steps = np.array([1.5])
+    for kk in range(1, k):
+        t, r = taus[kk - 1], SILVER_RATIO**kk
+        eta = 1.0 + (math.sqrt(t * t + 8.0 * r * t) - t) / 4.0
+        steps = np.concatenate([steps, [eta], silver_schedule_listed(kk)])
     return steps
 
 
@@ -344,6 +367,28 @@ def fista_reference_plain(f_grad, prox, smoothness, x0, f_full, max_iters=100_00
         if residual <= 1e-15 * (1.0 + np.linalg.norm(x)):
             break
     return best_x, best_val
+
+
+def reference_optimum_plain(spec, a, b, smoothness):
+    """(x_star, F(x_star)) of a seeded lasso or box-QP spec without the early
+    exit: the closed form on the identity design (rows=0); otherwise the full
+    plain FISTA run, then one polish of its best point, adopted when its
+    max-abs fixed-point residual is no larger."""
+    f_value, f_grad, h_value, prox = plain_oracles(spec, a, b)
+    full = lambda x: f_value(x) + h_value(x)
+    if spec.rows == 0:
+        x_star = prox(1.0, b)
+        return x_star, full(x_star)
+    x0 = np.zeros(spec.dim) if spec.kind == "lasso" else np.clip(np.zeros(spec.dim), spec.lo, spec.hi)
+    x_star, _ = fista_reference_plain(f_grad, prox, smoothness, x0, full)
+    if spec.kind == "lasso":
+        polished = _polish_lasso(a, b, spec.tau, x_star)
+    else:
+        polished = _polish_boxqp(a, b, spec.lo, spec.hi, x_star)
+    residual = lambda x: float(np.max(np.abs(prox(1.0 / smoothness, x - f_grad(x) / smoothness) - x)))
+    if polished is not None and residual(polished) <= residual(x_star):
+        x_star = polished
+    return x_star, full(x_star)
 
 
 # ---------------------------------------------------------------------------

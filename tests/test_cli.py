@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -492,6 +493,28 @@ class TestTooLargeToAllocate:
         assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "2"]) == 2
         assert "Unable to allocate" in one_short_error_line(capsys)
 
+    @pytest.mark.parametrize("algo, metric", [("silver", "func"), ("gsw", "grad")])
+    def test_doubling_order_beyond_memory_fails_at_once(self, algo, metric):
+        # k=40 asks for 2**40 - 1 steps (8 TiB): the schedule's one output
+        # array is refused before any step is computed.  The child runs under
+        # a 1 GiB address-space cap, so a build that grew step by step could
+        # not take the machine down; it would show in the child's peak RSS.
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from peplift.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "certify", "--algo", algo, "--metric", metric, "--k", "40"],
+            capture_output=True, text=True, timeout=20, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Unable to allocate" in proc.stderr
+        assert int(proc.stdout) < 300 * 1024
+
     def test_memory_error_without_a_message_is_named(self, monkeypatch, capsys):
         def out_of_memory(args):
             raise MemoryError
@@ -521,6 +544,19 @@ class TestEntryPoint:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--algo", "ogm", "--metric", "func", "--n", BIG[:10**5]],
+        ["lift", "--algo", "silver", "--metric", "func", "--k", BIG[:10**5]],
+        ["run", "--algo", "pogm", "--problem", "problem.json", "--n", BIG[:10**5]],
+        ["run", "--algo", "proxgd-const", "--problem", "problem.json", "--n", "2", "--alpha", BIG[:10**5]],
+    ], ids=["certify-n", "lift-k", "run-n", "run-alpha"])
+    def test_typed_flag_echoes_its_value_short(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid" in err and len(err.encode()) < 300
 
     def test_usage_error_exit_code_from_argparse(self):
         proc = subprocess.run(

@@ -49,6 +49,7 @@ from reference_forms import (
     ogm_stepsize_matrix_plain,
     ogmg_stepsize_matrix_plain,
     plain_oracles,
+    reference_optimum_plain,
     run_composite_plain,
     run_fista_plain,
     run_pogm_plain,
@@ -116,11 +117,43 @@ def test_fista_runner(instance):
 def test_reference_optimum(instance, monkeypatch):
     spec, problem, plain, x0 = instance
     a, b = problems._design(spec)
-    monkeypatch.setattr(problems, "_fista_reference", lambda p, x0: fista_reference_plain(
+    # the full plain run, whatever polish it is handed: the library's early
+    # exit must land on the point the full run and its polish reach
+    monkeypatch.setattr(problems, "_fista_reference", lambda p, x0, polish=None: fista_reference_plain(
         p.f_grad, p.prox, p.smoothness, x0, lambda x: p.f_value(x) + p.h_value(x)))
     x_star, opt_value = problems._reference_optimum(spec, a, b, plain)
     assert_bitwise_equal(problem.x_star, x_star)
     assert_bitwise_equal(problem.opt_value, opt_value)
+
+
+def full_rank_specs(count: int, seed: int) -> list[ProblemSpec]:
+    """Seeded lasso and box-QP specs of dims 2-40 whose design has full column
+    rank: the identity, or two to three times as many rows as columns (a
+    near-square design takes the plain full run seconds).  Every fourth box
+    is a single point."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        dim = int(rng.integers(2, 41))
+        rows = 0 if i % 5 == 0 else 2 * dim + int(rng.integers(0, dim + 1))
+        if i % 2 == 0:
+            tau = float(10 ** rng.uniform(-3, -0.3))
+            specs.append(ProblemSpec(kind="lasso", dim=dim, rows=rows, seed=seed + i, tau=tau))
+        else:
+            lo = float(rng.uniform(-1.0, 0.5))
+            hi = lo if i % 4 == 3 else lo + float(rng.uniform(1e-3, 1.5))
+            specs.append(ProblemSpec(kind="boxqp", dim=dim, rows=rows, seed=seed + i, lo=lo, hi=hi))
+    return specs
+
+
+def test_reference_optimum_matches_the_full_run():
+    # the early exit stops at a polished point; on a full-rank design the
+    # minimizer is unique, so it is the one the full run's polish reaches
+    for spec in full_rank_specs(60, 7000):
+        problem = make_problem(spec)
+        x_star, opt_value = reference_optimum_plain(spec, *problems._design(spec), problem.smoothness)
+        assert_bitwise_equal(problem.x_star, x_star)
+        assert_bitwise_equal(problem.opt_value, opt_value)
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 7, 60, 100_000])

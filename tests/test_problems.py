@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from peplift import problems
 from peplift.methods import run_composite, run_fista
 from peplift.problems import (
     KINDS,
@@ -22,6 +24,19 @@ def assert_h_is_zero(problem):
         assert problem.h_value(x) == 0.0
         for t in (0.5, 3.0):
             assert np.array_equal(problem.prox(t, x), x)
+
+
+def f_value_grad_calls(problem, solve) -> int:
+    """How many f_value_grad calls solve(problem) makes."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return problem.f_value_grad(x)
+
+    solve(dataclasses.replace(problem, f_value_grad=counted))
+    return calls
 
 
 class TestClosedForms:
@@ -61,6 +76,33 @@ class TestReferenceSolve:
         trace = run_fista(3000, problem, initial_point(spec))
         assert problem.opt_value <= trace.obj_values[-1] + 1e-12
         assert trace.obj_values[-1] - problem.opt_value < 1e-9
+
+    @pytest.mark.parametrize("spec, opt_value", [
+        (ProblemSpec(kind="lasso", dim=12, rows=1, seed=8029, tau=0.001), 0.000582821917151526),
+        (ProblemSpec(kind="lasso", dim=2, rows=1, seed=8119, tau=0.001), 0.0009502941279918209),
+    ])
+    def test_early_exit_rejects_a_blown_up_polish(self, spec, opt_value):
+        # one row: the active set's Gram matrix is singular, and its solve
+        # lands near 1e12 (8029) or 5e13 (8119), where the prox-gradient step
+        # rounds away; a residual test scaled by the candidate's norm passes
+        # both, one scaled by the iterate's norm passes 8029, and F(c) <= F(x)
+        # rejects both
+        assert make_problem(spec).opt_value == opt_value
+
+    @pytest.mark.parametrize("kind, base", [("lasso", 2000), ("boxqp", 3000)])
+    def test_early_exit_saves_four_fifths_of_the_oracle_calls(self, kind, base):
+        # the envelope benchmark's seed-0 instances, against the loop run to
+        # its own stop test from the same start
+        shape = dict(dim=10, rows=20, tau=0.1) if kind == "lasso" else dict(dim=8, rows=14, lo=-0.7, hi=0.8)
+        reference = full = 0
+        for seed in range(base, base + 50):
+            spec = ProblemSpec(kind=kind, seed=seed, **shape)
+            problem = make_problem(spec)
+            x0 = np.clip(np.zeros(spec.dim), spec.lo, spec.hi) if kind == "boxqp" else np.zeros(spec.dim)
+            reference += f_value_grad_calls(problem, lambda p: problems._reference_optimum(
+                spec, *problems._design(spec), p))
+            full += f_value_grad_calls(problem, lambda p: problems._fista_reference(p, x0))
+        assert reference <= full / 5
 
     def test_boxqp_reference_stationarity(self):
         spec = ProblemSpec(kind="boxqp", dim=7, rows=12, seed=31, lo=-0.5, hi=0.5)

@@ -21,8 +21,10 @@ from peplift.schedules import (
     theta_sequence,
 )
 from reference_forms import (
+    gsw_schedule_concatenated,
     ogm_factored,
     ogmg_factored,
+    silver_schedule_listed,
     silver_schedule_recursive,
     theta_sequence_plain,
     u_matrix,
@@ -48,6 +50,10 @@ class TestSilver:
     def test_closed_form_matches_recursion(self, k):
         a, b = silver_schedule(k), silver_schedule_recursive(k)
         assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_keeps_the_bits_of_the_listed_form(self, k):
+        assert silver_schedule(k).tobytes() == silver_schedule_listed(k).tobytes()
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -77,6 +83,10 @@ class TestGsw:
             lhs = steps[2**k - 1]  # eta_k sits after the first 2**k - 1 steps
             rhs = 1 + RHO**k * (1 - 2 * RHO**k / taus[k])
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_keeps_the_bits_of_the_concatenated_form(self, k):
+        assert gsw_schedule(k).tobytes() == gsw_schedule_concatenated(k).tobytes()
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
