@@ -125,6 +125,23 @@ def aggregates(cert: FuncCertificate | GradCertificate) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
+def _doubled(lam: np.ndarray, scale: float, block: np.ndarray, kk: int, glue: float, down: float) -> np.ndarray:
+    """One doubling from order kk to kk+1: lam and scale * block (written in
+    place) on the diagonal, glue * (silver_schedule(kk), 1) along lam's last
+    row, glue * silver_schedule(kk) along block's, and down under lam's corner."""
+    n = 2**kk - 1
+    m = 2 * n + 1
+    new = np.zeros((m + 1, m + 1))
+    new[: n + 1, : n + 1] = lam
+    np.multiply(scale, block, out=new[n + 1 :, n + 1 :])
+    new[n, m] += glue
+    new[m, n] += down
+    pi = silver_schedule(kk)
+    new[n, n + 1 : m] += glue * pi
+    new[m, n + 1 : m] += glue * pi
+    return new
+
+
 def silver_lambda_bar(k: int) -> np.ndarray:
     """Iterate-row multipliers for silver-stepsize GD, by recursive gluing.
 
@@ -135,28 +152,14 @@ def silver_lambda_bar(k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     rho = SILVER_RATIO
-    lam = np.zeros((2, 2))
-    lam[0, 1] = rho
-    lam[1, 0] = 1.0
+    lam = np.array([[0.0, rho], [1.0, 0.0]])
     for kk in range(1, k):
-        n = 2**kk - 1
-        m = 2 * n + 1
-        new = np.zeros((m + 1, m + 1))
-        new[: n + 1, : n + 1] = lam
-        new[n + 1 :, n + 1 :] = rho**2 * lam
-        new[n, m] += rho
-        new[m, n] += rho**kk
-        pi = silver_schedule(kk)
-        new[n, n + 1 : m] += rho * pi
-        new[m, n + 1 : m] += rho * pi
-        lam = new
+        lam = _doubled(lam, rho**2, lam, kk, rho, rho**kk)
     return lam
 
 
 def silver_func_certificate(k: int) -> FuncCertificate:
     """Objective-gap certificate for GD with the silver stepsizes of order k."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     rho = SILVER_RATIO
     bar = silver_lambda_bar(k)
     star = np.concatenate([silver_schedule(k), [rho**k]])
@@ -166,52 +169,36 @@ def silver_func_certificate(k: int) -> FuncCertificate:
 
 def ogm_func_certificate(n: int) -> FuncCertificate:
     """Objective-gap certificate for the optimized gradient method."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     t = theta_sequence(n)
     lam = np.zeros((n + 2, n + 1))
     for i in range(n):
         lam[i, i + 1] = 2.0 * t[i] ** 2
-    lam[n + 1, :n] = 2.0 * t[:n]
-    lam[n + 1, n] = t[n]
     gamma = np.concatenate([2.0 * t[:n], [t[n]]])
+    lam[n + 1] = gamma  # the optimum row
     return FuncCertificate(lam=lam, gamma=gamma, r=float(t[n] ** 2))
 
 
 def gsw_grad_certificate(k: int) -> GradCertificate:
     """Gradient-norm certificate for GD with the bridge-augmented stepsizes.
 
-    Reuses the silver iterate-row blocks, rescaled by tau_{k+1}/rho**(2k) at
-    each doubling, with matching sparse and low-rank corrections.
+    Each doubling glues on silver's iterate-row block of its order, carried by
+    silver's own doubling and rescaled by tau_{kk+1}/rho**(2 kk).
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     rho = SILVER_RATIO
     taus = gsw_taus(k)
-    lam = np.zeros((2, 2))
-    lam[0, 1] = 2.0
-    lam[1, 0] = 1.0
+    lam = np.array([[0.0, 2.0], [1.0, 0.0]])
+    bar = silver_lambda_bar(1)  # silver_lambda_bar(kk) at doubling kk
     for kk in range(1, k):
-        n = 2**kk - 1
-        m = 2 * n + 1
         t = taus[kk]  # tau_{kk+1}
         scale = t / rho ** (2 * kk)
-        new = np.zeros((m + 1, m + 1))
-        new[: n + 1, : n + 1] = lam
-        new[n + 1 :, n + 1 :] = scale * silver_lambda_bar(kk)
-        new[n, m] += 0.5 * scale
-        new[m, n] += t / (2.0 * rho**kk) - 1.0
-        pi = silver_schedule(kk)
-        new[n, n + 1 : m] += 0.5 * scale * pi
-        new[m, n + 1 : m] += 0.5 * scale * pi
-        lam = new
+        lam = _doubled(lam, scale, bar, kk, 0.5 * scale, t / (2.0 * rho**kk) - 1.0)
+        if kk < k - 1:
+            bar = _doubled(bar, rho**2, bar, kk, rho, rho**kk)
     return GradCertificate(lam=lam, r=float(taus[-1] - 1.0))
 
 
 def ogmg_grad_certificate(n: int) -> GradCertificate:
     """Gradient-norm certificate for the gradient-norm optimized method."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     t = theta_sequence(n)
     tn2 = t[n] ** 2
     lam = np.zeros((n + 1, n + 1))

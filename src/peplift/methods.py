@@ -205,15 +205,11 @@ def _pogmg_coefficients(n: int) -> tuple[tuple[float, ...], ...]:
 def run_pogm(n: int, problem: ProxProblem, x0) -> RunTrace:
     """Proximal optimized gradient method: the composite extension of the
     optimized method, in O(dim) memory."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return _run_three_sequence(problem, x0, *_pogm_coefficients(n))
 
 
 def run_pogmg(n: int, problem: ProxProblem, x0) -> RunTrace:
     """Proximal gradient-norm optimized method (reversed-index coefficients)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return _run_three_sequence(problem, x0, *_pogmg_coefficients(n))
 
 

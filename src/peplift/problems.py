@@ -26,7 +26,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -76,8 +76,7 @@ class ProblemSpec:
             raise ValueError(f"box requires lo <= hi, got [{self.lo}, {self.hi}]")
 
     def canonical(self) -> dict:
-        doc = {"kind": self.kind, "dim": self.dim, "rows": self.rows, "seed": self.seed,
-               "tau": self.tau, "lo": self.lo, "hi": self.hi, "delta": self.delta}
+        doc = {name: getattr(self, name) for name in _SCALAR_FIELDS}
         if self.a is not None:
             doc["a"] = np.asarray(self.a).tolist()
         if self.b is not None:
@@ -87,6 +86,10 @@ class ProblemSpec:
     def digest(self) -> str:
         payload = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+# kind, dim, rows, seed, tau, lo, hi, delta: every field but the explicit design
+_SCALAR_FIELDS = tuple(f.name for f in fields(ProblemSpec) if f.name not in ("a", "b"))
 
 
 def spec_from_json(path) -> ProblemSpec:
@@ -111,8 +114,7 @@ def spec_from_json(path) -> ProblemSpec:
         a = _float_array(doc.pop("a"), "a")
     if "b" in doc:
         b = _float_array(doc.pop("b"), "b")
-    known = {"kind", "dim", "rows", "seed", "tau", "lo", "hi", "delta"}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_SCALAR_FIELDS)
     if unknown:
         raise ValueError(f"unknown problem spec fields: {reprlib.repr(sorted(unknown))}")
     for name in ("kind", "dim"):
@@ -293,14 +295,10 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
     if gram_scale <= 0.0:
         raise ValueError("singular design: the smooth part has zero curvature scale")
 
-    # f_value_grad shares one residual between the value and the gradient;
-    # each of the three oracles performs the same operations on it.
+    # f_value_grad shares one residual between the value and the gradient and
+    # f_grad repeats its operations; f_value, run once, reads f_value_grad's value.
     a_t = a.T
     if spec.kind in ("lasso", "boxqp", "smooth_quadratic"):
-        def f_value(x):
-            r = a.dot(x) - b
-            return 0.5 * float(r.dot(r))
-
         f_grad = lambda x: a_t.dot(a.dot(x) - b)
 
         def f_value_grad(x):
@@ -315,7 +313,6 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
             quad = np.abs(r) <= delta
             return float(np.sum(np.where(quad, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))))
 
-        f_value = lambda x: huber(a.dot(x) - b)
         f_grad = lambda x: a_t.dot(np.clip(a.dot(x) - b, -delta, delta))
 
         def f_value_grad(x):
@@ -328,7 +325,6 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
         labels = np.where(rng.standard_normal(a.shape[0]) > 0, 1.0, -1.0)
         m = labels[:, None] * a
         neg_m_t = -m.T
-        f_value = lambda x: float(np.sum(np.logaddexp(0.0, -m.dot(x))))
         f_grad = lambda x: neg_m_t.dot(1.0 / (1.0 + np.exp(m.dot(x))))
 
         def f_value_grad(x):
@@ -358,7 +354,7 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
 
     problem = ProxProblem(
         dim=spec.dim,
-        f_value=f_value,
+        f_value=lambda x: f_value_grad(x)[0],
         f_grad=f_grad,
         h_value=h_value,
         prox=prox,
@@ -373,11 +369,8 @@ def make_problem(spec: ProblemSpec) -> ProxProblem:
 
 
 def _reference_optimum(spec, a, b, problem: ProxProblem):
-    identity_design = spec.a is None and spec.rows == 0
-    if spec.kind == "lasso" and identity_design:
-        x_star = soft_threshold(b, spec.tau)
-    elif spec.kind == "boxqp" and identity_design:
-        x_star = np.clip(b, spec.lo, spec.hi)
+    if spec.kind in ("lasso", "boxqp") and spec.a is None and spec.rows == 0:
+        x_star = problem.prox(1.0, b)  # the identity design's minimizer
     elif spec.kind == "smooth_quadratic":
         x_star = np.linalg.lstsq(a, b, rcond=None)[0]
     else:
@@ -391,8 +384,7 @@ def _reference_optimum(spec, a, b, problem: ProxProblem):
             polish = partial(_polish_lasso, a, b, spec.tau)
         elif spec.kind == "boxqp":
             polish = partial(_polish_boxqp, a, b, spec.lo, spec.hi)
-        x0 = np.zeros(spec.dim) if spec.kind != "boxqp" else np.clip(np.zeros(spec.dim), spec.lo, spec.hi)
-        x_star, _ = _fista_reference(problem, x0, polish=polish)
+        x_star, _ = _fista_reference(problem, prox(1.0, np.zeros(spec.dim)), polish=polish)
         polished = polish(x_star) if polish is not None else None
         # the polished point is a machine-exact stationary solve; adopt it on
         # the fixed-point residual (objective differences sit below rounding)

@@ -32,17 +32,17 @@ SILVER_RATIO = 1.0 + math.sqrt(2.0)
 
 
 def _frozen(a) -> np.ndarray:
-    """Read-only float array with the values of an array-like.
+    """Read-only C-ordered float array with the values of an array-like.
 
-    A float array that is read-only all the way down (it and every array it
-    views) is returned as it is, since nothing can write to it; anything
-    else is copied, so no caller keeps a writable handle on the result."""
+    A C-contiguous float array read-only all the way down (it and every array
+    it views) is returned as it is; anything else is copied in C order, so no
+    caller keeps a writable handle on the result or picks how BLAS sums it."""
     base = a
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
-    if base is None and a.dtype == float:
+    if base is None and a.dtype == float and a.flags.c_contiguous:
         return a
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -275,9 +275,10 @@ def ogm_stepsize_matrix(n: int) -> StepsizeMatrix:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    a = np.zeros((n, n))  # before the theta loop, so a size beyond memory fails at once
     t = theta_sequence(n)
     scale = (t[1:n] - 1.0) / t[2:]  # scale[i] takes column i to column i+1
-    a = np.diag(1.0 + (2.0 * t[:n] - 1.0) / t[1:])
+    np.fill_diagonal(a, 1.0 + (2.0 * t[:n] - 1.0) / t[1:])
     a[range(n - 1), range(1, n)] = scale * (np.diagonal(a)[:-1] - 1.0)
     for j in range(n - 2):
         a[j, j + 2 :] = scale[j + 1 :]
@@ -298,8 +299,8 @@ def ogmg_stepsize_matrix(n: int) -> StepsizeMatrix:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    a = np.zeros((n, n))  # before the theta loop, as in ogm_stepsize_matrix
     t = theta_sequence(n)
-    a = np.zeros((n, n))
     for i in range(n):
         a[i, i] = 1.0 + (2.0 * t[n - i - 1] - 1.0) / t[n - i]
         if i >= 1:

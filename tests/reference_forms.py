@@ -1,7 +1,8 @@
 """Second constructions of library objects and negative-control helpers.
 
 The tests compare the library against these: the recursive silver doubling,
-the theta recursion on numpy scalars, the triangular factorizations of the
+the gsw certificate with its silver blocks rebuilt at every order, the theta
+recursion on numpy scalars, the triangular factorizations of the
 OGM/OGM-G matrices, the aggregate form of a certificate's identity, the
 partial-sum kernel, the pair and per-row forms of a problem's fused oracles,
 and the plain forms of the OGM and OGM-G schedule loops, U(d)'s row loop,
@@ -21,12 +22,12 @@ from dataclasses import replace
 import numpy as np
 
 from peplift import config
-from peplift.certificates import FuncCertificate, GradCertificate, aggregates
+from peplift.certificates import FuncCertificate, GradCertificate, aggregates, silver_lambda_bar
 from peplift.ledger import _DENSE_STEPS, GramLedger, ix_dist, ix_g, ix_s, ix_s_star
 from peplift.lift import CompositeLift, FeasibilityReport, _shifted_rows, _sigma, pseudoinverse_xi
 from peplift.methods import ProxProblem, RunTrace
 from peplift.problems import _polish_boxqp, _polish_lasso
-from peplift.schedules import SILVER_RATIO, StepsizeMatrix, gsw_taus, phi_sequence, theta_sequence
+from peplift.schedules import SILVER_RATIO, StepsizeMatrix, gsw_taus, phi_sequence, silver_schedule, theta_sequence
 
 
 def hc_product(H: StepsizeMatrix) -> np.ndarray:
@@ -74,6 +75,33 @@ def gsw_schedule_concatenated(k: int) -> np.ndarray:
         eta = 1.0 + (math.sqrt(t * t + 8.0 * r * t) - t) / 4.0
         steps = np.concatenate([steps, [eta], silver_schedule_listed(kk)])
     return steps
+
+
+def gsw_grad_certificate_plain(k: int) -> GradCertificate:
+    """GSW's gradient-norm certificate with silver_lambda_bar(kk) rebuilt
+    from scratch at every doubling kk, each doubling written out."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    rho = SILVER_RATIO
+    taus = gsw_taus(k)
+    lam = np.zeros((2, 2))
+    lam[0, 1] = 2.0
+    lam[1, 0] = 1.0
+    for kk in range(1, k):
+        n = 2**kk - 1
+        m = 2 * n + 1
+        t = taus[kk]  # tau_{kk+1}
+        scale = t / rho ** (2 * kk)
+        new = np.zeros((m + 1, m + 1))
+        new[: n + 1, : n + 1] = lam
+        new[n + 1 :, n + 1 :] = scale * silver_lambda_bar(kk)
+        new[n, m] += 0.5 * scale
+        new[m, n] += t / (2.0 * rho**kk) - 1.0
+        pi = silver_schedule(kk)
+        new[n, n + 1 : m] += 0.5 * scale * pi
+        new[m, n + 1 : m] += 0.5 * scale * pi
+        lam = new
+    return GradCertificate(lam=lam, r=float(taus[-1] - 1.0))
 
 
 def theta_sequence_plain(n: int) -> np.ndarray:

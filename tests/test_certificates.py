@@ -28,7 +28,7 @@ from peplift.schedules import (
     silver_schedule,
     theta_sequence,
 )
-from reference_forms import aggregate_identity_residual
+from reference_forms import aggregate_identity_residual, gsw_grad_certificate_plain
 from structural_checks import func_invariant_residuals, grad_invariant_residuals
 
 RHO = SILVER_RATIO
@@ -140,6 +140,13 @@ class TestGswCertificate:
             n = cert.n
             total = cert.lam[n - 1, n] + cert.lam[n, n - 1]
             assert abs(total - gsw_taus(k)[-1] / SQ2) < 1e-9
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_keeps_the_bits_of_the_rebuilt_form(self, k):
+        # the silver block carried from order to order is silver_lambda_bar(kk)
+        lam, plain = gsw_grad_certificate(k).lam, gsw_grad_certificate_plain(k).lam
+        assert lam.shape == plain.shape
+        assert lam.tobytes() == plain.tobytes()  # signbit included
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_identity_and_invariants(self, k):
@@ -289,6 +296,23 @@ class TestMultiplierContract:
     def test_rejects_fewer_than_one_step(self, make, shape):
         with pytest.raises(ValueError, match=r"n >= 1, got " + shape):
             make()
+
+    @pytest.mark.parametrize("builder, message", [
+        (silver_func_certificate, "need k >= 1"),  # silver_lambda_bar's check
+        (gsw_grad_certificate, "need k >= 1"),  # gsw_taus's check
+        (ogm_func_certificate, "theta sequence needs n >= 1"),
+        (ogmg_grad_certificate, "theta sequence needs n >= 1"),
+    ], ids=["silver", "gsw", "ogm", "ogmg"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_builder_rejects_a_size_below_one(self, builder, message, size):
+        # a builder's size is checked once, by the helper that first reads it
+        with pytest.raises(ValueError, match=f"^{message}, got {size}$"):
+            builder(size)
+
+    def test_gamma_length_must_match_lam(self):
+        cert = ogm_func_certificate(3)
+        with pytest.raises(ValueError, match=r"gamma length \(3,\) does not match lam \(5, 4\)"):
+            rebuilt(cert, gamma=cert.gamma[:3])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_func_rejects_non_finite_gamma(self, value):

@@ -230,6 +230,29 @@ class TestRun:
         monkeypatch.setattr(problems, "make_problem", no_solve)
         assert main(["run", "--algo", "proxgd-silver", "--problem", lasso_spec_file, "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("algo", sorted(cli.RUNNERS))
+    def test_nonpositive_n_is_rejected_before_the_reference_solve(self, lasso_spec_file, monkeypatch,
+                                                                  capsys, algo, n):
+        from peplift import problems
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("make_problem ran for an invalid --n")
+
+        monkeypatch.setattr(problems, "make_problem", no_solve)
+        assert main(["run", "--algo", algo, "--problem", lasso_spec_file, "--n", n]) == 2
+        assert one_short_error_line(capsys) == f"error: --n must be >= 1, got {n}\n"
+
+    def test_json_echoes_an_inline_design(self, tmp_path):
+        spec = {"kind": "lasso", "dim": 2, "a": [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]], "b": [1.0, -1.0, 0.5],
+                "tau": 0.25}
+        path, out = tmp_path / "problem.json", tmp_path / "trace.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "3", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["problem"] == {
+            "kind": "lasso", "dim": 2, "rows": 0, "seed": 0, "tau": 0.25, "lo": -1.0, "hi": 1.0, "delta": 1.0,
+            "a": spec["a"], "b": spec["b"]}
+
     def test_silver_accepts_power_length(self, lasso_spec_file):
         assert main(["run", "--algo", "proxgd-silver", "--problem", lasso_spec_file, "--n", "7"]) == 0
 
@@ -493,12 +516,18 @@ class TestTooLargeToAllocate:
         assert main(["run", "--algo", "pogm", "--problem", str(path), "--n", "2"]) == 2
         assert "Unable to allocate" in one_short_error_line(capsys)
 
-    @pytest.mark.parametrize("algo, metric", [("silver", "func"), ("gsw", "grad")])
-    def test_doubling_order_beyond_memory_fails_at_once(self, algo, metric):
-        # k=40 asks for 2**40 - 1 steps (8 TiB): the schedule's one output
-        # array is refused before any step is computed.  The child runs under
-        # a 1 GiB address-space cap, so a build that grew step by step could
-        # not take the machine down; it would show in the child's peak RSS.
+    @pytest.mark.parametrize("algo, metric, size", [
+        ("silver", "func", ["--k", "40"]),
+        ("gsw", "grad", ["--k", "40"]),
+        ("ogm", "func", ["--n", "30000000"]),
+        ("ogmg", "grad", ["--n", "30000000"]),
+    ], ids=["silver-func", "gsw-grad", "ogm-func", "ogmg-grad"])
+    def test_doubling_order_beyond_memory_fails_at_once(self, algo, metric, size):
+        # k=40 asks for 2**40 - 1 steps (8 TiB) and n=3e7 for an n x n matrix
+        # (6.39 PiB): the schedule's output array is refused before any step
+        # or theta is computed.  The child runs under a 1 GiB address-space
+        # cap, so a build that grew step by step could not take the machine
+        # down; it would show in the child's peak RSS.
         child = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -508,7 +537,7 @@ class TestTooLargeToAllocate:
             "sys.exit(code)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", child, "certify", "--algo", algo, "--metric", metric, "--k", "40"],
+            [sys.executable, "-c", child, "certify", "--algo", algo, "--metric", metric, *size],
             capture_output=True, text=True, timeout=20, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         )
         assert proc.returncode == 2

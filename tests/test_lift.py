@@ -188,6 +188,22 @@ class TestVerifiersJudge:
         assert main([command, "--algo", "silver", "--metric", "func", "--k", "2"]) == 1
 
 
+class TestSizesMatch:
+    """A stepsize matrix and a certificate of different step counts make
+    no proof; each consumer of the pair rejects it, naming both counts."""
+
+    @pytest.mark.parametrize("steps, cert_n", [(4, 5), (6, 5)])
+    @pytest.mark.parametrize("consumer", [
+        lambda H, n: lift_func(H, ogm_func_certificate(n), 0.3),
+        lambda H, n: lift_grad(H, ogmg_grad_certificate(n), None),
+        lambda H, n: certificates_module._smooth_ledger(H, ogm_func_certificate(n), composite=False),
+        lambda H, n: certificates_module._smooth_ledger(H, ogmg_grad_certificate(n), composite=True),
+    ], ids=["lift_func", "lift_grad", "smooth_ledger-func", "smooth_ledger-grad"])
+    def test_mismatched_step_counts_are_rejected(self, consumer, steps, cert_n):
+        with pytest.raises(ValueError, match=f"^stepsize matrix is {steps}-step but certificate has n={cert_n}$"):
+            consumer(ogm_stepsize_matrix(steps), cert_n)
+
+
 def ogmg3_with_corner(pair: float) -> GradCertificate:
     """The ogmg n=3 certificate with lam[2, 3] and lam[3, 2] set to pair each."""
     cert = ogmg_grad_certificate(3)
@@ -717,6 +733,23 @@ class TestRowsThroughFactors:
         faulty = StepsizeMatrix(H.entries, tuple(factors))
         assert verify_cell(faulty, cert, family.xi(n), lift=False).passed is certified
         assert verify_cell(faulty, cert, family.xi(n)).passed is False
+
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+    def test_cell_bits_do_not_depend_on_the_entries_memory_order(self, factored):
+        # a Fortran-ordered H is stored in C order, so BLAS sums its
+        # products in the order it sums those of the same H given in C order
+        n = 100
+        H, cert = ogm_stepsize_matrix(n), ogm_func_certificate(n)
+
+        def cell_bits(entries):
+            cell = verify_cell(StepsizeMatrix(entries, H.factors if factored else ()), cert, 0.3)
+            return (cell.lifted.mu.tobytes(), cell.lifted.slack.tobytes(),
+                    cell.identity.to_dict(), cell.composite.to_dict(), cell.feasibility.to_dict())
+
+        fortran = np.asfortranarray(H.entries)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert StepsizeMatrix(fortran).entries.flags.c_contiguous
+        assert cell_bits(fortran) == cell_bits(np.array(H.entries))
 
     def test_catalog_cells_never_solve_densely(self, monkeypatch):
         def refuse(*args, **kwargs):

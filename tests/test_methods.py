@@ -226,6 +226,17 @@ class TestEfficientForms:
         rhs = 2 * (math.sqrt(5) - 1) / tn2 * problem.smoothness * (trace.obj_values[0] - trace.obj_values[-1])
         assert lhs <= rhs + 1e-9
 
+    @pytest.mark.parametrize("runner", ["composite", "pogm", "pogmg", "fista"])
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_rejects_a_start_of_the_wrong_length(self, lasso, runner, length):
+        _, problem = lasso
+        run = {"composite": lambda x0: run_composite(ogm_stepsize_matrix(4), problem, x0),
+               "pogm": lambda x0: run_pogm(4, problem, x0),
+               "pogmg": lambda x0: run_pogmg(4, problem, x0),
+               "fista": lambda x0: run_fista(4, problem, x0)}[runner]
+        with pytest.raises(ValueError, match=rf"x0 has shape \({length},\), problem dimension is 10"):
+            run(np.zeros(length))
+
     def test_rejects_nonpositive_n(self, lasso):
         _, problem = lasso
         with pytest.raises(ValueError):

@@ -29,6 +29,16 @@ class TestDumps17:
         with pytest.raises(ValueError):
             format17(math.nan)
 
+    def test_empty_containers(self):
+        assert dumps17({}) == "{}\n"
+        assert dumps17([]) == "[]\n"
+        assert dumps17({"a": {}, "b": [], "c": ()}) == '{\n  "a": {},\n  "b": [],\n  "c": []\n}\n'
+
+    @pytest.mark.parametrize("key", [1, None, ("a",)])
+    def test_non_string_key_rejected(self, key):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            dumps17({"ok": 1, key: 2})
+
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):
             dumps17({"v": object()})
